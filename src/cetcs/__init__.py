@@ -26,6 +26,7 @@ from .errors import (
     FormulaError,
     JointMonicityError,
     ModelFileError,
+    ReportError,
     ShapeError,
 )
 from .finset import (

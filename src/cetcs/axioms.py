@@ -9,6 +9,15 @@ the construction that produced the diagram.  Epimorphisms are decided by
 right cancellation against test objects rather than by ontoness, so the
 statements that relate the two notions stay non-circular.
 
+Bucket keys are the table tuples of the induced composites: within one
+bucket every candidate shares its domain and codomain, so tables tell
+candidates apart exactly as the morphisms would.  Cones over a cospan are
+grouped by the checker-side composite (the table of g∘q2), so each first
+leg visits only the second legs it commutes with; the grouping reads the
+cospan alone, never the construction under test.  Equalizer and
+coequalizer buckets depend only on the construction and the test object,
+so each is built once per distinct pair and reused.
+
 Sampling mode (for bounds past the exhaustive threshold) draws a seeded
 reservoir of instances; items whose content is a universal quantification
 over mediating candidates are skipped with a reason instead of pretending a
@@ -17,6 +26,7 @@ sampled uniqueness sweep is exhaustive.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -376,14 +386,15 @@ def _ax_products(spec: CheckSpec):
             p, q = d.projections
             for t in _objs(spec, "t"):
                 buckets = _bucket_by(
-                    all_maps(t, d.apex), lambda h: (compose(p, h), compose(q, h))
+                    all_maps(t, d.apex),
+                    lambda h: (compose(p, h).table, compose(q, h).table),
                 )
                 fs = list(all_maps(t, a))
                 gs = list(all_maps(t, b))
                 for f in fs:
                     for g in gs:
                         checked += 1
-                        n = len(buckets.get((f, g), ()))
+                        n = len(buckets.get((f.table, g.table), ()))
                         if n != 1:
                             return FAIL, {
                                 "A": str(a), "B": str(b), "T": str(t),
@@ -396,6 +407,14 @@ def _ax_equalizers(spec: CheckSpec):
     if spec.sampled:
         return _skip(_SAMPLED_SKIP)
     checked = 0
+
+    # Many parallel pairs share an equalizer, so each bucket is built once
+    # per (equalizer, test object) and reused.
+    @functools.cache
+    def mediators(e: FinMor, t: FinObj) -> dict:
+        return _bucket_by(all_maps(t, e.dom), lambda k: compose(e, k).table)
+
+    tests = _objs(spec, "t")
     for a in _objs(spec, "a"):
         for b in _objs(spec, "b"):
             for f in all_maps(a, b):
@@ -404,13 +423,13 @@ def _ax_equalizers(spec: CheckSpec):
                     checked += 1
                     if compose(f, e) != compose(g, e):
                         return FAIL, {"f": str(f), "g": str(g), "face": "fork"}, checked
-                    for t in _objs(spec, "t"):
-                        buckets = _bucket_by(all_maps(t, e.dom), lambda k: compose(e, k))
+                    for t in tests:
+                        buckets = mediators(e, t)
                         for h in all_maps(t, a):
-                            if compose(f, h) != compose(g, h):
+                            if compose(f, h).table != compose(g, h).table:
                                 continue
                             checked += 1
-                            n = len(buckets.get(h, ()))
+                            n = len(buckets.get(h.table, ()))
                             if n != 1:
                                 return FAIL, {
                                     "f": str(f), "g": str(g), "h": str(h),
@@ -429,14 +448,15 @@ def _ax_sums(spec: CheckSpec):
             inl, inr = d.injections
             for t in _objs(spec, "t"):
                 buckets = _bucket_by(
-                    all_maps(d.apex, t), lambda h: (compose(h, inl), compose(h, inr))
+                    all_maps(d.apex, t),
+                    lambda h: (compose(h, inl).table, compose(h, inr).table),
                 )
                 fs = list(all_maps(a, t))
                 gs = list(all_maps(b, t))
                 for f in fs:
                     for g in gs:
                         checked += 1
-                        n = len(buckets.get((f, g), ()))
+                        n = len(buckets.get((f.table, g.table), ()))
                         if n != 1:
                             return FAIL, {
                                 "A": str(a), "B": str(b), "T": str(t),
@@ -449,6 +469,14 @@ def _ax_coequalizers(spec: CheckSpec):
     if spec.sampled:
         return _skip(_SAMPLED_SKIP)
     checked = 0
+
+    # Many parallel pairs share a coequalizer, so each bucket is built once
+    # per (coequalizer, test object) and reused.
+    @functools.cache
+    def mediators(q: FinMor, t: FinObj) -> dict:
+        return _bucket_by(all_maps(q.cod, t), lambda k: compose(k, q).table)
+
+    tests = _objs(spec, "t")
     for a in _objs(spec, "a"):
         for b in _objs(spec, "b"):
             for f in all_maps(a, b):
@@ -457,13 +485,13 @@ def _ax_coequalizers(spec: CheckSpec):
                     checked += 1
                     if compose(q, f) != compose(q, g):
                         return FAIL, {"f": str(f), "g": str(g), "face": "fork"}, checked
-                    for t in _objs(spec, "t"):
-                        buckets = _bucket_by(all_maps(q.cod, t), lambda k: compose(k, q))
+                    for t in tests:
+                        buckets = mediators(q, t)
                         for h in all_maps(b, t):
-                            if compose(h, f) != compose(h, g):
+                            if compose(h, f).table != compose(h, g).table:
                                 continue
                             checked += 1
-                            n = len(buckets.get(h, ()))
+                            n = len(buckets.get(h.table, ()))
                             if n != 1:
                                 return FAIL, {
                                     "f": str(f), "g": str(g), "h": str(h),
@@ -554,11 +582,11 @@ def _separating_pool(spec: CheckSpec) -> CheckSpec:
 def _is_sum_diagram(spec: CheckSpec, s: FinObj, i: FinMor, j: FinMor) -> bool:
     for t in _objs(_separating_pool(spec), "t"):
         buckets = _bucket_by(
-            all_maps(s, t), lambda h: (compose(h, i), compose(h, j))
+            all_maps(s, t), lambda h: (compose(h, i).table, compose(h, j).table)
         )
         for f in all_maps(i.dom, t):
             for g in all_maps(j.dom, t):
-                if len(buckets.get((f, g), ())) != 1:
+                if len(buckets.get((f.table, g.table), ())) != 1:
                     return False
     return True
 
@@ -784,6 +812,20 @@ def _eq10_counts(p1: FinMor, p2: FinMor, f: FinMor, g: FinMor) -> bool:
     return total == len(p1.dom)
 
 
+def _cones(f: FinMor, g: FinMor, t: FinObj) -> Iterator[tuple[FinMor, FinMor]]:
+    """Every commuting cone (q1, q2) from t over the cospan (f, g).
+
+    The q2 legs are grouped once by the table of g∘q2, and each q1 visits
+    only the group under the table of f∘q1.  That yields exactly the pairs a
+    filter over all of them would keep, in the same q1-major order, and
+    reads nothing but the two cospan legs.
+    """
+    over = _bucket_by(all_maps(t, g.dom), lambda q2: compose(g, q2).table)
+    for q1 in all_maps(t, f.dom):
+        for q2 in over.get(compose(f, q1).table, ()):
+            yield q1, q2
+
+
 def _thm_pullback_elements(spec: CheckSpec):
     if spec.sampled:
         return _skip(_SAMPLED_SKIP)
@@ -796,35 +838,29 @@ def _thm_pullback_elements(spec: CheckSpec):
         for t in _objs(spec, "t"):
             buckets = _bucket_by(
                 all_maps(t, square.apex),
-                lambda h: (compose(square.p1, h), compose(square.p2, h)),
+                lambda h: (compose(square.p1, h).table, compose(square.p2, h).table),
             )
-            for q1 in all_maps(t, f.dom):
-                for q2 in all_maps(t, g.dom):
-                    if compose(f, q1) != compose(g, q2):
-                        continue
-                    checked += 1
-                    if len(buckets.get((q1, q2), ())) != 1:
-                        return FAIL, {
-                            "f": str(f), "g": str(g), "q1": str(q1), "q2": str(q2),
-                        }, checked
+            for q1, q2 in _cones(f, g, t):
+                checked += 1
+                if len(buckets.get((q1.table, q2.table), ())) != 1:
+                    return FAIL, {
+                        "f": str(f), "g": str(g), "q1": str(q1), "q2": str(q2),
+                    }, checked
     cap = min(spec.bound, 2)
     small = CheckSpec(item=spec.item, bound=cap)
     for f, g in _cospans(small):
         square = pullback(f, g)
         for p_obj in _objs(small, "p"):
-            for p1 in all_maps(p_obj, f.dom):
-                for p2 in all_maps(p_obj, g.dom):
-                    if compose(f, p1) != compose(g, p2):
-                        continue
-                    checked += 1
-                    criterion = _eq10_counts(p1, p2, f, g)
-                    mediator = square.mediate(p1, p2)
-                    is_pb = mediator.is_bijective()
-                    if criterion != is_pb:
-                        return FAIL, {
-                            "f": str(f), "g": str(g), "p1": str(p1), "p2": str(p2),
-                            "criterion": criterion, "pullback": is_pb,
-                        }, checked
+            for p1, p2 in _cones(f, g, p_obj):
+                checked += 1
+                criterion = _eq10_counts(p1, p2, f, g)
+                mediator = square.mediate(p1, p2)
+                is_pb = mediator.is_bijective()
+                if criterion != is_pb:
+                    return FAIL, {
+                        "f": str(f), "g": str(g), "p1": str(p1), "p2": str(p2),
+                        "criterion": criterion, "pullback": is_pb,
+                    }, checked
     return PASS, None, checked
 
 
@@ -842,15 +878,15 @@ def _thm_quotients(spec: CheckSpec):
                     if ((a, b) in rows) != (q(a) == q(b)):
                         return FAIL, {"X": str(x), "a": a, "b": b}, checked
             for t in _objs(spec, "t"):
-                buckets = _bucket_by(all_maps(q.cod, t), lambda k: compose(k, q))
+                buckets = _bucket_by(all_maps(q.cod, t), lambda k: compose(k, q).table)
                 for h in all_maps(x, t):
                     if any(h(a) != h(b) for a, b in rows):
                         continue
                     checked += 1
-                    if len(buckets.get(h, ())) != 1:
+                    if len(buckets.get(h.table, ())) != 1:
                         return FAIL, {
                             "X": str(x), "h": str(h),
-                            "mediators": len(buckets.get(h, ())),
+                            "mediators": len(buckets.get(h.table, ())),
                         }, checked
     return PASS, None, checked
 
@@ -1007,7 +1043,7 @@ def _thm_regularity(spec: CheckSpec):
 
 def _is_epi(spec: CheckSpec, f: FinMor) -> bool:
     for t in _objs(_separating_pool(spec), "t"):
-        buckets = _bucket_by(all_maps(f.cod, t), lambda h: compose(h, f))
+        buckets = _bucket_by(all_maps(f.cod, t), lambda h: compose(h, f).table)
         if any(len(group) > 1 for group in buckets.values()):
             return False
     return True

@@ -27,8 +27,9 @@ from .axioms import (
     check_pi_universal,
     check_theorem,
 )
-from .errors import CetcsError
+from .errors import CetcsError, ReportError
 from .finset import (
+    FinObj,
     coequalizer,
     coproduct,
     equalizer,
@@ -105,6 +106,14 @@ def _named(kind: str, name: str, table: dict):
     return table[name]
 
 
+def _name_of(mf: ModelFile, o: FinObj) -> str:
+    """The first declared name of a carrier, or ``_`` for an anonymous one."""
+    for name, candidate in mf.objects.items():
+        if candidate == o:
+            return name
+    return "_"
+
+
 def _emit_reports(reports: list[Report], cfg: RunConfig) -> int:
     if cfg.fmt == "json":
         sys.stdout.write(render_json(reports, include_timing=cfg.timings))
@@ -163,10 +172,6 @@ def _run_check(cfg: RunConfig) -> int:
 def _run_construct(cfg: RunConfig) -> int:
     mf = _model(cfg)
     lines: list[str] = []
-    payload: dict = {"op": cfg.op}
-
-    def obj(name: str) -> None:
-        lines.append(render_object(name, payload["_objs"][name]))
 
     def need_objects(n: int) -> list:
         if len(cfg.objects) != n:
@@ -177,12 +182,6 @@ def _run_construct(cfg: RunConfig) -> int:
         if len(cfg.maps) != n:
             raise CetcsError(f"--op {cfg.op} needs --maps with {n} names")
         return [_named("morphism", x, mf.morphisms) for x in cfg.maps]
-
-    def name_of(o) -> str:
-        for name, candidate in mf.objects.items():
-            if candidate == o:
-                return name
-        return "_"
 
     out_objects: dict = {}
     out_morphisms: list[tuple[str, object, str, str]] = []
@@ -204,40 +203,40 @@ def _run_construct(cfg: RunConfig) -> int:
         f, g = need_maps(2)
         e = equalizer(f, g)
         out_objects["E"] = e.dom
-        out_morphisms.append(("e", e, "E", name_of(e.cod)))
+        out_morphisms.append(("e", e, "E", _name_of(mf, e.cod)))
     elif cfg.op == "coequalizer":
         f, g = need_maps(2)
         q = coequalizer(f, g)
         out_objects["Q"] = q.cod
-        out_morphisms.append(("q", q, name_of(q.dom), "Q"))
+        out_morphisms.append(("q", q, _name_of(mf, q.dom), "Q"))
     elif cfg.op == "pullback":
         f, g = need_maps(2)
         square = pullback(f, g)
         out_objects["P"] = square.apex
-        out_morphisms.append(("p1", square.p1, "P", name_of(square.p1.cod)))
-        out_morphisms.append(("p2", square.p2, "P", name_of(square.p2.cod)))
+        out_morphisms.append(("p1", square.p1, "P", _name_of(mf, square.p1.cod)))
+        out_morphisms.append(("p2", square.p2, "P", _name_of(mf, square.p2.cod)))
     elif cfg.op == "pi":
         g, f = need_maps(2)
         d = pi_diagram(g, f)
         out_objects["F"] = d.F
         out_objects["P"] = d.P
-        out_morphisms.append(("phi", d.phi, "F", name_of(d.phi.cod)))
+        out_morphisms.append(("phi", d.phi, "F", _name_of(mf, d.phi.cod)))
         out_morphisms.append(("pi1", d.pi1, "P", "F"))
-        out_morphisms.append(("pi2", d.pi2, "P", name_of(d.pi2.cod)))
-        out_morphisms.append(("ev", d.ev, "P", name_of(d.ev.cod)))
+        out_morphisms.append(("pi2", d.pi2, "P", _name_of(mf, d.pi2.cod)))
+        out_morphisms.append(("ev", d.ev, "P", _name_of(mf, d.ev.cod)))
     elif cfg.op == "image":
         (f,) = need_maps(1)
         e, i = image_factorization(f)
         out_objects["I"] = i.dom
-        out_morphisms.append(("e", e, name_of(e.dom), "I"))
-        out_morphisms.append(("i", i, "I", name_of(i.cod)))
+        out_morphisms.append(("e", e, _name_of(mf, e.dom), "I"))
+        out_morphisms.append(("i", i, "I", _name_of(mf, i.cod)))
     elif cfg.op == "quotient":
         if cfg.relation is None:
             raise CetcsError("--op quotient needs --relation")
         rel = _named("relation", cfg.relation, mf.relations)
         q = quotient(rel)
         out_objects["Q"] = q.cod
-        out_morphisms.append(("q", q, name_of(q.dom), "Q"))
+        out_morphisms.append(("q", q, _name_of(mf, q.dom), "Q"))
     elif cfg.op == "exponential":
         a, b = need_objects(2)
         e_obj, ev_rel = exponential(a, b)
@@ -303,19 +302,13 @@ def _run_pi(cfg: RunConfig) -> int:
     f = _named("morphism", cfg.f, mf.morphisms)
     d = pi_diagram(g, f)
 
-    def name_of(o) -> str:
-        for name, candidate in mf.objects.items():
-            if candidate == o:
-                return name
-        return "_"
-
     lines = [
         render_object("F", d.F),
         render_object("P", d.P),
-        render_morphism("phi", d.phi, "F", name_of(d.phi.cod)),
+        render_morphism("phi", d.phi, "F", _name_of(mf, d.phi.cod)),
         render_morphism("pi1", d.pi1, "P", "F"),
-        render_morphism("pi2", d.pi2, "P", name_of(d.pi2.cod)),
-        render_morphism("ev", d.ev, "P", name_of(d.ev.cod)),
+        render_morphism("pi2", d.pi2, "P", _name_of(mf, d.pi2.cod)),
+        render_morphism("ev", d.ev, "P", _name_of(mf, d.ev.cod)),
     ]
     payload: dict = {
         "g": cfg.g,
@@ -339,9 +332,14 @@ def _run_report(cfg: RunConfig) -> int:
     if cfg.input_path is None:
         raise CetcsError("report needs a saved JSON report file")
     with open(cfg.input_path, encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except ValueError as exc:
+            raise ReportError(f"{cfg.input_path} is not a JSON report: {exc}") from None
     if isinstance(data, dict):
         data = [data]
+    if not isinstance(data, list):
+        raise ReportError(f"{cfg.input_path} holds neither a report nor a list of them")
     reports = [from_dict(d) for d in data]
     return _emit_reports(reports, cfg)
 

@@ -63,3 +63,7 @@ class ModelFileError(CetcsError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+class ReportError(CetcsError):
+    """A saved report stream is not valid JSON or does not match the schema."""

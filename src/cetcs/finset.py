@@ -76,6 +76,25 @@ class FinMor:
                 raise ShapeError(f"table value {value!r} not in codomain {self.cod}")
 
     @classmethod
+    def _trusted(cls, dom: FinObj, cod: FinObj, table: tuple[str, ...]) -> "FinMor":
+        """Build a morphism without running ``__post_init__``.
+
+        Invariant: ``table`` is a tuple of length ``len(dom)`` whose entries
+        all lie in ``cod``, so validation could not fail.  Only two callers
+        may rely on it, because their tables hold that invariant by
+        construction: ``compose``, which reads every entry out of
+        ``g.table``, and ``all_maps``, which draws tables of length
+        ``len(a)`` from ``b.labels``.  Everything else, the public
+        constructor and every construction included, validates.
+        """
+        mor = object.__new__(cls)
+        fields = mor.__dict__
+        fields["dom"] = dom
+        fields["cod"] = cod
+        fields["table"] = table
+        return mor
+
+    @classmethod
     def from_mapping(cls, dom: FinObj, cod: FinObj, mapping: Mapping[str, str]) -> "FinMor":
         missing = [lbl for lbl in dom.labels if lbl not in mapping]
         if missing:
@@ -128,11 +147,12 @@ def identity(a: FinObj) -> FinMor:
 
 def compose(g: FinMor, f: FinMor) -> FinMor:
     """The composite g∘f; raises if cod(f) and dom(g) disagree."""
-    if f.cod != g.dom:
+    if f.cod is not g.dom and f.cod != g.dom:
         raise CompositionError(
             f"cannot compose: codomain of [{f}] is not the domain of [{g}]"
         )
-    return FinMor(f.dom, g.cod, tuple(g(v) for v in f.table))
+    index, table = g.dom.index, g.table
+    return FinMor._trusted(f.dom, g.cod, tuple([table[index[v]] for v in f.table]))
 
 
 def element(a: FinObj, label: str) -> FinMor:
@@ -163,7 +183,7 @@ def unique_from_initial(a: FinObj) -> FinMor:
 def all_maps(a: FinObj, b: FinObj) -> Iterator[FinMor]:
     """All morphisms a -> b, ordered lexicographically by table."""
     for table in itertools.product(b.labels, repeat=len(a)):
-        yield FinMor(a, b, table)
+        yield FinMor._trusted(a, b, table)
 
 
 # ---------------------------------------------------------------------------

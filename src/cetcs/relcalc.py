@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import JointMonicityError, ShapeError
+from .errors import CompositionError, JointMonicityError, ShapeError
 from .finset import (
     FinMor,
     FinObj,
@@ -151,8 +151,9 @@ def leq(m: Relation, n: Relation) -> tuple[bool, FinMor | None]:
             return False, None
         table.append(locate[row])
     f = FinMor(m.dom, n.dom, tuple(table))
-    for leg_m, leg_n in zip(m.legs, n.legs):
-        assert compose(leg_n, f) == leg_m
+    for k, (leg_m, leg_n) in enumerate(zip(m.legs, n.legs)):
+        if compose(leg_n, f) != leg_m:
+            raise CompositionError(f"factoring witness fails n∘f = m on leg {k}")
     return True, f
 
 

@@ -13,9 +13,12 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from .errors import ReportError
+
 PASS = "pass"
 FAIL = "fail"
 SKIP = "skip"
+VERDICTS = (PASS, FAIL, SKIP)
 
 
 @dataclass(frozen=True)
@@ -56,12 +59,39 @@ class Report:
 
 
 def from_dict(data: Mapping) -> Report:
+    """Rebuild a report saved by ``to_dict``; raises ReportError on bad data."""
+    if not isinstance(data, Mapping):
+        raise ReportError(f"a saved report must be an object, got {data!r}")
+    for key in ("item", "verdict"):
+        if key not in data:
+            raise ReportError(f"saved report lacks the key {key!r}")
+    item, verdict = data["item"], data["verdict"]
+    witness = data.get("witness")
+    instances = data.get("instances_checked", 0)
+    elapsed = data.get("elapsed")
+    if not isinstance(item, str):
+        raise ReportError(f"item must be a string, got {item!r}")
+    if verdict not in VERDICTS:
+        raise ReportError(
+            f"unknown verdict {verdict!r} for {item!r} "
+            f"(known: {', '.join(VERDICTS)})"
+        )
+    if witness is not None and not isinstance(witness, Mapping):
+        raise ReportError(f"witness of {item!r} must be an object or null")
+    if isinstance(instances, bool) or not isinstance(instances, int) or instances < 0:
+        raise ReportError(
+            f"instances_checked of {item!r} must be a count, got {instances!r}"
+        )
+    if elapsed is not None and (
+        isinstance(elapsed, bool) or not isinstance(elapsed, (int, float))
+    ):
+        raise ReportError(f"elapsed of {item!r} must be a number or null")
     return Report(
-        item=data["item"],
-        verdict=data["verdict"],
-        witness=data.get("witness"),
-        instances_checked=data.get("instances_checked", 0),
-        elapsed=data.get("elapsed"),
+        item=item,
+        verdict=verdict,
+        witness=witness,
+        instances_checked=instances,
+        elapsed=elapsed,
     )
 
 

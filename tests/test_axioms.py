@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from cetcs import axioms
 from cetcs.axioms import (
     AXIOMS,
     THEOREMS,
@@ -19,8 +20,12 @@ from cetcs.finset import (
     FinMor,
     FinObj,
     PiDiagram,
+    PullbackSquare,
     carrier,
+    coequalizer,
+    equalizer,
     pi_diagram,
+    pullback,
     unique_to_terminal,
 )
 
@@ -130,6 +135,62 @@ def test_pi_morphism_check_identity_and_garbage():
 
 
 # ---------------------------------------------------------------------------
+# mediator-sweep mutations: with the cheap construction-side checks defeated,
+# the grouped and reused buckets must still reject a broken construction
+
+
+def reapex(square, points):
+    """The square with apex points given as (label, point of the real apex)."""
+    apex = FinObj(tuple(lbl for lbl, _ in points))
+
+    def leg(p):
+        return FinMor(apex, p.cod, tuple(p(src) for _, src in points))
+
+    return PullbackSquare(apex, leg(square.p1), leg(square.p2), square.f, square.g)
+
+
+def drop_last_point(square):
+    return reapex(square, [(p, p) for p in square.apex.labels[:-1]])
+
+
+def duplicate_first_point(square):
+    labels = square.apex.labels
+    return reapex(square, [(p, p) for p in labels] + [("dup", p) for p in labels[:1]])
+
+
+@pytest.mark.parametrize("mutate", [drop_last_point, duplicate_first_point])
+def test_pullback_sweep_rejects_a_broken_apex(monkeypatch, mutate):
+    monkeypatch.setattr(axioms, "_eq10_counts", lambda *legs: True)
+    monkeypatch.setattr(axioms, "pullback", lambda f, g: mutate(pullback(f, g)))
+    rep = check_theorem(CheckSpec(item="pullback-elements", bound=2))
+    assert rep.failed
+    assert {"f", "g", "q1", "q2"} == set(rep.witness)
+
+
+def test_equalizer_sweep_rejects_an_omitted_point(monkeypatch):
+    def omit_last(f, g):
+        kept = equalizer(f, g).table[:-1]
+        return FinMor(FinObj(kept), f.dom, kept)
+
+    monkeypatch.setattr(axioms, "equalizer", omit_last)
+    rep = check_axiom(CheckSpec(item="C3", bound=2))
+    assert rep.failed
+    assert rep.witness["mediators"] == 0 and "h" in rep.witness
+
+
+def test_coequalizer_sweep_rejects_an_extra_merge(monkeypatch):
+    def collapse(f, g):
+        q = coequalizer(f, g)
+        target = FinObj(q.cod.labels[:1])
+        return FinMor(q.dom, target, target.labels * len(q.dom))
+
+    monkeypatch.setattr(axioms, "coequalizer", collapse)
+    rep = check_axiom(CheckSpec(item="D3", bound=2))
+    assert rep.failed
+    assert rep.witness["mediators"] == 0 and "h" in rep.witness
+
+
+# ---------------------------------------------------------------------------
 # sampling mode
 
 
@@ -160,3 +221,26 @@ def test_check_all_collects_in_registry_order():
     reports = check_all(bound=1, axioms=("C1", "D1"), theorems=("choice",))
     assert [r.item for r in reports] == ["C1", "D1", "choice"]
     assert all(r.passed for r in reports)
+
+
+# ---------------------------------------------------------------------------
+# the work done at the default bound, pinned: a faster sweep must visit
+# exactly the instances the plain generate-and-filter sweep visited
+
+BOUND_3_COUNTS = {
+    "C1": 4, "C2": 1544, "C3": 7218, "D1": 4, "D2": 1842, "D3": 10472,
+    "Pi": 16664, "G": 60, "PA": 22, "I": 1, "DP": 194, "NT": 3, "Fct": 60,
+    "Eff": 54, "element-equality": 970, "inclusion-orders": 286,
+    "function-graphs": 689, "pullback-elements": 76203, "quotients": 168,
+    "induction": 602, "exponentials": 76, "dependent-choice": 1048,
+    "onto-pullback": 746, "image-factorization": 448, "covers-onto": 60,
+    "regularity": 376, "epi-onto": 60, "classifier": 15, "pretopos": 1129,
+    "choice": 74, "pi-universality": 18751, "internal-logic": 48,
+}
+
+
+def test_every_item_at_bound_three_is_pinned():
+    reports = check_all(bound=3, axioms=AXIOMS, theorems=THEOREMS)
+    got = {r.item: (r.verdict, r.instances_checked) for r in reports}
+    assert got == {item: ("pass", n) for item, n in BOUND_3_COUNTS.items()}
+    assert list(got) == list(BOUND_3_COUNTS)

@@ -234,6 +234,29 @@ def test_report_accepts_single_object(capsys, tmp_path):
     assert json.loads(out)[0]["item"] == "C1"
 
 
+@pytest.mark.parametrize("text, message", [
+    ('[{"item": "G", "verdict": "pass"', "not a JSON report"),
+    ('[{"item": "G", "instances_checked": 3}]', "lacks the key 'verdict'"),
+    ('[{"item": "G", "verdict": "weird", "instances_checked": 3}]',
+     "unknown verdict 'weird'"),
+    ('[{"item": "G", "verdict": "fail", "witness": [1, 2]}]',
+     "witness of 'G' must be an object"),
+    ('[{"item": "G", "verdict": "pass", "instances_checked": "7"}]',
+     "instances_checked of 'G' must be a count"),
+    ('[{"item": "G", "verdict": "pass", "elapsed": "soon"}]',
+     "elapsed of 'G' must be a number"),
+    ('"PASS G instances=7"', "neither a report nor a list"),
+], ids=["malformed-json", "missing-key", "unknown-verdict", "witness-list",
+        "count-string", "elapsed-string", "not-a-list"])
+def test_report_rejects_bad_input_with_exit_2(capsys, tmp_path, text, message):
+    saved = tmp_path / "bad.json"
+    saved.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "report", str(saved))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # determinism
 

@@ -148,6 +148,33 @@ def test_hom_set_count():
     assert len(list(all_maps(initial(), initial()))) == 1
 
 
+@settings(deadline=None, derandomize=True)
+@given(st.data())
+def test_compose_agrees_with_the_validating_constructor(data):
+    # compose skips re-validation; its result must be the very morphism the
+    # public constructor builds from the pointwise composite.
+    a = carrier_of_size(data.draw(st.integers(min_value=0, max_value=4)), "a")
+    b = carrier_of_size(data.draw(st.integers(min_value=1, max_value=4)), "b")
+    c = carrier_of_size(data.draw(st.integers(min_value=1, max_value=4)), "c")
+    pick = lambda x, y: FinMor(
+        x, y, tuple(data.draw(st.sampled_from(y.labels)) for _ in x.labels)
+    )
+    f, g = pick(a, b), pick(b, c)
+    got = compose(g, f)
+    want = FinMor(f.dom, g.cod, tuple(g(v) for v in f.table))
+    assert got == want and hash(got) == hash(want)
+    assert type(got.table) is tuple and got.mapping == want.mapping
+
+
+def test_all_maps_revalidate_unchanged():
+    for a in small_objects(3, "a"):
+        for b in small_objects(3, "b"):
+            maps = list(all_maps(a, b))
+            assert len({m.table for m in maps}) == len(maps) == len(b) ** len(a)
+            for m in maps:
+                assert FinMor(m.dom, m.cod, m.table) == m
+
+
 # ---------------------------------------------------------------------------
 # products and sums
 

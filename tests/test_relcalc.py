@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cetcs
 from cetcs.errors import JointMonicityError, ShapeError
 from cetcs.finset import FinMor, FinObj, carrier, compose, identity
 from cetcs.relcalc import (
@@ -88,6 +94,36 @@ def test_subseteq_equals_leq_on_all_subset_pairs():
                 assert compose(n.legs[0], witness) == m.legs[0]
             else:
                 assert witness is None
+
+
+def test_leq_rejects_a_bad_witness_under_python_O():
+    # The witness law n∘f = m must be checked by code that -O keeps: with a
+    # broken composite, leq has to raise rather than hand back the witness.
+    script = textwrap.dedent("""
+        import sys
+        from cetcs import relcalc
+        from cetcs.errors import CompositionError
+        from cetcs.finset import FinMor, carrier
+
+        def broken(g, f):
+            return FinMor(f.dom, g.cod, (g.cod.labels[0],) * len(f.dom))
+
+        relcalc.compose = broken
+        x = carrier("x0", "x1", "x2")
+        m = relcalc.relation_from_tuples([("x1",), ("x2",)], (x,))
+        n = relcalc.relation_from_tuples([("x0",), ("x1",), ("x2",)], (x,))
+        try:
+            relcalc.leq(m, n)
+        except CompositionError as exc:
+            print("optimize", sys.flags.optimize, "raised", exc)
+        else:
+            print("optimize", sys.flags.optimize, "accepted")
+    """)
+    src = str(Path(cetcs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.startswith("optimize 1 raised "), proc.stdout
 
 
 def test_function_predicates_frozen_cases():
