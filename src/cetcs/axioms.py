@@ -11,7 +11,10 @@ statements that relate the two notions stay non-circular.
 
 Bucket keys are the table tuples of the induced composites: within one
 bucket every candidate shares its domain and codomain, so tables tell
-candidates apart exactly as the morphisms would.  Cones over a cospan are
+candidates apart exactly as the morphisms would.  A table carries no feet,
+so before a sweep looks up a key taken from another morphism, the legs of
+the construction are compared with the feet the statement names (for
+equalizers and coequalizers the fork check's composites already do this).  Cones over a cospan are
 grouped by the checker-side composite (the table of g∘q2), so each first
 leg visits only the second legs it commutes with; the grouping reads the
 cospan alone, never the construction under test.  Equalizer and
@@ -384,6 +387,8 @@ def _ax_products(spec: CheckSpec):
         for b in _objs(spec, "b"):
             d = product(a, b)
             p, q = d.projections
+            if p.cod != a or q.cod != b:
+                return FAIL, {"A": str(a), "B": str(b), "face": "feet"}, checked
             for t in _objs(spec, "t"):
                 buckets = _bucket_by(
                     all_maps(t, d.apex),
@@ -446,6 +451,8 @@ def _ax_sums(spec: CheckSpec):
         for b in _objs(spec, "b"):
             d = coproduct(a, b)
             inl, inr = d.injections
+            if inl.dom != a or inr.dom != b:
+                return FAIL, {"A": str(a), "B": str(b), "face": "feet"}, checked
             for t in _objs(spec, "t"):
                 buckets = _bucket_by(
                     all_maps(d.apex, t),
@@ -812,6 +819,15 @@ def _eq10_counts(p1: FinMor, p2: FinMor, f: FinMor, g: FinMor) -> bool:
     return total == len(p1.dom)
 
 
+def _pullback_feet(square, f: FinMor, g: FinMor) -> bool:
+    """Whether the legs of the square land on the feet of the cospan.
+
+    The mediator buckets are keyed by tables, which carry no feet, so the
+    feet are compared here once per square.
+    """
+    return square.p1.cod == f.dom and square.p2.cod == g.dom
+
+
 def _cones(f: FinMor, g: FinMor, t: FinObj) -> Iterator[tuple[FinMor, FinMor]]:
     """Every commuting cone (q1, q2) from t over the cospan (f, g).
 
@@ -820,6 +836,8 @@ def _cones(f: FinMor, g: FinMor, t: FinObj) -> Iterator[tuple[FinMor, FinMor]]:
     filter over all of them would keep, in the same q1-major order, and
     reads nothing but the two cospan legs.
     """
+    if f.cod != g.cod:
+        return
     over = _bucket_by(all_maps(t, g.dom), lambda q2: compose(g, q2).table)
     for q1 in all_maps(t, f.dom):
         for q2 in over.get(compose(f, q1).table, ()):
@@ -832,6 +850,8 @@ def _thm_pullback_elements(spec: CheckSpec):
     checked = 0
     for f, g in _cospans(spec):
         square = pullback(f, g)
+        if not _pullback_feet(square, f, g):
+            return FAIL, {"f": str(f), "g": str(g), "face": "feet"}, checked
         checked += 1
         if not _eq10_counts(square.p1, square.p2, f, g):
             return FAIL, {"f": str(f), "g": str(g), "reason": "constructed"}, checked
@@ -850,6 +870,8 @@ def _thm_pullback_elements(spec: CheckSpec):
     small = CheckSpec(item=spec.item, bound=cap)
     for f, g in _cospans(small):
         square = pullback(f, g)
+        if not _pullback_feet(square, f, g):
+            return FAIL, {"f": str(f), "g": str(g), "face": "feet"}, checked
         for p_obj in _objs(small, "p"):
             for p1, p2 in _cones(f, g, p_obj):
                 checked += 1
@@ -871,6 +893,8 @@ def _thm_quotients(spec: CheckSpec):
     for x in _objs(spec, "x"):
         for rel in _equivalences(spec, x):
             q = quotient(rel)
+            if q.dom != x:
+                return FAIL, {"X": str(x), "face": "feet"}, checked
             rows = set(rel.tuples)
             for a in x.labels:
                 for b in x.labels:

@@ -20,12 +20,17 @@ from cetcs.finset import (
     FinMor,
     FinObj,
     PiDiagram,
+    ProductDiagram,
     PullbackSquare,
+    SumDiagram,
     carrier,
     coequalizer,
+    coproduct,
     equalizer,
     pi_diagram,
+    product,
     pullback,
+    quotient,
     unique_to_terminal,
 )
 
@@ -188,6 +193,66 @@ def test_coequalizer_sweep_rejects_an_extra_merge(monkeypatch):
     rep = check_axiom(CheckSpec(item="D3", bound=2))
     assert rep.failed
     assert rep.witness["mediators"] == 0 and "h" in rep.witness
+
+
+# Buckets are keyed by tables, which carry no feet: a construction whose legs
+# have the right tables over the wrong objects must still be rejected.
+
+
+def with_junk(obj):
+    return FinObj(obj.labels + ("junk",))
+
+
+def primed(obj):
+    return FinObj(tuple(f"{lbl}'" for lbl in obj.labels))
+
+
+def test_products_reject_a_projection_into_the_wrong_object(monkeypatch):
+    def widened(a, b):
+        d = product(a, b)
+        p, q = d.projections
+        return ProductDiagram(d.apex, (FinMor(p.dom, with_junk(p.cod), p.table), q))
+
+    monkeypatch.setattr(axioms, "product", widened)
+    rep = check_axiom(CheckSpec(item="C2", bound=2))
+    assert rep.failed
+    assert rep.witness["face"] == "feet"
+
+
+def test_sums_reject_an_injection_from_the_wrong_object(monkeypatch):
+    def relabelled(a, b):
+        d = coproduct(a, b)
+        inl, inr = d.injections
+        return SumDiagram(d.apex, (FinMor(primed(inl.dom), inl.cod, inl.table), inr))
+
+    monkeypatch.setattr(axioms, "coproduct", relabelled)
+    rep = check_axiom(CheckSpec(item="D2", bound=2))
+    assert rep.failed
+    assert rep.witness["face"] == "feet"
+
+
+def test_pullback_sweep_rejects_a_leg_into_the_wrong_object(monkeypatch):
+    def widened(f, g):
+        s = pullback(f, g)
+        p1 = FinMor(s.apex, with_junk(s.p1.cod), s.p1.table)
+        return PullbackSquare(s.apex, p1, s.p2, s.f, s.g)
+
+    monkeypatch.setattr(axioms, "pullback", widened)
+    rep = check_theorem(CheckSpec(item="pullback-elements", bound=2))
+    assert rep.failed
+    assert rep.witness["face"] == "feet"
+
+
+def test_quotients_reject_a_projection_from_the_wrong_object(monkeypatch):
+    def reordered(rel):
+        q = quotient(rel)
+        dom = FinObj(q.dom.labels[::-1])
+        return FinMor(dom, q.cod, tuple(q(x) for x in dom.labels))
+
+    monkeypatch.setattr(axioms, "quotient", reordered)
+    rep = check_theorem(CheckSpec(item="quotients", bound=2))
+    assert rep.failed
+    assert rep.witness["face"] == "feet"
 
 
 # ---------------------------------------------------------------------------
