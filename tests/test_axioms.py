@@ -195,6 +195,46 @@ def test_coequalizer_sweep_rejects_an_extra_merge(monkeypatch):
     assert rep.witness["mediators"] == 0 and "h" in rep.witness
 
 
+def test_product_sweep_rejects_a_dropped_pair(monkeypatch):
+    def drop_last(a, b):
+        d = product(a, b)
+        apex = FinObj(d.apex.labels[:-1])
+        return ProductDiagram(apex, tuple(
+            FinMor(apex, p.cod, p.table[:len(apex)]) for p in d.projections
+        ))
+
+    monkeypatch.setattr(axioms, "product", drop_last)
+    rep = check_axiom(CheckSpec(item="C2", bound=2))
+    assert rep.failed
+    assert rep.witness["mediators"] == 0
+
+
+def test_sum_sweep_rejects_an_unreachable_apex_point(monkeypatch):
+    def with_stray(a, b):
+        d = coproduct(a, b)
+        apex = with_junk(d.apex)
+        return SumDiagram(apex, tuple(
+            FinMor(i.dom, apex, i.table) for i in d.injections
+        ))
+
+    monkeypatch.setattr(axioms, "coproduct", with_stray)
+    rep = check_axiom(CheckSpec(item="D2", bound=2))
+    assert rep.failed
+    assert rep.witness["mediators"] != 1
+
+
+def test_quotient_sweep_rejects_an_unreachable_class(monkeypatch):
+    # The kernel pair and the feet are untouched, so only the sweep sees it.
+    def with_stray(rel):
+        q = quotient(rel)
+        return FinMor(q.dom, with_junk(q.cod), q.table)
+
+    monkeypatch.setattr(axioms, "quotient", with_stray)
+    rep = check_theorem(CheckSpec(item="quotients", bound=2))
+    assert rep.failed
+    assert rep.witness["mediators"] != 1
+
+
 # Buckets are keyed by tables, which carry no feet: a construction whose legs
 # have the right tables over the wrong objects must still be rejected.
 
