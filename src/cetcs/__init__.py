@@ -14,7 +14,6 @@ from .axioms import (
     THEOREMS,
     CheckSpec,
     check_axiom,
-    check_all,
     check_pi_universal,
     check_theorem,
     pi_morphism_check,
@@ -38,7 +37,6 @@ from .finset import (
     ProductDiagram,
     PullbackSquare,
     SumDiagram,
-    all_elements,
     all_maps,
     bool_object,
     carrier,
@@ -77,20 +75,14 @@ from .logic import (
 from .modelfile import ModelFile, load, parse_model
 from .relcalc import (
     Relation,
-    apply_function,
-    equalizer_relation,
-    false_relation,
     is_partial_function,
     is_total_function,
     leq,
     make_relation,
-    permute,
     relation_from_tuples,
     sub_relation,
     subseteq,
-    true_relation,
     unique_choice,
-    weaken,
 )
 from .report import FAIL, PASS, SKIP, Report, exit_code, render_json, render_text
 

@@ -3,23 +3,25 @@
 Each check enumerates every instance over canonical carriers of size up to a
 bound (plus instances contributed by a loaded model) and verifies the
 statement literally.  Universal properties quantify over all candidate
-mediating maps: candidates are grouped by the data they induce, and
-existence plus uniqueness are read off the bucket sizes, never assumed from
-the construction that produced the diagram.  Epimorphisms are decided by
-right cancellation against test objects rather than by ontoness, so the
-statements that relate the two notions stay non-circular.
+mediating maps, and one helper, ``_sweep``, decides every "exactly one
+mediator per cone" statement: each site counts how many candidates induce
+each cone, and the sweep visits the cones in order and stops at the first
+whose count is not 1.  Existence and uniqueness are read off those counts,
+never assumed from the construction that produced the diagram.
+Epimorphisms are decided by right cancellation against test objects rather
+than by ontoness, so the statements that relate the two notions stay
+non-circular.
 
-Bucket keys are the table tuples of the induced composites: within one
-bucket every candidate shares its domain and codomain, so tables tell
-candidates apart exactly as the morphisms would.  A table carries no feet,
-so before a sweep looks up a key taken from another morphism, the legs of
-the construction are compared with the feet the statement names (for
-equalizers and coequalizers the fork check's composites already do this).  Cones over a cospan are
-grouped by the checker-side composite (the table of g∘q2), so each first
-leg visits only the second legs it commutes with; the grouping reads the
-cospan alone, never the construction under test.  Equalizer and
-coequalizer buckets depend only on the construction and the test object,
-so each is built once per distinct pair and reused.
+Counts are keyed by the tables of a cone's legs: all cones of one sweep
+share their feet, so tables tell them apart exactly as the morphisms
+would.  A table carries no feet, so before a sweep the legs of the
+construction are compared with the feet the statement names (for
+equalizers and coequalizers the fork check's composites already do this).
+Cones over a cospan are grouped by the checker-side composite (the table
+of g∘q2), so each first leg visits only the second legs it commutes with;
+the grouping reads the cospan alone, never the construction under test.
+Equalizer and coequalizer counts depend only on the construction and the
+test object, so each is made once per distinct pair and reused.
 
 Sampling mode (for bounds past the exhaustive threshold) draws a seeded
 reservoir of instances; items whose content is a universal quantification
@@ -32,8 +34,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -146,13 +150,6 @@ def _cospans(spec: CheckSpec) -> Iterator[tuple[FinMor, FinMor]]:
                         yield f, g
 
 
-def _bucket_by(candidates: Iterable, project: Callable) -> dict:
-    buckets: dict = {}
-    for h in candidates:
-        buckets.setdefault(project(h), []).append(h)
-    return buckets
-
-
 def _mono_tables_into(x: FinObj, dom_prefix: str) -> Iterator[FinMor]:
     """All injective maps from canonical carriers into x, small domains first."""
     for n in range(len(x) + 1):
@@ -191,6 +188,32 @@ _SAMPLED_SKIP = (
     "rerun without sampling at a bound <= "
     f"{EXHAUSTIVE_THRESHOLD}"
 )
+
+
+def _sweep(mediators: Counter, cones: Iterable, key: Callable) -> tuple[int, object, int]:
+    """Visit the cones in order until one has other than exactly one mediator.
+
+    ``mediators`` counts how many candidates induce each cone key, and
+    ``key`` maps a cone to its key.  Returns the number of cones visited, then
+    the first cone without a unique mediator and its count, or ``None`` and 1
+    when every cone has exactly one.
+    """
+    visited = 0
+    for cone in cones:
+        visited += 1
+        n = mediators[key(cone)]
+        if n != 1:
+            return visited, cone, n
+    return visited, None, 1
+
+
+_table = operator.attrgetter("table")
+
+
+def _tables(cone: tuple[FinMor, FinMor]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    first, second = cone
+    return first.table, second.table
+
 
 # ---------------------------------------------------------------------------
 # dependent-product checking (shared by the axiom and the CLI `pi` command)
@@ -390,21 +413,20 @@ def _ax_products(spec: CheckSpec):
             if p.cod != a or q.cod != b:
                 return FAIL, {"A": str(a), "B": str(b), "face": "feet"}, checked
             for t in _objs(spec, "t"):
-                buckets = _bucket_by(
-                    all_maps(t, d.apex),
-                    lambda h: (compose(p, h).table, compose(q, h).table),
+                mediators = Counter(
+                    (compose(p, h).table, compose(q, h).table)
+                    for h in all_maps(t, d.apex)
                 )
-                fs = list(all_maps(t, a))
-                gs = list(all_maps(t, b))
-                for f in fs:
-                    for g in gs:
-                        checked += 1
-                        n = len(buckets.get((f.table, g.table), ()))
-                        if n != 1:
-                            return FAIL, {
-                                "A": str(a), "B": str(b), "T": str(t),
-                                "f": str(f), "g": str(g), "mediators": n,
-                            }, checked
+                visited, cone, n = _sweep(
+                    mediators, itertools.product(all_maps(t, a), all_maps(t, b)), _tables
+                )
+                checked += visited
+                if cone is not None:
+                    f, g = cone
+                    return FAIL, {
+                        "A": str(a), "B": str(b), "T": str(t),
+                        "f": str(f), "g": str(g), "mediators": n,
+                    }, checked
     return PASS, None, checked
 
 
@@ -413,11 +435,11 @@ def _ax_equalizers(spec: CheckSpec):
         return _skip(_SAMPLED_SKIP)
     checked = 0
 
-    # Many parallel pairs share an equalizer, so each bucket is built once
+    # Many parallel pairs share an equalizer, so the counts are made once
     # per (equalizer, test object) and reused.
     @functools.cache
-    def mediators(e: FinMor, t: FinObj) -> dict:
-        return _bucket_by(all_maps(t, e.dom), lambda k: compose(e, k).table)
+    def mediators(e: FinMor, t: FinObj) -> Counter:
+        return Counter(compose(e, k).table for k in all_maps(t, e.dom))
 
     tests = _objs(spec, "t")
     for a in _objs(spec, "a"):
@@ -429,17 +451,16 @@ def _ax_equalizers(spec: CheckSpec):
                     if compose(f, e) != compose(g, e):
                         return FAIL, {"f": str(f), "g": str(g), "face": "fork"}, checked
                     for t in tests:
-                        buckets = mediators(e, t)
-                        for h in all_maps(t, a):
-                            if compose(f, h).table != compose(g, h).table:
-                                continue
-                            checked += 1
-                            n = len(buckets.get(h.table, ()))
-                            if n != 1:
-                                return FAIL, {
-                                    "f": str(f), "g": str(g), "h": str(h),
-                                    "mediators": n,
-                                }, checked
+                        visited, h, n = _sweep(mediators(e, t), (
+                            h for h in all_maps(t, a)
+                            if compose(f, h).table == compose(g, h).table
+                        ), _table)
+                        checked += visited
+                        if h is not None:
+                            return FAIL, {
+                                "f": str(f), "g": str(g), "h": str(h),
+                                "mediators": n,
+                            }, checked
     return PASS, None, checked
 
 
@@ -454,21 +475,20 @@ def _ax_sums(spec: CheckSpec):
             if inl.dom != a or inr.dom != b:
                 return FAIL, {"A": str(a), "B": str(b), "face": "feet"}, checked
             for t in _objs(spec, "t"):
-                buckets = _bucket_by(
-                    all_maps(d.apex, t),
-                    lambda h: (compose(h, inl).table, compose(h, inr).table),
+                mediators = Counter(
+                    (compose(h, inl).table, compose(h, inr).table)
+                    for h in all_maps(d.apex, t)
                 )
-                fs = list(all_maps(a, t))
-                gs = list(all_maps(b, t))
-                for f in fs:
-                    for g in gs:
-                        checked += 1
-                        n = len(buckets.get((f.table, g.table), ()))
-                        if n != 1:
-                            return FAIL, {
-                                "A": str(a), "B": str(b), "T": str(t),
-                                "f": str(f), "g": str(g), "mediators": n,
-                            }, checked
+                visited, cone, n = _sweep(
+                    mediators, itertools.product(all_maps(a, t), all_maps(b, t)), _tables
+                )
+                checked += visited
+                if cone is not None:
+                    f, g = cone
+                    return FAIL, {
+                        "A": str(a), "B": str(b), "T": str(t),
+                        "f": str(f), "g": str(g), "mediators": n,
+                    }, checked
     return PASS, None, checked
 
 
@@ -477,11 +497,11 @@ def _ax_coequalizers(spec: CheckSpec):
         return _skip(_SAMPLED_SKIP)
     checked = 0
 
-    # Many parallel pairs share a coequalizer, so each bucket is built once
+    # Many parallel pairs share a coequalizer, so the counts are made once
     # per (coequalizer, test object) and reused.
     @functools.cache
-    def mediators(q: FinMor, t: FinObj) -> dict:
-        return _bucket_by(all_maps(q.cod, t), lambda k: compose(k, q).table)
+    def mediators(q: FinMor, t: FinObj) -> Counter:
+        return Counter(compose(k, q).table for k in all_maps(q.cod, t))
 
     tests = _objs(spec, "t")
     for a in _objs(spec, "a"):
@@ -493,36 +513,47 @@ def _ax_coequalizers(spec: CheckSpec):
                     if compose(q, f) != compose(q, g):
                         return FAIL, {"f": str(f), "g": str(g), "face": "fork"}, checked
                     for t in tests:
-                        buckets = mediators(q, t)
-                        for h in all_maps(b, t):
-                            if compose(h, f).table != compose(h, g).table:
-                                continue
-                            checked += 1
-                            n = len(buckets.get(h.table, ()))
-                            if n != 1:
-                                return FAIL, {
-                                    "f": str(f), "g": str(g), "h": str(h),
-                                    "mediators": n,
-                                }, checked
+                        visited, h, n = _sweep(mediators(q, t), (
+                            h for h in all_maps(b, t)
+                            if compose(h, f).table == compose(h, g).table
+                        ), _table)
+                        checked += visited
+                        if h is not None:
+                            return FAIL, {
+                                "f": str(f), "g": str(g), "h": str(h),
+                                "mediators": n,
+                            }, checked
     return PASS, None, checked
 
 
-def _ax_pi(spec: CheckSpec):
-    if spec.sampled:
-        return _skip(_SAMPLED_SKIP)
-    checked = 0
+def _pi_instances(spec: CheckSpec) -> Iterator[tuple[FinMor, FinMor, PiDiagram]]:
+    """Every composable pair y -g-> x -f-> i of the pool, with its dependent product."""
     for y in _objs(spec, "y"):
         for x in _objs(spec, "x"):
             for i in _objs(spec, "i"):
                 for g in all_maps(y, x):
                     for f in all_maps(x, i):
-                        d = pi_diagram(g, f)
-                        rep = check_pi_universal(d, g, f)
-                        checked += rep.instances_checked
-                        if not rep.passed:
-                            witness = dict(rep.witness or {})
-                            witness.update({"g": str(g), "f": str(f)})
-                            return FAIL, witness, checked
+                        yield g, f, pi_diagram(g, f)
+
+
+def _ax_pi(spec: CheckSpec, count_sections: bool = False):
+    # pi-universality also checks each F against the section-count oracle
+    # in this pass, so that no dependent product is built twice.
+    if spec.sampled:
+        return _skip(_SAMPLED_SKIP)
+    checked = 0
+    for g, f, d in _pi_instances(spec):
+        rep = check_pi_universal(d, g, f)
+        checked += rep.instances_checked
+        if not rep.passed:
+            witness = dict(rep.witness or {})
+            witness.update({"g": str(g), "f": str(f)})
+            return FAIL, witness, checked
+        if count_sections:
+            checked += 1
+            if len(d.F) != _section_count(g, f):
+                return FAIL, {"g": str(g), "f": str(f),
+                              "statement": "section count"}, checked
     return PASS, None, checked
 
 
@@ -588,13 +619,14 @@ def _separating_pool(spec: CheckSpec) -> CheckSpec:
 
 def _is_sum_diagram(spec: CheckSpec, s: FinObj, i: FinMor, j: FinMor) -> bool:
     for t in _objs(_separating_pool(spec), "t"):
-        buckets = _bucket_by(
-            all_maps(s, t), lambda h: (compose(h, i).table, compose(h, j).table)
+        mediators = Counter(
+            (compose(h, i).table, compose(h, j).table) for h in all_maps(s, t)
         )
-        for f in all_maps(i.dom, t):
-            for g in all_maps(j.dom, t):
-                if len(buckets.get((f.table, g.table), ())) != 1:
-                    return False
+        _, cone, _ = _sweep(
+            mediators, itertools.product(all_maps(i.dom, t), all_maps(j.dom, t)), _tables
+        )
+        if cone is not None:
+            return False
     return True
 
 
@@ -712,22 +744,6 @@ AXIOMS: dict[str, tuple[str, Callable]] = {
 }
 
 
-def check_axiom(spec: CheckSpec) -> Report:
-    if spec.item not in AXIOMS:
-        raise ValueError(
-            f"unknown axiom {spec.item!r}; known: {', '.join(sorted(AXIOMS))}"
-        )
-    t0 = time.perf_counter()
-    verdict, witness, checked = AXIOMS[spec.item][1](spec)
-    return Report(
-        item=spec.item,
-        verdict=verdict,
-        witness=witness,
-        instances_checked=checked,
-        elapsed=time.perf_counter() - t0,
-    )
-
-
 # ---------------------------------------------------------------------------
 # derived statements
 
@@ -838,7 +854,9 @@ def _cones(f: FinMor, g: FinMor, t: FinObj) -> Iterator[tuple[FinMor, FinMor]]:
     """
     if f.cod != g.cod:
         return
-    over = _bucket_by(all_maps(t, g.dom), lambda q2: compose(g, q2).table)
+    over: dict[tuple[str, ...], list[FinMor]] = {}
+    for q2 in all_maps(t, g.dom):
+        over.setdefault(compose(g, q2).table, []).append(q2)
     for q1 in all_maps(t, f.dom):
         for q2 in over.get(compose(f, q1).table, ()):
             yield q1, q2
@@ -856,16 +874,17 @@ def _thm_pullback_elements(spec: CheckSpec):
         if not _eq10_counts(square.p1, square.p2, f, g):
             return FAIL, {"f": str(f), "g": str(g), "reason": "constructed"}, checked
         for t in _objs(spec, "t"):
-            buckets = _bucket_by(
-                all_maps(t, square.apex),
-                lambda h: (compose(square.p1, h).table, compose(square.p2, h).table),
+            mediators = Counter(
+                (compose(square.p1, h).table, compose(square.p2, h).table)
+                for h in all_maps(t, square.apex)
             )
-            for q1, q2 in _cones(f, g, t):
-                checked += 1
-                if len(buckets.get((q1.table, q2.table), ())) != 1:
-                    return FAIL, {
-                        "f": str(f), "g": str(g), "q1": str(q1), "q2": str(q2),
-                    }, checked
+            visited, cone, _ = _sweep(mediators, _cones(f, g, t), _tables)
+            checked += visited
+            if cone is not None:
+                q1, q2 = cone
+                return FAIL, {
+                    "f": str(f), "g": str(g), "q1": str(q1), "q2": str(q2),
+                }, checked
     cap = min(spec.bound, 2)
     small = CheckSpec(item=spec.item, bound=cap)
     for f, g in _cospans(small):
@@ -902,16 +921,13 @@ def _thm_quotients(spec: CheckSpec):
                     if ((a, b) in rows) != (q(a) == q(b)):
                         return FAIL, {"X": str(x), "a": a, "b": b}, checked
             for t in _objs(spec, "t"):
-                buckets = _bucket_by(all_maps(q.cod, t), lambda k: compose(k, q).table)
-                for h in all_maps(x, t):
-                    if any(h(a) != h(b) for a, b in rows):
-                        continue
-                    checked += 1
-                    if len(buckets.get(h.table, ())) != 1:
-                        return FAIL, {
-                            "X": str(x), "h": str(h),
-                            "mediators": len(buckets.get(h.table, ())),
-                        }, checked
+                mediators = Counter(compose(k, q).table for k in all_maps(q.cod, t))
+                visited, h, n = _sweep(mediators, (
+                    h for h in all_maps(x, t) if all(h(a) == h(b) for a, b in rows)
+                ), _table)
+                checked += visited
+                if h is not None:
+                    return FAIL, {"X": str(x), "h": str(h), "mediators": n}, checked
     return PASS, None, checked
 
 
@@ -1066,9 +1082,11 @@ def _thm_regularity(spec: CheckSpec):
 
 
 def _is_epi(spec: CheckSpec, f: FinMor) -> bool:
+    """Right cancellation: each composite h∘f has h as its only mediator."""
     for t in _objs(_separating_pool(spec), "t"):
-        buckets = _bucket_by(all_maps(f.cod, t), lambda h: compose(h, f).table)
-        if any(len(group) > 1 for group in buckets.values()):
+        composites = [compose(h, f) for h in all_maps(f.cod, t)]
+        _, cone, _ = _sweep(Counter(map(_table, composites)), composites, _table)
+        if cone is not None:
             return False
     return True
 
@@ -1114,15 +1132,15 @@ def _thm_classifier(spec: CheckSpec):
 
 
 def _thm_pretopos(spec: CheckSpec):
+    if spec.sampled:
+        return _skip(_SAMPLED_SKIP)
     total = 0
     for part in (_thm_classifier, _ax_factorization, _thm_onto_pullback,
                  _thm_epi_onto, _ax_effective, _ax_sum_disjunction):
         verdict, witness, checked = part(spec)
         total += checked
-        if verdict == SKIP:
-            return SKIP, witness, total
         if verdict != PASS:
-            return FAIL, witness, total
+            return verdict, witness, total
     return PASS, None, total
 
 
@@ -1156,52 +1174,29 @@ def _thm_choice(spec: CheckSpec):
 
 
 def _thm_pi_universality(spec: CheckSpec):
-    if spec.sampled:
-        return _skip(_SAMPLED_SKIP)
-    checked = 0
-    for y in _objs(spec, "y"):
-        for x in _objs(spec, "x"):
-            for i in _objs(spec, "i"):
-                for g in all_maps(y, x):
-                    for f in all_maps(x, i):
-                        d = pi_diagram(g, f)
-                        rep = check_pi_universal(d, g, f)
-                        checked += rep.instances_checked
-                        if not rep.passed:
-                            witness = dict(rep.witness or {})
-                            witness.update({"g": str(g), "f": str(f)})
-                            return FAIL, witness, checked
-                        checked += 1
-                        if len(d.F) != _section_count(g, f):
-                            return FAIL, {"g": str(g), "f": str(f),
-                                          "statement": "section count"}, checked
-    cap = min(spec.bound, 2)
+    verdict, witness, checked = _ax_pi(spec, count_sections=True)
+    if verdict != PASS:
+        return verdict, witness, checked
     competitor_cap = min(spec.bound, 3)
-    small = CheckSpec(item=spec.item, bound=cap)
-    for y in _objs(small, "y"):
-        for x in _objs(small, "x"):
-            for i in _objs(small, "i"):
-                for g in all_maps(y, x):
-                    for f in all_maps(x, i):
-                        d = pi_diagram(g, f)
-                        fiber_allowed = {
-                            il: [v for v in d.F.labels if d.phi(v) == il]
-                            for il in f.cod.labels
-                        }
-                        for comp in _competitors(g, f, competitor_cap):
-                            allowed = [fiber_allowed[comp.phi(v2)] for v2 in comp.F.labels]
-                            good = []
-                            for choice in itertools.product(*allowed):
-                                t = FinMor(comp.F, d.F, choice)
-                                if pi_morphism_check(comp, d, t).passed:
-                                    good.append(t)
-                            checked += 1
-                            if len(good) != 1:
-                                return FAIL, {
-                                    "g": str(g), "f": str(f),
-                                    "competitor": str(comp.phi),
-                                    "morphisms": len(good),
-                                }, checked
+    small = CheckSpec(item=spec.item, bound=min(spec.bound, 2))
+    for g, f, d in _pi_instances(small):
+        fiber_allowed = {
+            il: [v for v in d.F.labels if d.phi(v) == il] for il in f.cod.labels
+        }
+        for comp in _competitors(g, f, competitor_cap):
+            allowed = [fiber_allowed[comp.phi(v2)] for v2 in comp.F.labels]
+            good = []
+            for choice in itertools.product(*allowed):
+                t = FinMor(comp.F, d.F, choice)
+                if pi_morphism_check(comp, d, t).passed:
+                    good.append(t)
+            checked += 1
+            if len(good) != 1:
+                return FAIL, {
+                    "g": str(g), "f": str(f),
+                    "competitor": str(comp.phi),
+                    "morphisms": len(good),
+                }, checked
     return PASS, None, checked
 
 
@@ -1323,13 +1318,17 @@ THEOREMS: dict[str, tuple[str, Callable]] = {
 }
 
 
-def check_theorem(spec: CheckSpec) -> Report:
-    if spec.item not in THEOREMS:
+# ---------------------------------------------------------------------------
+# entry points
+
+
+def _run(kind: str, table: dict[str, tuple[str, Callable]], spec: CheckSpec) -> Report:
+    if spec.item not in table:
         raise ValueError(
-            f"unknown theorem {spec.item!r}; known: {', '.join(sorted(THEOREMS))}"
+            f"unknown {kind} {spec.item!r}; known: {', '.join(sorted(table))}"
         )
     t0 = time.perf_counter()
-    verdict, witness, checked = THEOREMS[spec.item][1](spec)
+    verdict, witness, checked = table[spec.item][1](spec)
     return Report(
         item=spec.item,
         verdict=verdict,
@@ -1339,26 +1338,11 @@ def check_theorem(spec: CheckSpec) -> Report:
     )
 
 
-def check_all(
-    bound: int = 3,
-    objects: tuple[FinObj, ...] = (),
-    morphisms: tuple[FinMor, ...] = (),
-    relations: tuple[Relation, ...] = (),
-    sample: int | None = None,
-    seed: int = 0,
-    axioms: Iterable[str] | None = None,
-    theorems: Iterable[str] | None = None,
-) -> list[Report]:
-    """Run the requested axiom and theorem checks in registry order."""
-    out = []
-    for item in axioms if axioms is not None else []:
-        out.append(check_axiom(CheckSpec(
-            item=item, bound=bound, objects=objects, morphisms=morphisms,
-            relations=relations, sample=sample, seed=seed,
-        )))
-    for item in theorems if theorems is not None else []:
-        out.append(check_theorem(CheckSpec(
-            item=item, bound=bound, objects=objects, morphisms=morphisms,
-            relations=relations, sample=sample, seed=seed,
-        )))
-    return out
+def check_axiom(spec: CheckSpec) -> Report:
+    """Run one axiom of ``AXIOMS``; raises ValueError for an unknown id."""
+    return _run("axiom", AXIOMS, spec)
+
+
+def check_theorem(spec: CheckSpec) -> Report:
+    """Run one derived statement of ``THEOREMS``; raises ValueError for an unknown id."""
+    return _run("theorem", THEOREMS, spec)

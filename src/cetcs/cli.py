@@ -135,27 +135,24 @@ def _emit_lines(lines: list[str], cfg: RunConfig, payload: dict) -> int:
 # commands
 
 
+def _items(kind: str, choice: str | None, table: dict) -> list[str]:
+    """The ids one --axiom or --theorem value selects from its table."""
+    if choice is None:
+        return []
+    if choice == "all":
+        return list(table)
+    if choice not in table:
+        raise CetcsError(f"unknown {kind} {choice!r} (known: {', '.join(table)})")
+    return [choice]
+
+
 def _run_check(cfg: RunConfig) -> int:
     mf = _model(cfg)
-    axiom_items: list[str] = []
-    theorem_items: list[str] = []
-    if cfg.axiom is None and cfg.theorem is None:
-        axiom_items = list(AXIOMS)
-        theorem_items = list(THEOREMS)
-    if cfg.axiom is not None:
-        axiom_items = list(AXIOMS) if cfg.axiom == "all" else [cfg.axiom]
-    if cfg.theorem is not None:
-        theorem_items = list(THEOREMS) if cfg.theorem == "all" else [cfg.theorem]
-    for item in axiom_items:
-        if item not in AXIOMS:
-            raise CetcsError(
-                f"unknown axiom {item!r} (known: {', '.join(AXIOMS)})"
-            )
-    for item in theorem_items:
-        if item not in THEOREMS:
-            raise CetcsError(
-                f"unknown theorem {item!r} (known: {', '.join(THEOREMS)})"
-            )
+    axiom, theorem = cfg.axiom, cfg.theorem
+    if axiom is None and theorem is None:
+        axiom = theorem = "all"
+    axiom_items = _items("axiom", axiom, AXIOMS)
+    theorem_items = _items("theorem", theorem, THEOREMS)
     shared = dict(
         bound=cfg.bound,
         objects=tuple(mf.objects.values()),

@@ -162,16 +162,6 @@ def element(a: FinObj, label: str) -> FinMor:
     return FinMor(terminal(), a, (label,))
 
 
-def element_label(e: FinMor) -> str:
-    if e.dom != terminal():
-        raise ShapeError(f"not an element (domain is {e.dom}, not the point)")
-    return e.table[0]
-
-
-def all_elements(a: FinObj) -> list[FinMor]:
-    return [element(a, lbl) for lbl in a.labels]
-
-
 def unique_to_terminal(a: FinObj) -> FinMor:
     return FinMor(a, terminal(), (TERMINAL_LABEL,) * len(a))
 
@@ -560,9 +550,6 @@ def projective_cover(a: FinObj) -> FinMor:
 
 class FinSetCategory:
     """Hom-enumeration view of finite carriers, consumed by ``kernel``."""
-
-    def identity(self, a: FinObj) -> FinMor:
-        return identity(a)
 
     def compose(self, g: FinMor, f: FinMor) -> FinMor:
         return compose(g, f)

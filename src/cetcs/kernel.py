@@ -1,12 +1,14 @@
 """Signature-level categorical operations, independent of any one model.
 
 Everything here is phrased against a minimal category handle: an object with
-``identity``, ``compose``, ``terminal``, ``hom(a, b)`` and ``objects(bound)``.
-The finite-set model supplies ``cetcs.finset.FINSET``; the point of keeping
-the handle explicit is that monicity, ontoness and joint monicity are decided
-by honest quantification over test objects and hom-sets, not by peeking at
-mapping tables.  Table-level shortcuts live in ``finset`` and the agreement
-of the two routes is itself one of the checked statements.
+``compose``, ``terminal``, ``hom(a, b)`` and ``objects(bound)``.  The
+finite-set model supplies ``cetcs.finset.FINSET``.  Two operations remain,
+because the checkers use exactly these two: ``elements`` (the points of an
+object, as maps from the terminal one) and ``is_mono`` (left cancellation).
+Keeping the handle explicit means monicity is decided by honest
+quantification over test objects and hom-sets, not by peeking at mapping
+tables.  Table-level shortcuts live in ``finset`` and the agreement of the
+two routes is itself one of the checked statements.
 
 Quantification over "all" objects is necessarily bounded; ``bound`` caps the
 size of test carriers.  In the finite-set model a bound of 1 already decides
@@ -16,14 +18,10 @@ hole there, but the functions never assume it.
 
 from __future__ import annotations
 
-from typing import Protocol, Sequence
-
-from .errors import CompositionError, ShapeError
+from typing import Protocol
 
 
 class Category(Protocol):
-    def identity(self, a): ...
-
     def compose(self, g, f): ...
 
     def terminal(self): ...
@@ -33,26 +31,9 @@ class Category(Protocol):
     def objects(self, bound: int): ...
 
 
-def compose(cat: Category, g, f):
-    """g∘f with an explicit composability check naming both morphisms."""
-    if f.cod != g.dom:
-        raise CompositionError(
-            f"cannot compose: codomain of [{f}] is not the domain of [{g}]"
-        )
-    return cat.compose(g, f)
-
-
-def identity(cat: Category, a):
-    return cat.identity(a)
-
-
 def elements(cat: Category, a) -> list:
     """The points of a: all morphisms from the terminal object."""
     return list(cat.hom(cat.terminal(), a))
-
-
-def is_element(cat: Category, x) -> bool:
-    return x.dom == cat.terminal()
 
 
 def is_mono(cat: Category, f, bound: int = 2) -> bool:
@@ -69,67 +50,3 @@ def is_mono(cat: Category, f, bound: int = 2) -> bool:
                 return False
             seen[key] = h
     return True
-
-
-def is_onto(cat: Category, f) -> bool:
-    """Every point of cod(f) factors through f."""
-    points_dom = elements(cat, f.dom)
-    for y in elements(cat, f.cod):
-        if not any(cat.compose(f, x) == y for x in points_dom):
-            return False
-    return True
-
-
-def _legs_of(m) -> tuple:
-    return tuple(m.legs) if hasattr(m, "legs") else tuple(m)
-
-
-def _dom_of(m, legs):
-    if legs:
-        return legs[0].dom
-    if hasattr(m, "dom"):
-        return m.dom
-    raise ShapeError("empty leg tuple needs a relation carrying its domain")
-
-
-def jointly_monic(cat: Category, m, bound: int = 2, dom=None) -> bool:
-    """No two distinct parallel maps into the common domain agree on all legs.
-
-    ``m`` may be a relation or a bare sequence of legs; for an empty tuple of
-    legs the domain must be supplied (or carried by the relation), and the
-    condition degenerates to "at most one map from each test object".
-    """
-    legs = _legs_of(m)
-    if dom is None:
-        dom = _dom_of(m, legs)
-    for leg in legs:
-        if leg.dom != dom:
-            raise ShapeError("legs must share their domain")
-    for u in cat.objects(bound):
-        seen: dict = {}
-        for h in cat.hom(u, dom):
-            key = tuple(cat.compose(leg, h) for leg in legs)
-            if key in seen and seen[key] != h:
-                return False
-            seen[key] = h
-    return True
-
-
-def member(cat: Category, xs: Sequence, m) -> bool:
-    """Tuple membership: does (x1,...,xn) factor through the legs of m?
-
-    Each xi must be a point of the i-th leg codomain; membership holds when
-    some point a of the relation domain satisfies leg_i∘a = x_i for all i.
-    """
-    legs = _legs_of(m)
-    xs = tuple(xs)
-    if len(xs) != len(legs):
-        raise ShapeError(f"expected {len(legs)} components, got {len(xs)}")
-    for x in xs:
-        if not is_element(cat, x):
-            raise ShapeError(f"membership components must be points, got [{x}]")
-    dom = _dom_of(m, legs)
-    for a in elements(cat, dom):
-        if all(cat.compose(leg, a) == x for leg, x in zip(legs, xs)):
-            return True
-    return False

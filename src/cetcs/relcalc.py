@@ -13,7 +13,6 @@ factoring map; one of the checked statements is that they agree.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -23,11 +22,7 @@ from .finset import (
     FinMor,
     FinObj,
     compose,
-    equalizer,
-    identity,
-    product,
     tuple_label,
-    unique_from_initial,
 )
 
 
@@ -197,74 +192,6 @@ def unique_choice(r: Relation) -> FinMor:
     return FinMor(x_obj, y_obj, tuple(table))
 
 
-# ---------------------------------------------------------------------------
-# reindexing
-
-
-def weaken(r: Relation, extra: FinObj) -> Relation:
-    """Append a free coordinate: rows become (row..., y) for every y."""
-    prod = product(r.dom, extra)
-    p, q = prod.projections
-    legs = tuple(compose(leg, p) for leg in r.legs) + (q,)
-    return Relation(dom=prod.apex, legs=legs)
-
-
-def permute(r: Relation, sigma: Sequence[int]) -> Relation:
-    """Reorder coordinates; position i of the result is leg sigma[i]."""
-    sigma = tuple(sigma)
-    if sorted(sigma) != list(range(r.arity)):
-        raise ShapeError(f"{sigma!r} is not a permutation of 0..{r.arity - 1}")
-    return Relation(dom=r.dom, legs=tuple(r.legs[i] for i in sigma))
-
-
-# ---------------------------------------------------------------------------
-# atomic relations
-
-
-def true_relation(x_obj: FinObj) -> Relation:
-    """The full subobject of x, carried by the identity."""
-    return make_relation((identity(x_obj),))
-
-
-def false_relation(x_obj: FinObj) -> Relation:
-    """The empty subobject of x, carried by the map out of the empty carrier."""
-    return make_relation((unique_from_initial(x_obj),))
-
-
-def equalizer_relation(g: FinMor, h: FinMor) -> Relation:
-    """The subobject of the common domain where g and h agree."""
-    return make_relation((equalizer(g, h),))
-
-
-# ---------------------------------------------------------------------------
-# application of functional relations
-
-
-def apply_function(f: Relation, xs: Sequence[str]) -> str:
-    """Evaluate an (n+1)-ary total-function relation at an argument tuple.
-
-    The first n legs must jointly enumerate the full argument product
-    exactly once (the relation is the graph of a function of n variables);
-    the returned label is the unique last component.
-    """
-    xs = tuple(xs)
-    if f.arity < 1:
-        raise ShapeError("application needs at least one leg")
-    n = f.arity - 1
-    if len(xs) != n:
-        raise ShapeError(f"expected {n} arguments, got {len(xs)}")
-    arg_rows = [row[:n] for row in f.tuples]
-    if len(set(arg_rows)) != len(arg_rows):
-        raise ShapeError("relation is not single-valued on its arguments")
-    expected = len(list(itertools.product(*(c.labels for c in f.cods[:n]))))
-    if len(arg_rows) != expected:
-        raise ShapeError("relation is not total on its arguments")
-    for row in f.tuples:
-        if row[:n] == xs:
-            return row[n]
-    raise ShapeError(f"argument row {xs!r} out of range")
-
-
 __all__ = [
     "Relation",
     "make_relation",
@@ -275,10 +202,4 @@ __all__ = [
     "is_partial_function",
     "is_total_function",
     "unique_choice",
-    "weaken",
-    "permute",
-    "true_relation",
-    "false_relation",
-    "equalizer_relation",
-    "apply_function",
 ]

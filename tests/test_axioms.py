@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from cetcs import axioms
@@ -9,7 +11,6 @@ from cetcs.axioms import (
     AXIOMS,
     THEOREMS,
     CheckSpec,
-    check_all,
     check_axiom,
     check_pi_universal,
     check_theorem,
@@ -137,6 +138,19 @@ def test_pi_morphism_check_identity_and_garbage():
     if len(d.F) >= 2:
         swapped = FinMor(d.F, d.F, (d.F.labels[1], d.F.labels[0]))
         assert pi_morphism_check(d, d, swapped).failed
+
+
+# ---------------------------------------------------------------------------
+# the mediator sweep every universal-property item shares
+
+
+def test_sweep_stops_at_the_first_cone_without_a_unique_mediator():
+    x = carrier("u", "v")
+    cones = [FinMor(x, x, table) for table in (("u", "v"), ("v", "u"), ("u", "u"))]
+    mediators = Counter({("u", "v"): 1, ("v", "u"): 2})
+    assert axioms._sweep(mediators, cones[:1], axioms._table) == (1, None, 1)
+    assert axioms._sweep(mediators, cones, axioms._table) == (2, cones[1], 2)
+    assert axioms._sweep(mediators, cones[2:], axioms._table) == (1, cones[2], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +319,16 @@ def test_sampled_mode_skips_uniqueness_items():
     assert "exhaustive" in rep.witness["reason"]
 
 
+def test_sampled_pretopos_skips_before_running_any_part(monkeypatch):
+    def no_part(spec):
+        raise AssertionError("a pretopos part ran under sampling")
+
+    monkeypatch.setattr(axioms, "_thm_classifier", no_part)
+    rep = check_theorem(CheckSpec(item="pretopos", bound=5, sample=5))
+    assert rep.verdict == "skip" and rep.instances_checked == 0
+    assert "exhaustive" in rep.witness["reason"]
+
+
 def test_sampled_mode_still_checks_pointwise_items():
     rep = check_axiom(CheckSpec(item="Fct", bound=5, sample=2, seed=1))
     assert rep.passed
@@ -320,12 +344,6 @@ def test_extra_model_instances_join_the_pool(std_model):
     ))
     assert extended.instances_checked == plain.instances_checked + 3
     assert extended.passed
-
-
-def test_check_all_collects_in_registry_order():
-    reports = check_all(bound=1, axioms=("C1", "D1"), theorems=("choice",))
-    assert [r.item for r in reports] == ["C1", "D1", "choice"]
-    assert all(r.passed for r in reports)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +363,8 @@ BOUND_3_COUNTS = {
 
 
 def test_every_item_at_bound_three_is_pinned():
-    reports = check_all(bound=3, axioms=AXIOMS, theorems=THEOREMS)
+    reports = [check_axiom(CheckSpec(item=item, bound=3)) for item in AXIOMS]
+    reports += [check_theorem(CheckSpec(item=item, bound=3)) for item in THEOREMS]
     got = {r.item: (r.verdict, r.instances_checked) for r in reports}
     assert got == {item: ("pass", n) for item, n in BOUND_3_COUNTS.items()}
     assert list(got) == list(BOUND_3_COUNTS)

@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+from cetcs import cli
+from cetcs.axioms import AXIOMS, THEOREMS
 from cetcs.cli import main
 from conftest import STANDARD_MODEL
 
@@ -47,6 +49,28 @@ def test_check_defaults_to_both_suites(capsys, model_path):
     assert len(out.splitlines()) == 14 + 18
 
 
+def test_check_routes_every_item_through_the_entry_points(capsys, model_path,
+                                                         monkeypatch):
+    # The benchmark captures per-item reports by wrapping these two names.
+    routed: dict[str, list[str]] = {"axiom": [], "theorem": []}
+
+    def counted(kind, check):
+        def inner(spec):
+            routed[kind].append(spec.item)
+            return check(spec)
+        return inner
+
+    monkeypatch.setattr(cli, "check_axiom", counted("axiom", cli.check_axiom))
+    monkeypatch.setattr(cli, "check_theorem", counted("theorem", cli.check_theorem))
+    code, out, _ = run(capsys, "check", "--bound", "1", model_path)
+    assert code == 0
+    assert len(routed["axiom"]) == 14 and len(routed["theorem"]) == 18
+    assert routed == {"axiom": list(AXIOMS), "theorem": list(THEOREMS)}
+    lines = [line.split() for line in out.splitlines()]
+    assert [item for _, item, _ in lines] == routed["axiom"] + routed["theorem"]
+    assert all(verdict == "PASS" for verdict, _, _ in lines)
+
+
 def test_check_without_model_file(capsys):
     code, out, _ = run(capsys, "check", "--axiom", "I", "--bound", "1")
     assert code == 0 and out.startswith("PASS I ")
@@ -70,6 +94,21 @@ def test_timings_flag_reveals_elapsed(capsys, model_path):
 def test_unknown_axiom_exits_2(capsys, model_path):
     code, _, err = run(capsys, "check", "--axiom", "Q7", model_path)
     assert code == 2 and "unknown axiom" in err
+
+
+def test_unknown_theorem_exits_2_before_any_check_runs(capsys, model_path):
+    code, out, err = run(capsys, "check", "--axiom", "C1", "--theorem", "fermat",
+                         model_path)
+    assert code == 2 and out == "" and "unknown theorem 'fermat'" in err
+
+
+def test_check_runs_the_named_axiom_then_the_named_theorem(capsys, model_path):
+    code, out, _ = run(capsys, "check", "--axiom", "D1", "--theorem", "choice",
+                       "--bound", "1", model_path)
+    assert code == 0
+    assert [line.split()[:2] for line in out.splitlines()] == [
+        ["PASS", "D1"], ["PASS", "choice"],
+    ]
 
 
 def test_missing_model_file_exits_2(capsys):

@@ -18,20 +18,14 @@ from cetcs.errors import JointMonicityError, ShapeError
 from cetcs.finset import FinMor, FinObj, carrier, compose, identity
 from cetcs.relcalc import (
     Relation,
-    apply_function,
-    equalizer_relation,
-    false_relation,
     is_partial_function,
     is_total_function,
     leq,
     make_relation,
-    permute,
     relation_from_tuples,
     sub_relation,
     subseteq,
-    true_relation,
     unique_choice,
-    weaken,
 )
 
 X = carrier("x0", "x1", "x2")
@@ -147,45 +141,6 @@ def test_unique_choice_names_the_offending_element():
     with pytest.raises(ShapeError) as err:
         unique_choice(partial)
     assert "x1" in str(err.value)
-
-
-def test_weaken_adds_a_free_coordinate():
-    r = rel([("x0",), ("x2",)], (X,))
-    w = weaken(r, Y)
-    assert w.arity == 2
-    assert w.tuples == (
-        ("x0", "y0"), ("x0", "y1"), ("x2", "y0"), ("x2", "y1"),
-    )
-
-
-def test_permute_reorders_columns():
-    r = rel([("x0", "y1"), ("x1", "y0")], (X, Y))
-    p = permute(r, (1, 0))
-    assert p.tuples == (("y1", "x0"), ("y0", "x1"))
-    assert {tuple(reversed(t)) for t in p.tuples} == set(r.tuples)
-
-
-def test_true_and_false_relations():
-    t = true_relation(X)
-    assert t.tuples == (("x0",), ("x1",), ("x2",))
-    f = false_relation(X)
-    assert f.tuples == ()
-
-
-def test_equalizer_relation_holds_where_maps_agree():
-    f = FinMor(X, Y, ("y0", "y0", "y1"))
-    g = FinMor(X, Y, ("y0", "y1", "y1"))
-    r = equalizer_relation(f, g)
-    assert r.tuples == (("x0",), ("x2",))
-
-
-def test_apply_function_validates_and_applies():
-    f = FinMor(X, Y, ("y0", "y0", "y1"))
-    graph = rel([(x, f(x)) for x in X.labels], (X, Y))
-    assert apply_function(graph, ("x2",)) == "y1"
-    not_total = rel([("x0", "y0")], (X, Y))
-    with pytest.raises(ShapeError):
-        apply_function(not_total, ("x1",))
 
 
 @settings(deadline=None, derandomize=True)
