@@ -23,10 +23,10 @@ the grouping reads the cospan alone, never the construction under test.
 Equalizer and coequalizer counts depend only on the construction and the
 test object, so each is made once per distinct pair and reused.
 
-Sampling mode (for bounds past the exhaustive threshold) draws a seeded
-reservoir of instances; items whose content is a universal quantification
-over mediating candidates are skipped with a reason instead of pretending a
-sampled uniqueness sweep is exhaustive.
+Sampling mode (past the exhaustive threshold) draws seeded maps, or seeded
+relations for the items that range over every relation on a carrier; items
+about uniqueness of mediating candidates are skipped with a reason instead
+of pretending a sampled uniqueness sweep is exhaustive.
 """
 
 from __future__ import annotations
@@ -132,6 +132,17 @@ def _maps(spec: CheckSpec, a: FinObj, b: FinObj) -> Iterator[FinMor] | list[FinM
         return all_maps(a, b)
     rng = random.Random(f"{spec.seed}|{a.labels}|{b.labels}")
     return _reservoir(all_maps(a, b), spec.sample, rng)
+
+
+def _subsets(spec: CheckSpec, cells: list) -> Iterator[list]:
+    """Every subset of the cells, or under sampling ``spec.sample`` distinct
+    ones drawn with a seed of the cells, so the cost does not grow as 2^n."""
+    masks = range(1 << len(cells))
+    if spec.sampled:
+        rng = random.Random(f"{spec.seed}|{cells}")
+        masks = rng.sample(masks, min(spec.sample, len(masks)))
+    for mask in masks:
+        yield [cell for i, cell in enumerate(cells) if mask >> i & 1]
 
 
 def _morphism_pool(spec: CheckSpec, dom_prefix: str = "a", cod_prefix: str = "b") -> Iterator[FinMor]:
@@ -793,8 +804,7 @@ def _thm_function_graphs(spec: CheckSpec):
     for x in _objs(spec, "x"):
         for y in _objs(spec, "y"):
             cells = list(itertools.product(x.labels, y.labels))
-            for mask in range(1 << len(cells)):
-                rows = [cells[i] for i in range(len(cells)) if mask >> i & 1]
+            for rows in _subsets(spec, cells):
                 rel = relation_from_tuples(rows, (x, y))
                 row_set = set(rows)
                 at_most = all(
@@ -985,8 +995,7 @@ def _thm_dependent_choice(spec: CheckSpec, chain_len: int = 8):
     checked = 0
     for x in _objs(spec, "x"):
         cells = list(itertools.product(x.labels, x.labels))
-        for mask in range(1 << len(cells)):
-            rows = {cells[i] for i in range(len(cells)) if mask >> i & 1}
+        for rows in map(set, _subsets(spec, cells)):
             if not all(any((a, b) in rows for b in x.labels) for a in x.labels):
                 continue
             for start in x.labels:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from .errors import CompositionError, EquivalenceError, ShapeError
 
@@ -32,21 +32,19 @@ class FinObj:
     """A finite carrier: an ordered tuple of distinct labels.
 
     Label order is the canonical order of the carrier (declaration order for
-    user-defined objects, documented construction order otherwise).
+    user-defined objects, documented construction order otherwise).  ``index``
+    maps each label to its position; the duplicate check builds it.
     """
 
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        if len(set(self.labels)) != len(self.labels):
+        index = dict(zip(self.labels, range(len(self.labels))))
+        if len(index) != len(self.labels):
             raise ShapeError(f"duplicate labels in carrier {self.labels!r}")
-        for lbl in self.labels:
-            if not lbl:
-                raise ShapeError("empty string is not a valid label")
-
-    @cached_property
-    def index(self) -> dict[str, int]:
-        return {lbl: i for i, lbl in enumerate(self.labels)}
+        if not all(self.labels):
+            raise ShapeError("empty string is not a valid label")
+        object.__setattr__(self, "index", index)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -71,8 +69,9 @@ class FinMor:
             raise ShapeError(
                 f"table length {len(self.table)} != domain size {len(self.dom)}"
             )
+        index = self.cod.index
         for value in self.table:
-            if value not in self.cod:
+            if value not in index:
                 raise ShapeError(f"table value {value!r} not in codomain {self.cod}")
 
     @classmethod
@@ -93,16 +92,6 @@ class FinMor:
         fields["cod"] = cod
         fields["table"] = table
         return mor
-
-    @classmethod
-    def from_mapping(cls, dom: FinObj, cod: FinObj, mapping: Mapping[str, str]) -> "FinMor":
-        missing = [lbl for lbl in dom.labels if lbl not in mapping]
-        if missing:
-            raise ShapeError(f"mapping not total, missing {missing[0]!r}")
-        extra = [key for key in mapping if key not in dom]
-        if extra:
-            raise ShapeError(f"mapping key {extra[0]!r} not in domain {dom}")
-        return cls(dom, cod, tuple(mapping[lbl] for lbl in dom.labels))
 
     def __call__(self, label: str) -> str:
         return self.table[self.dom.index[label]]
@@ -190,10 +179,8 @@ class ProductDiagram:
     @cached_property
     def _locator(self) -> dict[tuple[str, ...], str]:
         # component tuple -> apex label
-        out = {}
-        for lbl in self.apex.labels:
-            out[tuple(p(lbl) for p in self.projections)] = lbl
-        return out
+        rows = _rows(tuple(p.table for p in self.projections), len(self.apex))
+        return dict(zip(rows, self.apex.labels))
 
     def pair(self, fs: Sequence[FinMor], dom: FinObj | None = None) -> FinMor:
         """The unique mediating map ⟨f1,...,fn⟩ for a cone over the factors."""
@@ -209,10 +196,14 @@ class ProductDiagram:
                 raise ShapeError(f"cone leg {i} has a different domain")
             if f.cod != p.cod:
                 raise ShapeError(f"cone leg {i} does not target factor {i}")
-        table = tuple(
-            self._locator[tuple(f(x) for f in fs)] for x in dom.labels
-        )
+        rows = _rows(tuple(f.table for f in fs), len(dom))
+        table = tuple([self._locator[row] for row in rows])
         return FinMor(dom, self.apex, table)
+
+
+def _rows(tables: tuple[tuple[str, ...], ...], n: int) -> Iterator[tuple[str, ...]]:
+    """The n tuples ``(t[k] for t in tables)``; with no tables, n empty tuples."""
+    return zip(*tables) if tables else itertools.repeat((), n)
 
 
 def tuple_label(parts: Sequence[str]) -> str:
@@ -282,7 +273,7 @@ def _require_parallel(f: FinMor, g: FinMor) -> None:
 def equalizer(f: FinMor, g: FinMor) -> FinMor:
     """The inclusion of the subcarrier where f and g agree."""
     _require_parallel(f, g)
-    kept = tuple(x for x in f.dom.labels if f(x) == g(x))
+    kept = tuple(x for x, u, v in zip(f.dom.labels, f.table, g.table) if u == v)
     sub = FinObj(kept)
     return FinMor(sub, f.dom, kept)
 
@@ -331,9 +322,7 @@ class PullbackSquare:
 
     @cached_property
     def _locator(self) -> dict[tuple[str, str], str]:
-        return {
-            (self.p1(lbl), self.p2(lbl)): lbl for lbl in self.apex.labels
-        }
+        return dict(zip(zip(self.p1.table, self.p2.table), self.apex.labels))
 
     def mediate(self, q1: FinMor, q2: FinMor) -> FinMor:
         """The unique map into the apex induced by a commuting cone (q1, q2)."""
@@ -341,21 +330,30 @@ class PullbackSquare:
             raise ShapeError("cone legs must share a domain")
         if compose(self.f, q1) != compose(self.g, q2):
             raise ShapeError("cone does not commute with the cospan")
-        table = tuple(
-            self._locator[(q1(t), q2(t))] for t in q1.dom.labels
-        )
+        table = tuple([self._locator[pair] for pair in zip(q1.table, q2.table)])
         return FinMor(q1.dom, self.apex, table)
 
 
+def _fibers(m: FinMor) -> dict[str, list[str]]:
+    """Each value m takes, mapped to its preimage in domain order."""
+    out: dict[str, list[str]] = {}
+    for x, c in zip(m.dom.labels, m.table):
+        out.setdefault(c, []).append(x)
+    return out
+
+
 def pullback(f: FinMor, g: FinMor) -> PullbackSquare:
+    """The pullback of the cospan f: A -> C <- B : g.
+
+    The apex lists the pairs (x, y) with f(x) = g(y) in x-major order: x in
+    A's order and, for one x, y in B's order.  B is indexed once by value,
+    and each x is paired with its fiber, so the cost is O(|A| + |B| + |P|)
+    for an apex P.
+    """
     if f.cod != g.cod:
         raise ShapeError(f"not a cospan: [{f}] and [{g}]")
-    pairs = [
-        (x, y)
-        for x in f.dom.labels
-        for y in g.dom.labels
-        if f(x) == g(y)
-    ]
+    fiber = _fibers(g)
+    pairs = [(x, y) for x, c in zip(f.dom.labels, f.table) for y in fiber.get(c, ())]
     apex = FinObj(tuple(tuple_label(p) for p in pairs))
     p1 = FinMor(apex, f.dom, tuple(x for x, _ in pairs))
     p2 = FinMor(apex, g.dom, tuple(y for _, y in pairs))
@@ -408,19 +406,14 @@ def pi_diagram(g: FinMor, f: FinMor) -> PiDiagram:
         raise CompositionError(
             f"pi needs a composable pair: codomain of [{g}] vs domain of [{f}]"
         )
-    y_obj, x_obj, i_obj = g.dom, g.cod, f.cod
-    fiber_f: dict[str, list[str]] = {i: [] for i in i_obj.labels}
-    for x in x_obj.labels:
-        fiber_f[f(x)].append(x)
-    fiber_g: dict[str, list[str]] = {x: [] for x in x_obj.labels}
-    for y in y_obj.labels:
-        fiber_g[g(y)].append(y)
+    y_obj, i_obj = g.dom, f.cod
+    fiber_f, fiber_g = _fibers(f), _fibers(g)
 
     sections: dict[str, tuple[str, dict[str, str]]] = {}
     f_labels: list[str] = []
     for i in i_obj.labels:
-        xs = fiber_f[i]
-        for choice in itertools.product(*(fiber_g[x] for x in xs)):
+        xs = fiber_f.get(i, ())
+        for choice in itertools.product(*(fiber_g.get(x, ()) for x in xs)):
             assignment = list(zip(xs, choice))
             lbl = section_label(i, assignment)
             sections[lbl] = (i, dict(assignment))
@@ -429,9 +422,7 @@ def pi_diagram(g: FinMor, f: FinMor) -> PiDiagram:
     phi = FinMor(f_obj, i_obj, tuple(sections[lbl][0] for lbl in f_labels))
 
     square = pullback(phi, f)
-    ev_table = tuple(
-        sections[square.p1(p)][1][square.p2(p)] for p in square.apex.labels
-    )
+    ev_table = tuple([sections[s][1][x] for s, x in zip(square.p1.table, square.p2.table)])
     ev = FinMor(square.apex, y_obj, ev_table)
     return PiDiagram(
         P=square.apex, F=f_obj, pi1=square.p1, pi2=square.p2, phi=phi, ev=ev
@@ -459,9 +450,7 @@ def exponential(x_obj: FinObj, y_obj: FinObj):
     ups = FinMor(
         prod.apex,
         y_obj,
-        tuple(
-            lookup[xi1(r)][x_obj.index[xi2(r)]] for r in prod.apex.labels
-        ),
+        tuple([lookup[s][x_obj.index[x]] for s, x in zip(xi1.table, xi2.table)]),
     )
     return e_obj, Relation(dom=prod.apex, legs=(xi1, xi2, ups))
 

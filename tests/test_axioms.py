@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import cetcs
 from cetcs import axioms
 from cetcs.axioms import (
     AXIOMS,
@@ -334,6 +339,23 @@ def test_sampled_mode_still_checks_pointwise_items():
     assert rep.passed
     again = check_axiom(CheckSpec(item="Fct", bound=5, sample=2, seed=1))
     assert again.instances_checked == rep.instances_checked
+
+
+@pytest.mark.parametrize("item", ["function-graphs", "dependent-choice"])
+def test_sampled_relation_items_have_bounded_cost(item):
+    # Exhaustively these items enumerate every relation on each carrier
+    # (pair), 2^25 masks at bound 5; sampled, they draw a few per carrier.
+    argv = ["check", "--bound", "5", "--sample", "5", "--theorem", item]
+    script = f"import sys; from cetcs.cli import main; sys.exit(main({argv!r}))"
+    src = str(Path(cetcs.__file__).resolve().parents[1])
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=30, check=True)
+        outs.append(proc.stdout)
+    assert outs[0].startswith(f"PASS {item} instances=")
+    assert outs[0] == outs[1]
 
 
 def test_extra_model_instances_join_the_pool(std_model):

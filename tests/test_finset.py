@@ -103,7 +103,6 @@ def test_application_and_mapping():
     f = FinMor(A, B, ("u", "w"))
     assert f("a") == "u" and f("b") == "w"
     assert f.mapping == {"a": "u", "b": "w"}
-    assert FinMor.from_mapping(A, B, {"a": "u", "b": "w"}) == f
 
 
 def test_compose_requires_matching_feet():
@@ -380,6 +379,117 @@ def test_pi_empty_fiber_kills_sections():
     g = FinMor(y, x, ("u",))
     d = pi_diagram(g, unique_to_terminal(x))
     assert len(d.F) == 0 and len(d.P) == 0
+
+
+# ---------------------------------------------------------------------------
+# the table-reading constructions against pointwise references
+#
+# Each reference below reads the morphisms only through ``__call__``, one
+# point at a time, in the order the documented labels promise.  Carriers run
+# from 0 to 4 labels, so empty carriers, empty fibers and legs that miss part
+# of their codomain all occur.
+
+def draw_carrier(data, prefix, min_size=0):
+    return carrier_of_size(data.draw(st.integers(min_value=min_size, max_value=4)), prefix)
+
+
+def draw_map(data, dom, cod):
+    if not cod.labels:
+        assert not dom.labels
+        return FinMor(dom, cod, ())
+    values = st.sampled_from(cod.labels)
+    return FinMor(dom, cod, tuple(data.draw(values) for _ in dom.labels))
+
+
+def draw_map_into(data, prefix, cod):
+    """A map into cod from a fresh carrier; empty when cod is empty."""
+    dom = draw_carrier(data, prefix) if cod.labels else initial()
+    return draw_map(data, dom, cod)
+
+
+def pointwise_pullback(f, g):
+    pairs = [(x, y) for x in f.dom.labels for y in g.dom.labels if f(x) == g(y)]
+    labels = tuple(f"({x},{y})" for x, y in pairs)
+    return labels, tuple(x for x, _ in pairs), tuple(y for _, y in pairs)
+
+
+def pointwise_pair(d, fs, dom):
+    table = []
+    for t in dom.labels:
+        hits = [
+            p for p in d.apex.labels
+            if all(proj(p) == leg(t) for proj, leg in zip(d.projections, fs))
+        ]
+        assert len(hits) == 1
+        table.append(hits[0])
+    return tuple(table)
+
+
+def pointwise_pi(g, f):
+    f_labels, phi, sections = [], [], {}
+    for i in f.cod.labels:
+        xs = [x for x in f.dom.labels if f(x) == i]
+        over = [[y for y in g.dom.labels if g(y) == x] for x in xs]
+        for choice in itertools.product(*over):
+            lbl = f"({i}|" + ",".join(f"{x}↦{y}" for x, y in zip(xs, choice)) + ")"
+            f_labels.append(lbl)
+            phi.append(i)
+            sections[lbl] = dict(zip(xs, choice))
+    points = [
+        (s, x) for s, i in zip(f_labels, phi) for x in f.dom.labels if f(x) == i
+    ]
+    return tuple(f_labels), tuple(phi), points, tuple(sections[s][x] for s, x in points)
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(st.data())
+def test_pullback_matches_the_pointwise_pairing(data):
+    c = draw_carrier(data, "c")
+    f, g = draw_map_into(data, "a", c), draw_map_into(data, "b", c)
+    square = pullback(f, g)
+    labels, p1, p2 = pointwise_pullback(f, g)
+    assert square.apex.labels == labels
+    assert square.p1.table == p1 and square.p2.table == p2
+    t = draw_carrier(data, "t") if square.apex.labels else initial()
+    h = draw_map(data, t, square.apex)
+    assert square.mediate(compose(square.p1, h), compose(square.p2, h)) == h
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(st.data())
+def test_product_pair_matches_the_pointwise_search(data):
+    n = data.draw(st.integers(min_value=0, max_value=3))
+    factors = [draw_carrier(data, f"a{k}", min_size=1) for k in range(n)]
+    d = product_n(factors)
+    t = draw_carrier(data, "t")
+    fs = tuple(draw_map(data, t, factor) for factor in factors)
+    assert d.pair(fs, dom=t).table == pointwise_pair(d, fs, t)
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(st.data())
+def test_equalizer_matches_the_pointwise_filter(data):
+    b = draw_carrier(data, "b")
+    f = draw_map_into(data, "a", b)
+    g = draw_map(data, f.dom, b)
+    kept = tuple(x for x in f.dom.labels if f(x) == g(x))
+    e = equalizer(f, g)
+    assert e.dom.labels == kept and e.table == kept and e.cod == f.dom
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(st.data())
+def test_pi_diagram_matches_the_pointwise_sections(data):
+    i = draw_carrier(data, "i")
+    f = draw_map_into(data, "x", i)
+    g = draw_map_into(data, "y", f.dom)
+    d = pi_diagram(g, f)
+    f_labels, phi, points, ev = pointwise_pi(g, f)
+    assert d.F.labels == f_labels and d.phi.table == phi
+    assert d.P.labels == tuple(f"({s},{x})" for s, x in points)
+    assert d.pi1.table == tuple(s for s, _ in points)
+    assert d.pi2.table == tuple(x for _, x in points)
+    assert d.ev.table == ev
 
 
 # ---------------------------------------------------------------------------

@@ -247,6 +247,8 @@ def test_compilation_transports_along_relabeling(std_model):
 
     x2 = carrier(*sorted(sigma[x] for x in env.objects["X"].labels))
     y2 = carrier(*sorted(sigma[y] for y in env.objects["Y"].labels))
+    f = env.morphisms["f"]
+    f2 = {sigma[a]: sigma[b] for a, b in zip(f.dom.labels, f.table)}
     env2 = Env(
         objects={"X": x2, "Y": y2},
         relations={
@@ -257,10 +259,7 @@ def test_compilation_transports_along_relabeling(std_model):
             for name, rel in env.relations.items()
         },
         morphisms={
-            "f": FinMor.from_mapping(
-                x2, y2,
-                {sigma[a]: sigma[b] for a, b in env.morphisms["f"].mapping.items()},
-            ),
+            "f": FinMor(x2, y2, tuple(f2[x] for x in x2.labels)),
         },
     )
     ctx2 = parse_context("x:X", env2.objects)
