@@ -96,10 +96,6 @@ class FinMor:
     def __call__(self, label: str) -> str:
         return self.table[self.dom.index[label]]
 
-    @cached_property
-    def mapping(self) -> dict[str, str]:
-        return dict(zip(self.dom.labels, self.table))
-
     def is_injective(self) -> bool:
         return len(set(self.table)) == len(self.table)
 

@@ -38,11 +38,7 @@ class ModelFile:
     relations: dict[str, Relation] = field(default_factory=dict)
 
     def env(self) -> Env:
-        return Env(
-            objects=dict(self.objects),
-            relations=dict(self.relations),
-            morphisms=dict(self.morphisms),
-        )
+        return Env(objects=self.objects, relations=self.relations, morphisms=self.morphisms)
 
 
 def _split_top(text: str, line: int) -> list[str]:

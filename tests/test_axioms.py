@@ -341,11 +341,14 @@ def test_sampled_mode_still_checks_pointwise_items():
     assert again.instances_checked == rep.instances_checked
 
 
-@pytest.mark.parametrize("item", ["function-graphs", "dependent-choice"])
+@pytest.mark.parametrize("item", ["function-graphs", "dependent-choice",
+                                  "inclusion-orders"])
 def test_sampled_relation_items_have_bounded_cost(item):
-    # Exhaustively these items enumerate every relation on each carrier
-    # (pair), 2^25 masks at bound 5; sampled, they draw a few per carrier.
-    argv = ["check", "--bound", "5", "--sample", "5", "--theorem", item]
+    # Exhaustively the first two enumerate every relation on each carrier
+    # (pair), 2^25 masks at bound 5, and inclusion-orders every pair of
+    # monos into a carrier, 1957^2 at bound 6; sampled, each draws a few.
+    bound = "6" if item == "inclusion-orders" else "5"
+    argv = ["check", "--bound", bound, "--sample", "5", "--theorem", item]
     script = f"import sys; from cetcs.cli import main; sys.exit(main({argv!r}))"
     src = str(Path(cetcs.__file__).resolve().parents[1])
     outs = []

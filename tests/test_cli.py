@@ -211,6 +211,69 @@ def test_compile_json_payload(capsys, model_path):
     assert data["sorts"] == ["x", "y"]
 
 
+# A formula whose subtrees repeat; the trace still lists every node in
+# postorder, repeats included.  Recorded before compiled subformulas were
+# memoized.
+SHARED = r"((r(x) /\ r(x)) \/ (r(x) /\ r(x))) => forall y:Y. m(x, y)"
+SHARED_TRACE = [
+    "atom:r:pullback", "atom:r:pullback", "and:pullback",
+    "atom:r:pullback", "atom:r:pullback", "and:pullback", "or:sum+image",
+    "atom:m:pullback", "forall:product+pi", "implies:pullback+pi",
+]
+
+
+def test_compile_trace_of_shared_subtrees_is_pinned(capsys, model_path):
+    code, out, _ = run(capsys, "compile", "--context", "x:X", "--formula", SHARED,
+                       "--trace", "--verify", model_path)
+    assert code == 0
+    assert out == (
+        "relation result <| (x) = {x0, x2}\n"
+        "trace: " + ", ".join(SHARED_TRACE) + "\n"
+        "PASS compile-verify instances=3\n"
+    )
+    code, out, _ = run(capsys, "compile", "--context", "x:X", "--formula", SHARED,
+                       "--trace", "--verify", "--format", "json", model_path)
+    assert code == 0
+    assert out == (
+        '{\n'
+        '  "context": "x:X",\n'
+        '  "formula": "((r(x) /\\\\ r(x)) \\\\/ (r(x) /\\\\ r(x))) => forall y:Y. m(x, y)",\n'
+        '  "rows": [\n'
+        '    [\n      "x0"\n    ],\n'
+        '    [\n      "x2"\n    ]\n'
+        '  ],\n'
+        '  "sorts": [\n    "x"\n  ],\n'
+        '  "trace": [\n'
+        + ",\n".join(f'    "{step}"' for step in SHARED_TRACE) + "\n"
+        '  ],\n'
+        '  "verify": {\n'
+        '    "elapsed": null,\n'
+        '    "instances_checked": 3,\n'
+        '    "item": "compile-verify",\n'
+        '    "verdict": "pass",\n'
+        '    "witness": null\n'
+        '  }\n'
+        '}\n'
+    )
+
+
+def test_compile_trace_in_two_variables_is_pinned(capsys, model_path):
+    formula = (r"(m(x, y) /\ r(x)) \/ ((m(x, y) /\ r(x))"
+               r" => exists z:X. (m(z, y) /\ r(x)))")
+    code, out, _ = run(capsys, "compile", "--context", "x:X, y:Y", "--formula", formula,
+                       "--trace", "--verify", model_path)
+    assert code == 0
+    assert out == (
+        "relation result <| (x, y) = {(x0, y0), (x0, y1), (x1, y0), (x1, y1),"
+        " (x2, y0), (x2, y1)}\n"
+        "trace: atom:m:pullback, atom:r:pullback, and:pullback,"
+        " atom:m:pullback, atom:r:pullback, and:pullback,"
+        " atom:m:pullback, atom:r:pullback, and:pullback,"
+        " exists:image, implies:pullback+pi, or:sum+image\n"
+        "PASS compile-verify instances=6\n"
+    )
+
+
 def test_compile_bad_formula_exits_2(capsys, model_path):
     code, _, err = run(capsys, "compile", "--context", "x:X",
                        "--formula", "q(x)", model_path)

@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 
 from cetcs.errors import FormulaError
 from cetcs.logic import (
+    _MEMO_SIZE,
     And,
     App,
     Atom,
     Bot,
+    Env,
     Eq,
     Exists,
     Forall,
@@ -320,3 +322,82 @@ def test_random_formulas_verify(data):
 def test_random_formulas_render_round_trip(data):
     phi = random_formula(data, 3, False)
     assert parse(render(phi)) == phi
+
+
+# ---------------------------------------------------------------------------
+# the per-Env memo of compiled subformulas
+
+
+def _subformulas(ctx, phi, env):
+    """Every (context, node) the compiler visits for phi, in postorder."""
+    if isinstance(phi, (And, Or, Implies)):
+        yield from _subformulas(ctx, phi.lhs, env)
+        yield from _subformulas(ctx, phi.rhs, env)
+    elif isinstance(phi, (Forall, Exists)):
+        yield from _subformulas(ctx.extend(phi.var, env.objects[phi.sort]), phi.body, env)
+    yield ctx, phi
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(st.data())
+def test_memoized_compile_equals_a_fresh_compile(data):
+    from conftest import STANDARD_MODEL
+    from cetcs.modelfile import parse_model
+
+    model = parse_model(STANDARD_MODEL)
+    warm = model.env()
+    ctx = parse_context("x:X", warm.objects)
+    phi = random_formula(data, 3, False)
+    others = [random_formula(data, 3, False)
+              for _ in range(data.draw(st.integers(min_value=0, max_value=4)))]
+    for sub_ctx, sub in _subformulas(ctx, phi, warm):
+        compile_formula(sub_ctx, sub, warm)
+    for other in others:
+        compile_formula(ctx, other, warm)
+    assert len(warm._memo.compiled) <= _MEMO_SIZE
+    fresh = model.env()
+    want = compile_formula(ctx, phi, fresh)
+    for env in (warm, warm, fresh):
+        got = compile_formula(ctx, phi, env)
+        assert got.relation.tuples == want.relation.tuples
+        assert got.trace == want.trace
+
+
+def test_compile_memo_keeps_at_most_its_size(env, ctx):
+    phi = Top()
+    for _ in range(2 * _MEMO_SIZE):
+        phi = And(phi, R_X)
+        compile_formula(ctx, phi, env)
+    assert len(env._memo.compiled) == _MEMO_SIZE
+    assert set(compile_formula(ctx, phi, env).relation.tuples) == {("x0",), ("x1",)}
+
+
+def test_env_is_a_read_only_snapshot(std_model):
+    objects = dict(std_model.objects)
+    relations = dict(std_model.relations)
+    morphisms = dict(std_model.morphisms)
+    env = Env(objects=objects, relations=relations, morphisms=morphisms)
+    ctx = parse_context("x:X", env.objects)
+    relations["r"] = relations["s"]
+    morphisms["f"] = morphisms["t"]
+    assert set(compile_formula(ctx, parse("r(x)"), env).relation.tuples) == {
+        ("x0",), ("x1",),
+    }
+    assert compile_formula(ctx, parse("m(x, f(x))"), env).relation.tuples == (("x0",),)
+    with pytest.raises(TypeError):
+        env.relations["r"] = relations["s"]
+    with pytest.raises(TypeError):
+        env.objects["Z"] = env.objects["X"]
+    with pytest.raises(TypeError):
+        del env.morphisms["f"]
+
+
+def test_check_formula_still_rejects_after_accepting(ctx, env):
+    phi = parse(r"r(x) /\ s(x)")
+    check_formula(ctx, phi, env)
+    check_formula(ctx, phi, env)
+    with pytest.raises(FormulaError):
+        check_formula(ctx, parse("q(x)"), env)
+    other = parse_context("y:Y", env.objects)
+    with pytest.raises(FormulaError):
+        check_formula(other, phi, env)
