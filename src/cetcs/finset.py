@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CompositionError, EquivalenceError, ShapeError
 
@@ -45,6 +45,20 @@ class FinObj:
         if not all(self.labels):
             raise ShapeError("empty string is not a valid label")
         object.__setattr__(self, "index", index)
+
+    def __hash__(self) -> int:
+        # The generated hash, computed on first use and kept: most carriers
+        # are never hashed, and a memo key is hashed on every lookup.
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.labels,))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self) -> dict:
+        # str hashes differ between processes, so a kept hash is not pickled
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -387,7 +401,7 @@ class PiDiagram:
     ev: FinMor
 
 
-def section_label(i: str, assignment: Sequence[tuple[str, str]]) -> str:
+def section_label(i: str, assignment: Iterable[tuple[str, str]]) -> str:
     inner = ",".join(f"{x}↦{y}" for x, y in assignment)
     return f"({i}|{inner})"
 
@@ -396,32 +410,48 @@ def pi_diagram(g: FinMor, f: FinMor) -> PiDiagram:
     """Construct the dependent product for the composable pair (g, f).
 
     A point of F over i lists one g-preimage for every x in the f-fiber of i;
-    an empty fiber contributes exactly one (empty) section.
+    an empty fiber contributes exactly one (empty) section.  F lists i in I's
+    order and, over one i, the sections in the lexicographic order of their
+    choices.  P is the pullback of phi against f in ``pullback``'s order and
+    labels: the points ``(v,x)`` with v in F's order and, for one v, x in
+    the f-fiber of phi(v) in X's order.
+
+    One pass over the sections writes F, phi and every row of P, pi1, pi2
+    and ev, since each section is in hand when its rows are due.  Besides
+    indexing f and g by value once, O(|X| + |Y|), it writes O(|F| + |P|)
+    labels and table entries.
     """
     if g.cod != f.dom:
         raise CompositionError(
             f"pi needs a composable pair: codomain of [{g}] vs domain of [{f}]"
         )
-    y_obj, i_obj = g.dom, f.cod
     fiber_f, fiber_g = _fibers(f), _fibers(g)
 
-    sections: dict[str, tuple[str, dict[str, str]]] = {}
     f_labels: list[str] = []
-    for i in i_obj.labels:
-        xs = fiber_f.get(i, ())
-        for choice in itertools.product(*(fiber_g.get(x, ()) for x in xs)):
-            assignment = list(zip(xs, choice))
-            lbl = section_label(i, assignment)
-            sections[lbl] = (i, dict(assignment))
-            f_labels.append(lbl)
+    phi_table: list[str] = []
+    p_labels: list[str] = []
+    pi1_table: list[str] = []
+    pi2_table: list[str] = []
+    ev_table: list[str] = []
+    for i in f.cod.labels:
+        xs = fiber_f.get(i, [])
+        for choice in itertools.product(*[fiber_g.get(x, ()) for x in xs]):
+            v = section_label(i, zip(xs, choice))
+            f_labels.append(v)
+            phi_table.append(i)
+            p_labels += [f"({v},{x})" for x in xs]
+            pi1_table += [v] * len(xs)
+            pi2_table += xs
+            ev_table += choice
     f_obj = FinObj(tuple(f_labels))
-    phi = FinMor(f_obj, i_obj, tuple(sections[lbl][0] for lbl in f_labels))
-
-    square = pullback(phi, f)
-    ev_table = tuple([sections[s][1][x] for s, x in zip(square.p1.table, square.p2.table)])
-    ev = FinMor(square.apex, y_obj, ev_table)
+    p_obj = FinObj(tuple(p_labels))
     return PiDiagram(
-        P=square.apex, F=f_obj, pi1=square.p1, pi2=square.p2, phi=phi, ev=ev
+        P=p_obj,
+        F=f_obj,
+        pi1=FinMor(p_obj, f_obj, tuple(pi1_table)),
+        pi2=FinMor(p_obj, f.dom, tuple(pi2_table)),
+        phi=FinMor(f_obj, f.cod, tuple(phi_table)),
+        ev=FinMor(p_obj, g.dom, tuple(ev_table)),
     )
 
 

@@ -218,6 +218,20 @@ class Context:
         if len(set(names)) != len(names):
             raise ShapeError(f"duplicate context variable in {names}")
 
+    def __hash__(self) -> int:
+        # The generated hash, computed on first use and kept: every memo
+        # lookup hashes its context.
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.vars,))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self) -> dict:
+        # str hashes differ between processes, so a kept hash is not pickled
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.vars)
@@ -759,7 +773,7 @@ def verify(ctx: Context, phi: Formula, env: Env, item: str | None = None) -> Rep
             }
             break
     return Report(
-        item=item or f"verify {render(phi)}",
+        item=item or (lambda: f"verify {render(phi)}"),
         verdict=FAIL if witness else PASS,
         witness=witness,
         instances_checked=checked,

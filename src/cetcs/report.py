@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import ReportError
 
@@ -21,9 +21,30 @@ SKIP = "skip"
 VERDICTS = (PASS, FAIL, SKIP)
 
 
+class _Label:
+    """The ``item`` field: text, or a zero-argument function rendering it.
+
+    A function is called when the field is first read, and its text
+    replaces it, so a label nobody reads is never rendered.  Every read,
+    equality and rendering included, sees the text.
+    """
+
+    def __get__(self, obj, objtype=None) -> str:
+        if obj is None:
+            # class access: the field has no default
+            raise AttributeError("item")
+        value = obj.__dict__["_item"]
+        if callable(value):
+            value = obj.__dict__["_item"] = value()
+        return value
+
+    def __set__(self, obj, value: str | Callable[[], str]) -> None:
+        obj.__dict__["_item"] = value
+
+
 @dataclass(frozen=True)
 class Report:
-    item: str
+    item: str = _Label()
     verdict: str
     witness: Mapping | None
     instances_checked: int

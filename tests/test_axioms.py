@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cetcs
 from cetcs import axioms
@@ -30,15 +35,19 @@ from cetcs.finset import (
     PullbackSquare,
     SumDiagram,
     carrier,
+    carrier_of_size,
     coequalizer,
+    compose,
     coproduct,
     equalizer,
+    initial,
     pi_diagram,
     product,
     pullback,
     quotient,
     unique_to_terminal,
 )
+from cetcs.report import FAIL, PASS, Report
 
 
 @pytest.mark.parametrize("item", sorted(AXIOMS))
@@ -143,6 +152,245 @@ def test_pi_morphism_check_identity_and_garbage():
     if len(d.F) >= 2:
         swapped = FinMor(d.F, d.F, (d.F.labels[1], d.F.labels[0]))
         assert pi_morphism_check(d, d, swapped).failed
+
+
+# ---------------------------------------------------------------------------
+# dependent-product faces: every face of check_pi_universal, with the exact
+# witness and instance count it reports
+#
+# The diagram is the dependent product of g: {a,b,c} -> {u,v,w} along
+# f: {u,v,w} -> {i,j,k}.  Over i there are two sections, over j none (w has
+# an empty g-fiber) and over k one empty section (k has an empty f-fiber).
+
+
+def two_index_diagram():
+    x, y, i = carrier("u", "v", "w"), carrier("a", "b", "c"), carrier("i", "j", "k")
+    g = FinMor(y, x, ("u", "u", "v"))
+    f = FinMor(x, i, ("i", "i", "j"))
+    return pi_diagram(g, f), g, f
+
+
+def rebuilt(d, g, f, edit):
+    """d rebuilt from its points after ``edit`` changed them in place.
+
+    ``edit`` receives the F points as [v, i] lists (i = phi(v)) and the P
+    points as [p, v, x, y] lists (v = pi1(p), x = pi2(p), y = ev(p)).
+    """
+    F = [[v, i] for v, i in zip(d.F.labels, d.phi.table)]
+    P = [list(row) for row in zip(d.P.labels, d.pi1.table, d.pi2.table, d.ev.table)]
+    edit(F, P)
+    f_obj = FinObj(tuple(v for v, _ in F))
+    p_obj = FinObj(tuple(row[0] for row in P))
+
+    def column(k):
+        return tuple(row[k] for row in P)
+
+    return PiDiagram(
+        P=p_obj, F=f_obj, pi1=FinMor(p_obj, f_obj, column(1)),
+        pi2=FinMor(p_obj, f.dom, column(2)),
+        phi=FinMor(f_obj, f.cod, tuple(i for _, i in F)),
+        ev=FinMor(p_obj, g.dom, column(3)),
+    )
+
+
+def set_entry(rows, k, pos, value):
+    rows[k][pos] = value
+
+
+FACE_MUTANTS = {
+    "pi1 feet": (lambda d, g, f: dataclasses.replace(d, pi1=d.pi2),
+                 {"face": "pi1 feet"}, 1),
+    "pi2 feet": (lambda d, g, f: dataclasses.replace(d, pi2=d.ev),
+                 {"face": "pi2 feet"}, 2),
+    "phi feet": (lambda d, g, f: dataclasses.replace(
+                     d, phi=FinMor(d.F, g.cod, ("u",) * len(d.F))),
+                 {"face": "phi feet"}, 3),
+    "ev feet": (lambda d, g, f: dataclasses.replace(d, ev=d.pi2),
+                {"face": "ev feet"}, 4),
+    # ev((i|u↦a,v↦c), u) = c leaves the g-fiber of u
+    "evaluation triangle": (
+        lambda d, g, f: rebuilt(d, g, f, lambda F, P: set_entry(P, 0, 3, "c")),
+        {"face": "evaluation triangle g∘ev = pi2"}, 5),
+    "square": (
+        lambda d, g, f: rebuilt(d, g, f, lambda F, P: set_entry(F, 0, 1, "k")),
+        {"face": "square phi∘pi1 = f∘pi2"}, 6),
+    "missing pullback point": (
+        lambda d, g, f: rebuilt(d, g, f, lambda F, P: P.pop(1)),
+        {"face": "square pullback", "v": "(i|u↦a,v↦c)", "x": "v", "points": 0}, 8),
+    # an F point with no P points over it
+    "point of F without rows": (
+        lambda d, g, f: rebuilt(d, g, f, lambda F, P: F.append(["impostor", "i"])),
+        {"face": "square pullback", "v": "impostor", "x": "u", "points": 0}, 11),
+    # a stray P point repeats the row (v, x) of another
+    "stray P point": (
+        lambda d, g, f: rebuilt(d, g, f, lambda F, P: P.append(["stray"] + P[0][1:])),
+        {"face": "square pullback", "v": "(i|u↦a,v↦c)", "x": "u", "points": 2}, 7),
+    # ev((i|u↦a,v↦c), u) = b stays in the fiber but copies the other section
+    "section with 0 matches": (
+        lambda d, g, f: rebuilt(d, g, f, lambda F, P: set_entry(P, 0, 3, "b")),
+        {"i": "i", "psi": [["u", "a"], ["v", "c"]], "matching": []}, 11),
+    "section with 2 matches": (
+        lambda d, g, f: rebuilt(d, g, f, lambda F, P: (
+            F.append(["dup", "i"]),
+            P.extend([["dup-" + x, "dup", x, y] for _, _, x, y in P[:2]]))),
+        {"i": "i", "psi": [["u", "a"], ["v", "c"]],
+         "matching": ["(i|u↦a,v↦c)", "dup"]}, 13),
+    "empty section with 2 matches": (
+        lambda d, g, f: rebuilt(d, g, f, lambda F, P: F.append(["dup", "k"])),
+        {"i": "k", "psi": [], "matching": ["(k|)", "dup"]}, 13),
+}
+
+
+def test_pi_universal_counts_every_face_of_the_construction():
+    d, g, f = two_index_diagram()
+    rep = check_pi_universal(d, g, f)
+    assert (rep.verdict, rep.witness, rep.instances_checked) == (PASS, None, 13)
+
+
+@pytest.mark.parametrize("face", list(FACE_MUTANTS))
+def test_pi_universal_reports_each_face_exactly(face):
+    mutate, witness, checked = FACE_MUTANTS[face]
+    d, g, f = two_index_diagram()
+    rep = check_pi_universal(mutate(d, g, f), g, f)
+    assert (rep.verdict, rep.witness, rep.instances_checked) == (FAIL, witness, checked)
+
+
+def pointwise_check_pi_universal(d: PiDiagram, g: FinMor, f: FinMor) -> Report:
+    """check_pi_universal read point by point: the reference for the table version.
+
+    Every morphism is read through ``__call__``, the pullback face scans all
+    of F × X, and each section is compared as a set with every point of F
+    over its index.
+    """
+    t0 = time.perf_counter()
+    checked = 0
+
+    def done(verdict: str, witness: dict | None) -> Report:
+        return Report(
+            item="pi-universal",
+            verdict=verdict,
+            witness=witness,
+            instances_checked=checked,
+            elapsed=time.perf_counter() - t0,
+        )
+
+    y_obj, x_obj, i_obj = g.dom, g.cod, f.cod
+    shape_checks = [
+        (d.pi1.dom == d.P and d.pi1.cod == d.F, "pi1 feet"),
+        (d.pi2.dom == d.P and d.pi2.cod == x_obj, "pi2 feet"),
+        (d.phi.dom == d.F and d.phi.cod == i_obj, "phi feet"),
+        (d.ev.dom == d.P and d.ev.cod == y_obj, "ev feet"),
+    ]
+    for ok, face in shape_checks:
+        checked += 1
+        if not ok:
+            return done(FAIL, {"face": face})
+    checked += 1
+    if compose(g, d.ev) != d.pi2:
+        return done(FAIL, {"face": "evaluation triangle g∘ev = pi2"})
+    checked += 1
+    if compose(d.phi, d.pi1) != compose(f, d.pi2):
+        return done(FAIL, {"face": "square phi∘pi1 = f∘pi2"})
+
+    # square is a pullback: each compatible (v, x) is hit by exactly one point
+    hits: dict[tuple[str, str], int] = {}
+    for p in d.P.labels:
+        key = (d.pi1(p), d.pi2(p))
+        hits[key] = hits.get(key, 0) + 1
+    for v in d.F.labels:
+        for x in x_obj.labels:
+            if d.phi(v) == f(x):
+                checked += 1
+                if hits.get((v, x), 0) != 1:
+                    return done(
+                        FAIL,
+                        {"face": "square pullback", "v": v, "x": x,
+                         "points": hits.get((v, x), 0)},
+                    )
+    if sum(hits.values()) != len(d.P):
+        return done(FAIL, {"face": "square pullback", "extra": "P has stray points"})
+
+    sections_of: dict[str, set[tuple[str, str]]] = {v: set() for v in d.F.labels}
+    for p in d.P.labels:
+        sections_of[d.pi1(p)].add((d.pi2(p), d.ev(p)))
+    by_i: dict[str, list[str]] = {i: [] for i in i_obj.labels}
+    for v in d.F.labels:
+        by_i[d.phi(v)].append(v)
+    fiber_f: dict[str, list[str]] = {i: [] for i in i_obj.labels}
+    for x in x_obj.labels:
+        fiber_f[f(x)].append(x)
+    fiber_g: dict[str, list[str]] = {x: [] for x in x_obj.labels}
+    for y in y_obj.labels:
+        fiber_g[g(y)].append(y)
+
+    for i in i_obj.labels:
+        xs = fiber_f[i]
+        for choice in itertools.product(*(fiber_g[x] for x in xs)):
+            checked += 1
+            psi = set(zip(xs, choice))
+            matching = [v for v in by_i[i] if sections_of[v] == psi]
+            if len(matching) != 1:
+                return done(
+                    FAIL,
+                    {
+                        "i": i,
+                        "psi": sorted(map(list, psi)),
+                        "matching": matching,
+                    },
+                )
+    return done(PASS, None)
+
+
+def draw_map_into(data, prefix, cod):
+    """A map into cod from a fresh carrier of at most 3 labels."""
+    dom = carrier_of_size(data.draw(st.integers(0, 3)), prefix) if cod.labels else initial()
+    values = st.sampled_from(cod.labels) if cod.labels else st.nothing()
+    return FinMor(dom, cod, tuple(data.draw(values) for _ in dom.labels))
+
+
+def drop_p_point(data, P):
+    if P:
+        P.pop(data.draw(st.integers(0, len(P) - 1)))
+
+
+def duplicate_f_point(data, F, P):
+    if F:
+        v, i = F[data.draw(st.integers(0, len(F) - 1))]
+        F.append(["dup", i])
+        P.extend([["dup-" + x, "dup", x, y] for _, w, x, y in list(P) if w == v])
+
+
+def swap_ev_entries(data, P):
+    if len(P) >= 2:
+        j, k = data.draw(st.lists(st.integers(0, len(P) - 1), min_size=2,
+                                  max_size=2, unique=True))
+        P[j][3], P[k][3] = P[k][3], P[j][3]
+
+
+def retarget_phi_entry(data, F, labels):
+    if F and labels:
+        F[data.draw(st.integers(0, len(F) - 1))][1] = data.draw(st.sampled_from(labels))
+
+
+@settings(deadline=None, derandomize=True, max_examples=400)
+@given(st.data())
+def test_pi_universal_agrees_with_the_pointwise_reference(data):
+    i = carrier_of_size(data.draw(st.integers(0, 3)), "i")
+    f = draw_map_into(data, "x", i)
+    g = draw_map_into(data, "y", f.dom)
+    mutants = {
+        "none": lambda F, P: None,
+        "drop P point": lambda F, P: drop_p_point(data, P),
+        "duplicate F point": lambda F, P: duplicate_f_point(data, F, P),
+        "swap ev entries": lambda F, P: swap_ev_entries(data, P),
+        "retarget phi entry": lambda F, P: retarget_phi_entry(data, F, i.labels),
+    }
+    edit = mutants[data.draw(st.sampled_from(list(mutants)))]
+    d = rebuilt(pi_diagram(g, f), g, f, edit)
+    got = check_pi_universal(d, g, f)
+    want = pointwise_check_pi_universal(d, g, f)
+    assert (got.verdict, got.witness, got.instances_checked) == (
+        want.verdict, want.witness, want.instances_checked)
 
 
 # ---------------------------------------------------------------------------

@@ -300,6 +300,99 @@ def test_pi_json_payload(capsys, model_path):
     assert data["F"] == ["(y1|x2↦y1)"]
 
 
+PI_TEXT = {
+    # x1 has an empty g-fiber, so no section exists over i0
+    ("g", "t"): (
+        "object F = {}\n"
+        "object P = {}\n"
+        "morphism phi : F -> I {}\n"
+        "morphism pi1 : P -> F {}\n"
+        "morphism pi2 : P -> X {}\n"
+        "morphism ev : P -> Y {}\n"
+        "PASS pi-universal instances=6\n"
+    ),
+    # x1 has an empty f-fiber (here f is g), so it carries one empty section
+    ("f", "g"): (
+        "object F = {(x0|y0↦x0), (x0|y0↦x1), (x1|), (x2|y1↦x2)}\n"
+        "object P = {((x0|y0↦x0),y0), ((x0|y0↦x1),y0), ((x2|y1↦x2),y1)}\n"
+        "morphism phi : F -> X {(x0|y0↦x0) |-> x0, (x0|y0↦x1) |-> x0,"
+        " (x1|) |-> x1, (x2|y1↦x2) |-> x2}\n"
+        "morphism pi1 : P -> F {((x0|y0↦x0),y0) |-> (x0|y0↦x0),"
+        " ((x0|y0↦x1),y0) |-> (x0|y0↦x1), ((x2|y1↦x2),y1) |-> (x2|y1↦x2)}\n"
+        "morphism pi2 : P -> Y {((x0|y0↦x0),y0) |-> y0, ((x0|y0↦x1),y0) |-> y0,"
+        " ((x2|y1↦x2),y1) |-> y1}\n"
+        "morphism ev : P -> X {((x0|y0↦x0),y0) |-> x0, ((x0|y0↦x1),y0) |-> x1,"
+        " ((x2|y1↦x2),y1) |-> x2}\n"
+        "PASS pi-universal instances=13\n"
+    ),
+}
+
+PI_JSON = {
+    ("g", "t"): """\
+{
+  "F": [],
+  "P": [],
+  "ev": {},
+  "f": "t",
+  "g": "g",
+  "phi": {},
+  "universal": {
+    "elapsed": null,
+    "instances_checked": 6,
+    "item": "pi-universal",
+    "verdict": "pass",
+    "witness": null
+  }
+}
+""",
+    ("f", "g"): """\
+{
+  "F": [
+    "(x0|y0↦x0)",
+    "(x0|y0↦x1)",
+    "(x1|)",
+    "(x2|y1↦x2)"
+  ],
+  "P": [
+    "((x0|y0↦x0),y0)",
+    "((x0|y0↦x1),y0)",
+    "((x2|y1↦x2),y1)"
+  ],
+  "ev": {
+    "((x0|y0↦x0),y0)": "x0",
+    "((x0|y0↦x1),y0)": "x1",
+    "((x2|y1↦x2),y1)": "x2"
+  },
+  "f": "g",
+  "g": "f",
+  "phi": {
+    "(x0|y0↦x0)": "x0",
+    "(x0|y0↦x1)": "x0",
+    "(x1|)": "x1",
+    "(x2|y1↦x2)": "x2"
+  },
+  "universal": {
+    "elapsed": null,
+    "instances_checked": 13,
+    "item": "pi-universal",
+    "verdict": "pass",
+    "witness": null
+  }
+}
+""",
+}
+
+
+@pytest.mark.parametrize("g, f", list(PI_TEXT))
+def test_pi_check_universal_output_is_pinned(capsys, model_path, g, f):
+    code, out, err = run(capsys, "pi", "--g", g, "--f", f, "--check-universal",
+                         model_path)
+    assert (code, out, err) == (0, PI_TEXT[g, f], "")
+    code, out, err = run(capsys, "pi", "--g", g, "--f", f, "--check-universal",
+                         "--format", "json", model_path)
+    assert (code, out, err) == (0, PI_JSON[g, f], "")
+
+
 # ---------------------------------------------------------------------------
 # report
 

@@ -8,11 +8,17 @@ maps, independently of the bucket-based checkers in the axioms module.
 from __future__ import annotations
 
 import itertools
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cetcs
 from cetcs.errors import CompositionError, EquivalenceError, ShapeError
 from cetcs.finset import (
     FINSET,
@@ -43,6 +49,7 @@ from cetcs.finset import (
     unique_from_initial,
     unique_to_terminal,
 )
+from cetcs.logic import Context
 from cetcs.relcalc import relation_from_tuples
 
 A = carrier("a", "b")
@@ -575,3 +582,26 @@ def test_category_handle_enumerates_canonical_objects():
     assert FINSET.terminal() == terminal()
     f = FinMor(A, B, ("u", "v"))
     assert FINSET.compose(identity(B), f) == f
+
+
+def test_carriers_survive_a_pickle_from_another_hash_seed():
+    # A carrier keeps its hash once computed; str hashes differ between
+    # processes, so a pickled carrier must not bring its hash along.
+    src = str(Path(cetcs.__file__).resolve().parents[1])
+    code = (
+        "import pickle, sys\n"
+        "from cetcs.finset import carrier\n"
+        "from cetcs.logic import Context\n"
+        "a = carrier('a', 'b')\n"
+        "ctx = Context((('x', a),))\n"
+        "hash(a), hash(ctx)\n"
+        "sys.stdout.buffer.write(pickle.dumps((a, ctx)))\n"
+    )
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, timeout=30).stdout
+        a, ctx = pickle.loads(out)
+        fresh = carrier("a", "b")
+        assert a in {fresh} and hash(a) == hash(fresh)
+        assert ctx in {Context((("x", fresh),))}

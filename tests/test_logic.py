@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cetcs import logic
 from cetcs.errors import FormulaError
 from cetcs.logic import (
     _MEMO_SIZE,
@@ -232,6 +233,23 @@ def test_oracle_matches_hand_memberships(ctx, env):
 def test_verify_agrees_on_every_row(ctx, env, text, _):
     rep = verify(ctx, parse(text), env)
     assert rep.passed and rep.instances_checked == 3
+
+
+def test_verify_renders_its_default_label_only_when_read(ctx, env, monkeypatch):
+    phi = parse(r"r(x) => s(x)")
+    rendered = []
+
+    def counted(node):
+        rendered.append(node)
+        return render(node)
+
+    monkeypatch.setattr(logic, "render", counted)
+    rep = verify(ctx, phi, env)
+    assert rep.passed and rendered == []
+    assert rep.item == "verify (r(x) => s(x))"
+    assert rendered[0] is phi
+    calls = len(rendered)
+    assert rep.to_dict()["item"] == rep.item and len(rendered) == calls
 
 
 # ---------------------------------------------------------------------------
