@@ -161,7 +161,14 @@ def parse_model(text: str) -> ModelFile:
 
 def load(path: str) -> ModelFile:
     with open(path, encoding="utf-8") as handle:
-        return parse_model(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            line = exc.object.count(b"\n", 0, exc.start) + 1
+            raise ModelFileError(
+                f"not UTF-8 text: {exc.reason} {exc.object[exc.start]:#04x}", line
+            ) from None
+    return parse_model(text)
 
 
 # ---------------------------------------------------------------------------

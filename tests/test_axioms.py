@@ -34,6 +34,7 @@ from cetcs.finset import (
     ProductDiagram,
     PullbackSquare,
     SumDiagram,
+    all_maps,
     carrier,
     carrier_of_size,
     coequalizer,
@@ -97,6 +98,28 @@ def base_diagram():
     g = FinMor(y, x, ("u", "u", "v"))
     f = unique_to_terminal(x)
     return pi_diagram(g, f), g, f
+
+
+def test_section_count_matches_a_brute_count():
+    # Over each i, try every map s from the f-fiber of i to Y and keep those
+    # with g∘s the inclusion of the fiber.
+    def brute(g, f):
+        total = 0
+        for i in f.cod.labels:
+            fiber = [x for x in f.dom.labels if f(x) == i]
+            for s in itertools.product(g.dom.labels, repeat=len(fiber)):
+                total += all(g(y) == x for x, y in zip(fiber, s))
+        return total
+
+    sizes = range(3)
+    pairs = 0
+    for ny, nx, ni in itertools.product(sizes, sizes, sizes):
+        y, x, i = (carrier_of_size(n, p) for n, p in ((ny, "y"), (nx, "x"), (ni, "i")))
+        for g in all_maps(y, x):
+            for f in all_maps(x, i):
+                pairs += 1
+                assert axioms._section_count(g, f) == brute(g, f), (g, f)
+    assert pairs == 47
 
 
 def test_pi_universal_accepts_the_construction():
@@ -580,6 +603,22 @@ def test_sampled_pretopos_skips_before_running_any_part(monkeypatch):
     rep = check_theorem(CheckSpec(item="pretopos", bound=5, sample=5))
     assert rep.verdict == "skip" and rep.instances_checked == 0
     assert "exhaustive" in rep.witness["reason"]
+
+
+EXHAUSTIVE_ONLY = ["C2", "C3", "D2", "D3", "Pi", "DP", "NT", "pullback-elements",
+                   "quotients", "exponentials", "epi-onto", "pretopos",
+                   "pi-universality"]
+
+
+@pytest.mark.parametrize("item", EXHAUSTIVE_ONLY)
+def test_uniqueness_items_skip_under_sampling(item):
+    check = check_axiom if item in AXIOMS else check_theorem
+    rep = check(CheckSpec(item=item, bound=5, sample=1))
+    assert rep.text_line() == (
+        f"SKIP {item} instances=0 witness="
+        '{"reason":"uniqueness of mediating maps needs exhaustive candidate '
+        'enumeration; rerun without sampling at a bound <= 4"}'
+    )
 
 
 def test_sampled_mode_still_checks_pointwise_items():

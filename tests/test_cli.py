@@ -122,6 +122,25 @@ def test_sampling_requires_large_bound(capsys, model_path):
     assert code == 2 and "sampling" in err
 
 
+@pytest.mark.parametrize("sample", ["-1", "0"])
+@pytest.mark.parametrize("item", ["function-graphs", "dependent-choice",
+                                  "inclusion-orders"])
+def test_sample_below_one_exits_2(capsys, item, sample):
+    # 0 would pass each sampled item with no instance checked.
+    code, out, err = run(capsys, "check", "--bound", "5", "--sample", sample,
+                         "--theorem", item)
+    assert (code, out) == (2, "")
+    assert err == f"error: sample must be at least 1, got {sample}\n"
+
+
+def test_model_file_that_is_not_utf8_exits_2(capsys, tmp_path):
+    path = tmp_path / "bad.cetcs"
+    path.write_bytes(b"object A = {a}\nobject B = {b\xff}\n")
+    code, out, err = run(capsys, "check", "--axiom", "C1", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: line 2: not UTF-8 text: invalid start byte 0xff\n"
+
+
 def test_bound_env_var_is_honored(capsys, model_path, monkeypatch):
     monkeypatch.setenv("CETCS_BOUND", "1")
     _, out_env, _ = run(capsys, "check", "--axiom", "C1", model_path)
@@ -278,6 +297,18 @@ def test_compile_bad_formula_exits_2(capsys, model_path):
     code, _, err = run(capsys, "compile", "--context", "x:X",
                        "--formula", "q(x)", model_path)
     assert code == 2 and "q" in err
+
+
+@pytest.mark.parametrize("formula", [
+    "(" * 200 + "r(x)" + ")" * 200,
+    "~" * 990 + "r(x)",
+    r" /\ ".join(["r(x)"] * 600),
+], ids=["parentheses", "negations", "flat-conjunction"])
+def test_compile_deeply_nested_formula_exits_2(capsys, model_path, formula):
+    code, out, err = run(capsys, "compile", "--context", "x:X", "--formula",
+                         formula, model_path)
+    assert (code, out) == (2, "")
+    assert err == "error: the input nests too deeply to process\n"
 
 
 # ---------------------------------------------------------------------------
