@@ -23,6 +23,24 @@ the grouping reads the cospan alone, never the construction under test.
 Equalizer and coequalizer counts depend only on the construction and the
 test object, so each is made once per distinct pair and reused.
 
+Equalizers, coequalizers and the pullbacks of ``pullback-elements`` are
+swept once per relabelling orbit (symmetry reduction as in Ip & Dill,
+"Better verification through symmetry", 1996).  ``_orbits`` walks the
+instances over one tuple of carriers in ``all_maps`` order; at the first
+instance of an orbit, its rep, it applies every tuple gamma of label
+permutations once, so each later instance arrives with a gamma that moves
+the rep onto it.  The rep's construction is swept as above.  Every other
+instance is still constructed and has its fork, feet and point-count faces
+checked; then the checker tests gamma·rep against the instance from the
+definition, and the construction against the rep's construction
+relabelled: the same apex rows for equalizers and pullbacks, a
+well-defined bijection of classes for coequalizers.  That is an
+isomorphism of apexes commuting with the legs, and relabelling carries the
+cones over the rep one-to-one onto the cones over the instance, so the
+instance is credited with the rep's visit count: a PASS counts exactly the
+instances a sweep of every instance would.  A mismatch fails with face
+``equivariance``.
+
 Sampling mode (past the exhaustive threshold) draws seeded maps, or seeded
 relations for the items that range over every relation on a carrier; items
 about uniqueness of mediating candidates are skipped with a reason instead
@@ -96,6 +114,14 @@ class CheckSpec:
     relations: tuple[Relation, ...] = ()
     sample: int | None = None
     seed: int = 0
+
+    def __post_init__(self):
+        # Below 1 the pools or the draws are empty and every item would pass
+        # having checked nothing.
+        if self.bound < 1:
+            raise ValueError(f"bound must be at least 1, got {self.bound}")
+        if self.sample is not None and self.sample < 1:
+            raise ValueError(f"sample must be at least 1, got {self.sample}")
 
     @property
     def sampled(self) -> bool:
@@ -227,6 +253,64 @@ _table = operator.attrgetter("table")
 def _tables(cone: tuple[FinMor, FinMor]) -> tuple[tuple[str, ...], tuple[str, ...]]:
     first, second = cone
     return first.table, second.table
+
+
+# ---------------------------------------------------------------------------
+# relabelling orbits: one mediator sweep per orbit, an isomorphism per instance
+
+# Which carriers each leg joins, as (domain, codomain) positions in the
+# carrier tuple: f, g: A -> B over (A, B), and f: A -> C <- B :g over (A, B, C).
+_PAIR = ((0, 1), (0, 1))
+_COSPAN = ((0, 2), (1, 2))
+
+
+def _orbits(objs: tuple[FinObj, ...], shape: tuple[tuple[int, int], ...]) -> Iterator:
+    """Every instance of the shape over the carriers, each with its orbit.
+
+    The instances are the tuples of legs in ``all_maps`` order, first leg
+    outermost.  A relabelling gamma is a tuple of label permutations, one
+    per carrier, and moves a leg m: X -> Y to gamma_Y ∘ m ∘ gamma_X⁻¹.
+    Yields (legs, gamma, rep): the first instance of an orbit is its own
+    rep, with gamma None; every later one comes with a gamma such that
+    gamma·rep is the instance.  A new rep's orbit is made by applying every
+    gamma to it once, so no instance needs a canonical form.
+    """
+    perms = [list(itertools.permutations(x.labels)) for x in objs]
+    # A perm p of x sends x.labels[k] to p[k].  The moved table lists, for
+    # each label of the domain in order, the image of its preimage, which
+    # sits at position p.index(label).
+    back = [[tuple(map(p.index, x.labels)) for p in ps] for x, ps in zip(objs, perms)]
+    image = [[dict(zip(x.labels, p)) for p in ps] for x, ps in zip(objs, perms)]
+    seen: dict = {}
+    for legs in itertools.product(*[list(all_maps(objs[i], objs[j])) for i, j in shape]):
+        key = tuple([m.table for m in legs])
+        hit = seen.pop(key, None)
+        if hit is not None:
+            rep, idx = hit
+            yield legs, tuple(image[i][k] for i, k in enumerate(idx)), rep
+            continue
+        # each leg's image depends only on the perms of its own two carriers
+        moved = [
+            {(s, d): tuple([image[j][d][table[k]] for k in back[i][s]])
+             for s in range(len(perms[i])) for d in range(len(perms[j]))}
+            for table, (i, j) in zip(key, shape)
+        ]
+        for idx in itertools.product(*[range(len(ps)) for ps in perms]):
+            moved_key = tuple([m[idx[i], idx[j]] for m, (i, j) in zip(moved, shape)])
+            if moved_key not in seen:
+                seen[moved_key] = (legs, idx)
+        del seen[key]
+        yield legs, None, legs
+
+
+def _in_orbit(gamma: tuple, shape: tuple[tuple[int, int], ...], rep: tuple, legs: tuple) -> bool:
+    """Whether gamma·rep is the instance, read off the definition: each leg
+    m: X -> Y of the rep and its leg m' satisfy m'(gamma_X(x)) = gamma_Y(m(x))."""
+    return all(
+        moved(gamma[i][x]) == gamma[j][y]
+        for (i, j), m, moved in zip(shape, rep, legs)
+        for x, y in zip(m.dom.labels, m.table)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -458,23 +542,37 @@ def _ax_equalizers(spec: CheckSpec):
     tests = _objs(spec, "t")
     for a in _objs(spec, "a"):
         for b in _objs(spec, "b"):
-            for f in all_maps(a, b):
-                for g in all_maps(a, b):
-                    e = equalizer(f, g)
-                    checked += 1
-                    if compose(f, e) != compose(g, e):
-                        return FAIL, {"f": str(f), "g": str(g), "face": "fork"}, checked
-                    for t in tests:
-                        visited, h, n = _sweep(mediators(e, t), (
-                            h for h in all_maps(t, a)
-                            if compose(f, h).table == compose(g, h).table
-                        ), _table)
-                        checked += visited
-                        if h is not None:
-                            return FAIL, {
-                                "f": str(f), "g": str(g), "h": str(h),
-                                "mediators": n,
-                            }, checked
+            swept: dict = {}
+            for (f, g), gamma, rep in _orbits((a, b), _PAIR):
+                e = equalizer(f, g)
+                checked += 1
+                if compose(f, e) != compose(g, e):
+                    return FAIL, {"f": str(f), "g": str(g), "face": "fork"}, checked
+                if gamma is not None:
+                    # e must be alpha∘e0 up to a bijection of apexes: the
+                    # same rows, counted with multiplicity
+                    e0, visits = swept[rep]
+                    alpha = gamma[0]
+                    if not (_in_orbit(gamma, _PAIR, rep, (f, g)) and sorted(e.table)
+                            == sorted([alpha[x] for x in e0.table])):
+                        return FAIL, {"f": str(f), "g": str(g),
+                                      "face": "equivariance"}, checked
+                    checked += visits
+                    continue
+                visits = 0
+                for t in tests:
+                    visited, h, n = _sweep(mediators(e, t), (
+                        h for h in all_maps(t, a)
+                        if compose(f, h).table == compose(g, h).table
+                    ), _table)
+                    visits += visited
+                    if h is not None:
+                        return FAIL, {
+                            "f": str(f), "g": str(g), "h": str(h),
+                            "mediators": n,
+                        }, checked + visits
+                swept[rep] = e, visits
+                checked += visits
     return PASS, None, checked
 
 
@@ -516,24 +614,48 @@ def _ax_coequalizers(spec: CheckSpec):
     tests = _objs(spec, "t")
     for a in _objs(spec, "a"):
         for b in _objs(spec, "b"):
-            for f in all_maps(a, b):
-                for g in all_maps(a, b):
-                    q = coequalizer(f, g)
-                    checked += 1
-                    if compose(q, f) != compose(q, g):
-                        return FAIL, {"f": str(f), "g": str(g), "face": "fork"}, checked
-                    for t in tests:
-                        visited, h, n = _sweep(mediators(q, t), (
-                            h for h in all_maps(b, t)
-                            if compose(h, f).table == compose(h, g).table
-                        ), _table)
-                        checked += visited
-                        if h is not None:
-                            return FAIL, {
-                                "f": str(f), "g": str(g), "h": str(h),
-                                "mediators": n,
-                            }, checked
+            swept: dict = {}
+            for (f, g), gamma, rep in _orbits((a, b), _PAIR):
+                q = coequalizer(f, g)
+                checked += 1
+                if compose(q, f) != compose(q, g):
+                    return FAIL, {"f": str(f), "g": str(g), "face": "fork"}, checked
+                if gamma is not None:
+                    q0, visits = swept[rep]
+                    if not (_in_orbit(gamma, _PAIR, rep, (f, g))
+                            and _classes_match(q0, q, gamma[1])):
+                        return FAIL, {"f": str(f), "g": str(g),
+                                      "face": "equivariance"}, checked
+                    checked += visits
+                    continue
+                visits = 0
+                for t in tests:
+                    visited, h, n = _sweep(mediators(q, t), (
+                        h for h in all_maps(b, t)
+                        if compose(h, f).table == compose(h, g).table
+                    ), _table)
+                    visits += visited
+                    if h is not None:
+                        return FAIL, {
+                            "f": str(f), "g": str(g), "h": str(h),
+                            "mediators": n,
+                        }, checked + visits
+                swept[rep] = q, visits
+                checked += visits
     return PASS, None, checked
+
+
+def _classes_match(q0: FinMor, q: FinMor, kappa: dict[str, str]) -> bool:
+    """Whether q0(b) -> q(kappa(b)) is a well-defined bijection of apexes.
+
+    Then q∘kappa = psi∘q0 for that bijection psi, so q is q0 relabelled.
+    Points missed by both sides pair up when the apexes have one size.
+    """
+    psi: dict[str, str] = {}
+    for b, c in zip(q0.dom.labels, q0.table):
+        if psi.setdefault(c, q(kappa[b])) != q(kappa[b]):
+            return False
+    return len(set(psi.values())) == len(psi) and len(q0.cod) == len(q.cod)
 
 
 def _pi_instances(spec: CheckSpec) -> Iterator[tuple[FinMor, FinMor, PiDiagram]]:
@@ -874,25 +996,47 @@ def _cones(f: FinMor, g: FinMor, t: FinObj) -> Iterator[tuple[FinMor, FinMor]]:
 
 def _thm_pullback_elements(spec: CheckSpec):
     checked = 0
-    for f, g in _cospans(spec):
-        square = pullback(f, g)
-        if not _pullback_feet(square, f, g):
-            return FAIL, {"f": str(f), "g": str(g), "face": "feet"}, checked
-        checked += 1
-        if not _eq10_counts(square.p1, square.p2, f, g):
-            return FAIL, {"f": str(f), "g": str(g), "reason": "constructed"}, checked
-        for t in _objs(spec, "t"):
-            mediators = Counter(
-                (compose(square.p1, h).table, compose(square.p2, h).table)
-                for h in all_maps(t, square.apex)
-            )
-            visited, cone, _ = _sweep(mediators, _cones(f, g, t), _tables)
-            checked += visited
-            if cone is not None:
-                q1, q2 = cone
-                return FAIL, {
-                    "f": str(f), "g": str(g), "q1": str(q1), "q2": str(q2),
-                }, checked
+    tests = _objs(spec, "t")
+    for c in _objs(spec, "c"):
+        for a in _objs(spec, "a"):
+            for b in _objs(spec, "b"):
+                swept: dict = {}
+                for (f, g), gamma, rep in _orbits((a, b, c), _COSPAN):
+                    square = pullback(f, g)
+                    if not _pullback_feet(square, f, g):
+                        return FAIL, {"f": str(f), "g": str(g), "face": "feet"}, checked
+                    checked += 1
+                    if not _eq10_counts(square.p1, square.p2, f, g):
+                        return FAIL, {"f": str(f), "g": str(g),
+                                      "reason": "constructed"}, checked
+                    if gamma is not None:
+                        # the square must be the rep's relabelled up to a
+                        # bijection of apexes: the same rows (p1, p2), counted
+                        # with multiplicity
+                        rows0, visits = swept[rep]
+                        alpha, beta = gamma[0], gamma[1]
+                        if not (_in_orbit(gamma, _COSPAN, rep, (f, g))
+                                and sorted(zip(square.p1.table, square.p2.table))
+                                == sorted([(alpha[x], beta[y]) for x, y in rows0])):
+                            return FAIL, {"f": str(f), "g": str(g),
+                                          "face": "equivariance"}, checked
+                        checked += visits
+                        continue
+                    visits = 0
+                    for t in tests:
+                        mediators = Counter(
+                            (compose(square.p1, h).table, compose(square.p2, h).table)
+                            for h in all_maps(t, square.apex)
+                        )
+                        visited, cone, _ = _sweep(mediators, _cones(f, g, t), _tables)
+                        visits += visited
+                        if cone is not None:
+                            q1, q2 = cone
+                            return FAIL, {
+                                "f": str(f), "g": str(g), "q1": str(q1), "q2": str(q2),
+                            }, checked + visits
+                    swept[rep] = list(zip(square.p1.table, square.p2.table)), visits
+                    checked += visits
     cap = min(spec.bound, 2)
     small = CheckSpec(item=spec.item, bound=cap)
     for f, g in _cospans(small):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -586,6 +587,230 @@ def test_quotients_reject_a_projection_from_the_wrong_object(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# relabelling orbits: the enumerator against Burnside's lemma, and the
+# equivariance face against constructions broken off the swept instances
+
+
+def cycle_types(n):
+    """Each cycle type of the permutations of n points (a partition of n,
+    parts descending) with the number of permutations of that type."""
+    def partitions(rest, largest):
+        if rest == 0:
+            yield ()
+        for part in range(min(rest, largest), 0, -1):
+            for tail in partitions(rest - part, part):
+                yield (part,) + tail
+
+    for parts in partitions(n, n):
+        size = math.factorial(n)
+        for k, m in Counter(parts).items():
+            size //= k ** m * math.factorial(m)
+        yield parts, size
+
+
+def fixed_maps(src, dst):
+    """Maps fixed by a pair of permutations with cycle types src and dst:
+    each src cycle of length l goes into the points of dst cycles whose
+    length divides l."""
+    return math.prod(sum(d for d in dst if l % d == 0) for l in src)
+
+
+def burnside(carriers, legs):
+    """Orbits of leg tuples under relabelling every carrier (sizes given)."""
+    total = 0
+    for types in itertools.product(*[list(cycle_types(n)) for n in carriers]):
+        weight = math.prod(size for _, size in types)
+        total += weight * math.prod(fixed_maps(types[i][0], types[j][0]) for i, j in legs)
+    order = math.prod(math.factorial(n) for n in carriers)
+    assert total % order == 0
+    return total // order
+
+
+SIZES = range(4)
+
+
+def pair_carriers(sizes=SIZES):
+    """The carrier tuples of C3 and D3 in their order."""
+    for a, b in itertools.product(sizes, sizes):
+        yield (carrier_of_size(a, "a"), carrier_of_size(b, "b"))
+
+
+def cospan_carriers(sizes=SIZES):
+    """The carrier tuples of pullback-elements in its order (c outermost)."""
+    for c, a, b in itertools.product(sizes, sizes, sizes):
+        yield (carrier_of_size(a, "a"), carrier_of_size(b, "b"), carrier_of_size(c, "c"))
+
+
+def test_burnside_counts_match_the_enumerator_at_bound_three():
+    pairs = sum(burnside(sizes, axioms._PAIR) for sizes in itertools.product(SIZES, SIZES))
+    cospans = sum(burnside(sizes, axioms._COSPAN)
+                  for sizes in itertools.product(SIZES, SIZES, SIZES))
+    assert (pairs, cospans) == (68, 155)
+    # the bound-4 counts that ROADMAP's table records
+    four = range(5)
+    assert sum(burnside(s, axioms._PAIR) for s in itertools.product(four, four)) == 437
+    assert sum(burnside(s, axioms._COSPAN)
+               for s in itertools.product(four, four, four)) == 736
+    reps = {
+        "pairs": sum(gamma is None for objs in pair_carriers()
+                     for _, gamma, _ in axioms._orbits(objs, axioms._PAIR)),
+        "cospans": sum(gamma is None for objs in cospan_carriers()
+                       for _, gamma, _ in axioms._orbits(objs, axioms._COSPAN)),
+    }
+    assert reps == {"pairs": pairs, "cospans": cospans}
+
+
+@pytest.mark.parametrize("shape, carriers, total", [
+    (axioms._PAIR, pair_carriers, 910),      # sum of b^(2a)
+    (axioms._COSPAN, cospan_carriers, 1842),  # sum of c^(a+b)
+])
+def test_orbits_partition_the_hom_sets_in_enumeration_order(shape, carriers, total):
+    yielded = 0
+    for objs in carriers():
+        walk = list(axioms._orbits(objs, shape))
+        plain = list(itertools.product(*[list(all_maps(objs[i], objs[j])) for i, j in shape]))
+        assert [legs for legs, _, _ in walk] == plain
+        reps = set()
+        for legs, gamma, rep in walk:
+            if gamma is None:
+                assert rep is legs
+                reps.add(rep)
+                continue
+            assert rep in reps  # the rep was yielded, and so swept, first
+            for (i, j), m, moved in zip(shape, rep, legs):
+                src, dst = gamma[i], gamma[j]
+                assert sorted(src) == sorted(src.values()) == list(objs[i].labels)
+                assert sorted(dst.values()) == list(objs[j].labels)
+                assert dict(zip(moved.dom.labels, moved.table)) == {
+                    src[x]: dst[y] for x, y in zip(m.dom.labels, m.table)
+                }
+        yielded += len(walk)
+    assert yielded == total
+
+
+def first_non_rep(objs, shape, keep=lambda legs: True):
+    """The first instance over the carriers that is not its orbit's rep."""
+    return next(legs for legs, gamma, _ in axioms._orbits(objs, shape)
+                if gamma is not None and keep(legs))
+
+
+def test_equivariance_rejects_an_equalizer_broken_off_the_reps(monkeypatch):
+    target = first_non_rep((carrier_of_size(1, "a"), carrier_of_size(2, "b")), axioms._PAIR,
+                           lambda legs: len(equalizer(*legs).dom) > 0)
+
+    def omit_last_once(f, g):
+        e = equalizer(f, g)
+        if (f, g) != target:
+            return e
+        return FinMor(FinObj(e.table[:-1]), f.dom, e.table[:-1])
+
+    monkeypatch.setattr(axioms, "equalizer", omit_last_once)
+    rep = check_axiom(CheckSpec(item="C3", bound=2))
+    assert rep.failed
+    assert rep.witness == {"f": str(target[0]), "g": str(target[1]), "face": "equivariance"}
+
+
+def collapsed(q):
+    one = FinObj(q.cod.labels[:1])
+    return FinMor(q.dom, one, one.labels * len(q.dom))
+
+
+def merged_keeping_size(q):
+    # every point to the first class; the other classes stay, unreached
+    return FinMor(q.dom, q.cod, q.cod.labels[:1] * len(q.dom))
+
+
+def with_stray_class(q):
+    return FinMor(q.dom, with_junk(q.cod), q.table)
+
+
+@pytest.mark.parametrize("breaker", [collapsed, merged_keeping_size, with_stray_class])
+def test_equivariance_rejects_a_coequalizer_broken_off_the_reps(monkeypatch, breaker):
+    target = first_non_rep((carrier_of_size(1, "a"), carrier_of_size(2, "b")), axioms._PAIR,
+                           lambda legs: len(coequalizer(*legs).cod) > 1)
+
+    def break_once(f, g):
+        q = coequalizer(f, g)
+        return breaker(q) if (f, g) == target else q
+
+    monkeypatch.setattr(axioms, "coequalizer", break_once)
+    rep = check_axiom(CheckSpec(item="D3", bound=2))
+    assert rep.failed
+    assert rep.witness == {"f": str(target[0]), "g": str(target[1]), "face": "equivariance"}
+
+
+def test_equivariance_rejects_a_pullback_broken_off_the_reps(monkeypatch):
+    # The point-count face would see a dropped point first, so it is
+    # defeated, as in the sweep mutations above.
+    objs = (carrier_of_size(1, "a"), carrier_of_size(1, "b"), carrier_of_size(2, "c"))
+    target = first_non_rep(objs, axioms._COSPAN, lambda legs: len(pullback(*legs).apex) > 0)
+    monkeypatch.setattr(axioms, "_eq10_counts", lambda *legs: True)
+    monkeypatch.setattr(axioms, "pullback", lambda f, g: (
+        drop_last_point(pullback(f, g)) if (f, g) == target else pullback(f, g)))
+    rep = check_theorem(CheckSpec(item="pullback-elements", bound=2))
+    assert rep.failed
+    assert rep.witness == {"f": str(target[0]), "g": str(target[1]), "face": "equivariance"}
+
+
+@pytest.mark.parametrize("check, item, shape, carriers", [
+    (check_axiom, "C3", axioms._PAIR, pair_carriers),
+    (check_axiom, "D3", axioms._PAIR, pair_carriers),
+    (check_theorem, "pullback-elements", axioms._COSPAN, cospan_carriers),
+])
+def test_equivariance_rejects_a_wrong_relabelling(monkeypatch, check, item, shape, carriers):
+    # Every instance but a rep differs from its rep, so the identity cannot
+    # move the rep onto it: the first instance that is not a rep fails, even
+    # where its construction has the rep's rows.
+    first = next(first_non_rep(objs, shape) for objs in carriers(range(3))
+                 if any(gamma is not None for _, gamma, _ in axioms._orbits(objs, shape)))
+    orbits = axioms._orbits
+
+    def identity_gammas(objs, shape):
+        for legs, gamma, rep in orbits(objs, shape):
+            if gamma is not None:
+                gamma = tuple({x: x for x in perm} for perm in gamma)
+            yield legs, gamma, rep
+
+    monkeypatch.setattr(axioms, "_orbits", identity_gammas)
+    rep = check(CheckSpec(item=item, bound=2))
+    assert rep.failed
+    assert rep.witness == {"f": str(first[0]), "g": str(first[1]), "face": "equivariance"}
+
+
+def reversed_equalizer(f, g):
+    e = equalizer(f, g)
+    return FinMor(FinObj(e.table[::-1]), f.dom, e.table[::-1])
+
+
+def renamed_coequalizer(f, g):
+    # the classes listed last-first under fresh names
+    q = coequalizer(f, g)
+    name = {c: f"k{n}" for n, c in enumerate(reversed(q.cod.labels))}
+    return FinMor(q.dom, FinObj(tuple(sorted(name.values()))), tuple(name[c] for c in q.table))
+
+
+def renamed_pullback(f, g):
+    s = pullback(f, g)
+    return reapex(s, [(f"p{n}", p) for n, p in enumerate(reversed(s.apex.labels))])
+
+
+@pytest.mark.parametrize("check, item, name, relabelled", [
+    (check_axiom, "C3", "equalizer", reversed_equalizer),
+    (check_axiom, "D3", "coequalizer", renamed_coequalizer),
+    (check_theorem, "pullback-elements", "pullback", renamed_pullback),
+])
+def test_equivariance_accepts_an_isomorphic_relabelling(monkeypatch, check, item, name,
+                                                        relabelled):
+    # Relabel only where f's table sorts before g's, so reps and the other
+    # members of their orbits are built both ways.
+    plain = getattr(axioms, name)
+    monkeypatch.setattr(axioms, name, lambda f, g: (
+        relabelled(f, g) if f.table < g.table else plain(f, g)))
+    rep = check(CheckSpec(item=item, bound=3))
+    assert (rep.verdict, rep.instances_checked) == (PASS, BOUND_3_COUNTS[item])
+
+
+# ---------------------------------------------------------------------------
 # sampling mode
 
 
@@ -619,6 +844,14 @@ def test_uniqueness_items_skip_under_sampling(item):
         '{"reason":"uniqueness of mediating maps needs exhaustive candidate '
         'enumeration; rerun without sampling at a bound <= 4"}'
     )
+
+
+@pytest.mark.parametrize("bound, sample", [(5, 0), (5, -1), (-2, None), (0, None)])
+def test_a_bound_or_sample_below_one_is_refused(bound, sample):
+    # Such specs used to PASS function-graphs or Fct having checked nothing,
+    # or to fail inside a seeded draw.
+    with pytest.raises(ValueError, match="must be at least 1, got"):
+        CheckSpec(item="function-graphs", bound=bound, sample=sample)
 
 
 def test_sampled_mode_still_checks_pointwise_items():
