@@ -545,6 +545,8 @@ def _ax_equalizers(spec: CheckSpec):
             swept: dict = {}
             for (f, g), gamma, rep in _orbits((a, b), _PAIR):
                 e = equalizer(f, g)
+                if e.cod != a:
+                    return FAIL, {"f": str(f), "g": str(g), "face": "feet"}, checked
                 checked += 1
                 if compose(f, e) != compose(g, e):
                     return FAIL, {"f": str(f), "g": str(g), "face": "fork"}, checked
@@ -617,6 +619,8 @@ def _ax_coequalizers(spec: CheckSpec):
             swept: dict = {}
             for (f, g), gamma, rep in _orbits((a, b), _PAIR):
                 q = coequalizer(f, g)
+                if q.dom != b:
+                    return FAIL, {"f": str(f), "g": str(g), "face": "feet"}, checked
                 checked += 1
                 if compose(q, f) != compose(q, g):
                     return FAIL, {"f": str(f), "g": str(g), "face": "fork"}, checked

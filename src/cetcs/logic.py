@@ -23,12 +23,16 @@ touching none of the constructions above, and ``verify`` sweeps every
 context tuple comparing the two routes.
 
 An ``Env`` holds read-only snapshots of its carriers, relations and maps,
-and memoizes a bounded number of compiled subformulas keyed by (context,
-node), so a subtree repeated within a formula, or shared with one compiled
+and keeps two bounded memos.  The first maps (context, node) to the node's
+mono, so a subtree repeated within a formula, or shared with one compiled
 just before, is built once; a memoized node replays its trace steps, so the
-trace reads the same either way.  The env also remembers the last formula
-it type-checked, so the oracle's per-row check costs nothing; the oracle
-itself still evaluates every row without the memo.
+trace reads the same either way.  The second maps a connective and its
+input monos (the two children's for ``/\\``, ``\\/`` and ``=>``; the body's
+and the extended context's carriers for a quantifier) to the mono the
+connective builds from them, so different formulas whose children reduce
+to the same subobjects share one construction.  The env also remembers the
+last formula it type-checked, so the oracle's per-row check costs nothing;
+the oracle itself still evaluates every row without either memo.
 """
 
 from __future__ import annotations
@@ -263,24 +267,45 @@ class Context:
         return len(self.vars)
 
 
-# Compiled subformulas kept per Env.  Each entry keeps a compiled subobject
-# alive, so the memo stays small; on the criterion-2 formula suite 64
-# entries ran faster than 16 or 32.
+# Entries kept by each of an Env's two memos.  Each entry keeps a compiled
+# subobject alive, so size costs memory.  perfbench formula-shared at seed 7
+# (reference seconds, one run each): the (context, node) memo alone at 64
+# entries ran in 8.24 s at a 37.9 MB peak, and alone at 256 entries in
+# 6.80 s at 40.4 MB (+6.5 %, against the benchmark's 10 % bound); both
+# memos at 64 entries ran in 6.72 s at 38.0 MB.
 _MEMO_SIZE = 64
+
+
+class _LRU(OrderedDict):
+    """A map that keeps its ``_MEMO_SIZE`` most recently used entries."""
+
+    def hit(self, key):
+        """The value under key, now most recently used; None if absent."""
+        value = self.get(key)
+        if value is not None:
+            self.move_to_end(key)
+        return value
+
+    def keep(self, key, value) -> None:
+        self[key] = value
+        if len(self) > _MEMO_SIZE:
+            self.popitem(last=False)
 
 
 class _Memo:
     """What an Env remembers between calls.
 
     ``compiled`` maps (context, node) to the node's mono and the trace steps
-    that built it, least recently used first; ``checked`` is the last
-    (context, formula) that ``check_formula`` accepted.
+    that built it; ``built`` maps (connective, input monos) to the mono the
+    connective builds from them; ``checked`` is the last (context, formula)
+    that ``check_formula`` accepted.
     """
 
-    __slots__ = ("compiled", "checked")
+    __slots__ = ("compiled", "built", "checked")
 
     def __init__(self) -> None:
-        self.compiled: OrderedDict = OrderedDict()
+        self.compiled = _LRU()
+        self.built = _LRU()
         self.checked: tuple[Context, Formula] | None = None
 
 
@@ -607,17 +632,14 @@ def _compile_mono(
     """
     memo = env._memo.compiled
     key = (ctx, phi)
-    hit = memo.get(key)
+    hit = memo.hit(key)
     if hit is not None:
-        memo.move_to_end(key)
         mono, steps = hit
         trace.extend(steps)
         return mono
     start = len(trace)
     mono = _build_mono(ctx, phi, env, cprod, trace)
-    memo[key] = (mono, tuple(trace[start:]))
-    if len(memo) > _MEMO_SIZE:
-        memo.popitem(last=False)
+    memo.keep(key, (mono, tuple(trace[start:])))
     return mono
 
 
@@ -645,39 +667,54 @@ def _build_mono(
         rhs = _term_mor(ctx, phi.rhs, env, cprod)
         trace.append("eq:equalizer")
         return equalizer(lhs, rhs)
-    if isinstance(phi, And):
+    if isinstance(phi, (And, Or, Implies)):
         a = _compile_mono(ctx, phi.lhs, env, cprod, trace)
         b = _compile_mono(ctx, phi.rhs, env, cprod, trace)
-        square = pullback(a, b)
-        trace.append("and:pullback")
-        return compose(a, square.p1)
-    if isinstance(phi, Or):
-        a = _compile_mono(ctx, phi.lhs, env, cprod, trace)
-        b = _compile_mono(ctx, phi.rhs, env, cprod, trace)
-        sd = coproduct(a.dom, b.dom)
-        _, img = image_factorization(sd.copair(a, b))
-        trace.append("or:sum+image")
-        return img
-    if isinstance(phi, Implies):
-        a = _compile_mono(ctx, phi.lhs, env, cprod, trace)
-        b = _compile_mono(ctx, phi.rhs, env, cprod, trace)
-        square = pullback(a, b)
-        d = pi_diagram(square.p1, a)
+        # Both are subobjects of the context product, whose apex stands for
+        # their codomain in the key.
+        inputs = (cprod.apex, a.dom, a.table, b.dom, b.table)
+        if isinstance(phi, And):
+            trace.append("and:pullback")
+            return _built(env, ("and", inputs), lambda: compose(a, pullback(a, b).p1))
+        if isinstance(phi, Or):
+            trace.append("or:sum+image")
+            return _built(env, ("or", inputs), lambda: image_factorization(
+                coproduct(a.dom, b.dom).copair(a, b))[1])
         trace.append("implies:pullback+pi")
-        return d.phi
+        return _built(env, ("implies", inputs), lambda: pi_diagram(
+            pullback(a, b).p1, a).phi)
     if isinstance(phi, (Forall, Exists)):
         inner_ctx = ctx.extend(phi.var, env.objects[phi.sort])
         inner_prod = context_product(inner_ctx)
         body = _compile_mono(inner_ctx, phi.body, env, inner_prod, trace)
-        proj = _drop_last_projection(inner_prod, cprod)
+        # The inner carriers fix both context products (the outer context is
+        # the inner one less its last variable), hence the projection.
+        inputs = (inner_ctx.objects, body.dom, body.table)
         if isinstance(phi, Forall):
-            d = pi_diagram(body, proj)
             trace.append("forall:product+pi")
-            return d.phi
-        _, img = image_factorization(compose(proj, body))
+            return _built(env, ("forall", inputs), lambda: pi_diagram(
+                body, _drop_last_projection(inner_prod, cprod)).phi)
         trace.append("exists:image")
-        return img
+        return _built(env, ("exists", inputs), lambda: image_factorization(
+            compose(_drop_last_projection(inner_prod, cprod), body))[1])
     raise FormulaError(f"unsupported formula node {phi!r}")
+
+
+def _built(env: Env, key: tuple, build) -> FinMor:
+    """The mono ``build()`` returns, built once per Env for one key.
+
+    The key names the connective and the inputs that fix its result.  An
+    input mono is spelled by its domain and table, its codomain being the
+    ambient product, rather than by itself: FinMor's generated ``__hash__``
+    and ``__eq__`` build a tuple of its fields in Python on every call,
+    which made each lookup cost about twice as much.
+    """
+    memo = env._memo.built
+    mono = memo.hit(key)
+    if mono is None:
+        mono = build()
+        memo.keep(key, mono)
+    return mono
 
 
 def compile_formula(ctx: Context, phi: Formula, env: Env) -> CompilationResult:

@@ -562,6 +562,29 @@ def test_sums_reject_an_injection_from_the_wrong_object(monkeypatch):
     assert rep.witness["face"] == "feet"
 
 
+def test_equalizers_reject_an_inclusion_into_the_wrong_object(monkeypatch):
+    def widened(f, g):
+        e = equalizer(f, g)
+        return FinMor(e.dom, with_junk(e.cod), e.table)
+
+    monkeypatch.setattr(axioms, "equalizer", widened)
+    rep = check_axiom(CheckSpec(item="C3", bound=1))
+    assert rep.failed
+    assert rep.witness["face"] == "feet"
+    assert rep.instances_checked == 0
+
+
+def test_coequalizers_reject_a_quotient_from_the_wrong_object(monkeypatch):
+    def relabelled(f, g):
+        q = coequalizer(f, g)
+        return FinMor(primed(q.dom), q.cod, q.table)
+
+    monkeypatch.setattr(axioms, "coequalizer", relabelled)
+    rep = check_axiom(CheckSpec(item="D3", bound=1))
+    assert rep.failed
+    assert rep.witness["face"] == "feet"
+
+
 def test_pullback_sweep_rejects_a_leg_into_the_wrong_object(monkeypatch):
     def widened(f, g):
         s = pullback(f, g)

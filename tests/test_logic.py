@@ -7,12 +7,23 @@ m = {(x0,y0),(x0,y1),(x2,y0)}, f = x0,x1 -> y0, x2 -> y1).
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cetcs import logic
 from cetcs.errors import FormulaError
+from cetcs.finset import (
+    FinMor,
+    FinObj,
+    PullbackSquare,
+    equalizer,
+    image_factorization,
+    pi_diagram,
+    pullback,
+)
 from cetcs.logic import (
     _MEMO_SIZE,
     And,
@@ -372,13 +383,15 @@ def test_memoized_compile_equals_a_fresh_compile(data):
         compile_formula(sub_ctx, sub, warm)
     for other in others:
         compile_formula(ctx, other, warm)
-    assert len(warm._memo.compiled) <= _MEMO_SIZE
     fresh = model.env()
     want = compile_formula(ctx, phi, fresh)
     for env in (warm, warm, fresh):
         got = compile_formula(ctx, phi, env)
-        assert got.relation.tuples == want.relation.tuples
+        assert got.relation == want.relation  # apex labels and legs
         assert got.trace == want.trace
+    for env in (warm, fresh):
+        assert len(env._memo.compiled) <= _MEMO_SIZE
+        assert len(env._memo.built) <= _MEMO_SIZE
 
 
 def test_compile_memo_keeps_at_most_its_size(env, ctx):
@@ -387,7 +400,79 @@ def test_compile_memo_keeps_at_most_its_size(env, ctx):
         phi = And(phi, R_X)
         compile_formula(ctx, phi, env)
     assert len(env._memo.compiled) == _MEMO_SIZE
+    assert len(env._memo.built) == _MEMO_SIZE
     assert set(compile_formula(ctx, phi, env).relation.tuples) == {("x0",), ("x1",)}
+
+
+def test_verify_rejects_a_poisoned_construction_memo(env, ctx):
+    compile_formula(ctx, parse(r"r(x) /\ s(x)"), env)
+    built = env._memo.built
+    (key,) = [k for k in built if k[0] == "and"]
+    r_mono, _ = env._memo.compiled[(ctx, parse("r(x)"))]
+    built[key] = r_mono
+    # Renaming the variable misses the (context, node) memo, but the atoms
+    # compile to the same monos, so the conjunction is read from the
+    # poisoned entry.
+    other = parse_context("y:X", env.objects)
+    rep = verify(other, parse(r"r(y) /\ s(y)"), env)
+    assert rep.failed
+    assert rep.witness["row"] == ["x0"]
+
+
+# ---------------------------------------------------------------------------
+# every construction the compiler calls is checked by the oracle
+
+
+def _without_last_point(m):
+    return FinMor(FinObj(m.dom.labels[:-1]), m.cod, m.table[:-1])
+
+
+def _dropping_pullback(f, g):
+    s = pullback(f, g)
+    p1, p2 = _without_last_point(s.p1), _without_last_point(s.p2)
+    return PullbackSquare(p1.dom, p1, p2, f, g)
+
+
+def _dropping_equalizer(f, g):
+    return _without_last_point(equalizer(f, g))
+
+
+def _dropping_image(f):
+    e, i = image_factorization(f)
+    return e, _without_last_point(i)
+
+
+def _dropping_pi(g, f):
+    d = pi_diagram(g, f)
+    return dataclasses.replace(d, phi=_without_last_point(d.phi))
+
+
+MUTANTS = {
+    "pullback": _dropping_pullback,
+    "equalizer": _dropping_equalizer,
+    "image_factorization": _dropping_image,
+    "pi_diagram": _dropping_pi,
+}
+
+
+@pytest.mark.parametrize("construction, text", [
+    ("pullback", "r(x)"),
+    ("pullback", r"x = x /\ true"),
+    ("equalizer", "f(x) = f(x)"),
+    ("image_factorization", r"true \/ false"),
+    ("image_factorization", "exists y:Y. true"),
+    ("pi_diagram", "true => true"),
+    ("pi_diagram", "forall y:Y. true"),
+])
+def test_verify_rejects_a_construction_that_drops_a_point(
+    std_model, monkeypatch, construction, text
+):
+    # Each formula reaches the mutant only through its own connective.
+    monkeypatch.setattr(logic, construction, MUTANTS[construction])
+    env = std_model.env()
+    ctx = parse_context("x:X", env.objects)
+    rep = verify(ctx, parse(text), env)
+    assert rep.failed
 
 
 def test_env_is_a_read_only_snapshot(std_model):
