@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import random
 import time
@@ -317,6 +318,12 @@ def _in_orbit(gamma: tuple, shape: tuple[tuple[int, int], ...], rep: tuple, legs
 # dependent-product checking (shared by the axiom and the CLI `pi` command)
 
 
+def _same(a: FinObj, b: FinObj) -> bool:
+    # Identity first: constructions share their carriers, and FinObj's
+    # generated __eq__ builds two tuples.
+    return a is b or a == b
+
+
 def check_pi_universal(d: PiDiagram, g: FinMor, f: FinMor) -> Report:
     """Decide whether d is a universal dependent product of g along f.
 
@@ -329,10 +336,22 @@ def check_pi_universal(d: PiDiagram, g: FinMor, f: FinMor) -> Report:
     failure carries the instance it happened on.
 
     The checker reads the tables of d, g and f in zipped passes and indexes
-    them itself: f and g by value, P by its (pi1, pi2) rows, and the points
-    of F over each i by their section, as a frozenset of (x, y) rows, so
-    each psi is one lookup.  Every face counts one instance per statement
-    it decides, in the order above.
+    them itself: f by value, g by fiber size, and P by its (pi1, pi2) rows
+    and each v's (x, y) rows in one pass.  Every face counts one instance
+    per statement it decides, in the order above.
+
+    The element-wise criterion is decided by counting.  Once the earlier
+    faces pass, the rows of each v over i are a section of g over the
+    f-fiber of i: one row per x of the fiber by the pullback face, with
+    g(y) = x by the triangle.  So over each i the points of F map into the
+    n_i sections, where n_i is the product of the g-fiber sizes over the
+    f-fiber of i, and "exactly one point per section" says this map is a
+    bijection: the points over i carry pairwise distinct sections, and
+    there are n_i of them.  Summed over i, and since no i has more distinct
+    sections than points or than n_i, that is: the distinct (i, section)
+    pairs number |F| and sum n_i.  The sections are enumerated, one lookup
+    each, only when this fails, to name the first psi with no point or
+    with two; each psi counts one instance either way.
     """
     t0 = time.perf_counter()
     checked = 0
@@ -346,12 +365,13 @@ def check_pi_universal(d: PiDiagram, g: FinMor, f: FinMor) -> Report:
             elapsed=time.perf_counter() - t0,
         )
 
-    y_obj, x_obj, i_obj = g.dom, g.cod, f.cod
+    y_obj, x_obj, i_obj, P, F = g.dom, g.cod, f.cod, d.P, d.F
+    pi1, pi2, phi, ev = d.pi1, d.pi2, d.phi, d.ev
     shape_checks = [
-        (d.pi1.dom == d.P and d.pi1.cod == d.F, "pi1 feet"),
-        (d.pi2.dom == d.P and d.pi2.cod == x_obj, "pi2 feet"),
-        (d.phi.dom == d.F and d.phi.cod == i_obj, "phi feet"),
-        (d.ev.dom == d.P and d.ev.cod == y_obj, "ev feet"),
+        (_same(pi1.dom, P) and _same(pi1.cod, F), "pi1 feet"),
+        (_same(pi2.dom, P) and _same(pi2.cod, x_obj), "pi2 feet"),
+        (_same(phi.dom, F) and _same(phi.cod, i_obj), "phi feet"),
+        (_same(ev.dom, P) and _same(ev.cod, y_obj), "ev feet"),
     ]
     for ok, face in shape_checks:
         checked += 1
@@ -360,12 +380,12 @@ def check_pi_universal(d: PiDiagram, g: FinMor, f: FinMor) -> Report:
     # With the feet in place both faces are equalities of tables.
     checked += 1
     g_at, g_table = y_obj.index, g.table
-    if tuple([g_table[g_at[y]] for y in d.ev.table]) != d.pi2.table:
+    if tuple([g_table[g_at[y]] for y in ev.table]) != pi2.table:
         return done(FAIL, {"face": "evaluation triangle g∘ev = pi2"})
     checked += 1
-    phi_at, phi_table, f_at, f_table = d.F.index, d.phi.table, f.dom.index, f.table
-    if ([phi_table[phi_at[v]] for v in d.pi1.table]
-            != [f_table[f_at[x]] for x in d.pi2.table]):
+    phi_at, phi_table, f_at, f_table = F.index, phi.table, f.dom.index, f.table
+    if ([phi_table[phi_at[v]] for v in pi1.table]
+            != [f_table[f_at[x]] for x in pi2.table]):
         return done(FAIL, {"face": "square phi∘pi1 = f∘pi2"})
 
     # The square is a pullback.  It commutes, so every point of P lies over
@@ -373,27 +393,37 @@ def check_pi_universal(d: PiDiagram, g: FinMor, f: FinMor) -> Report:
     fiber_f: dict[str, list[str]] = {i: [] for i in i_obj.labels}
     for x, i in zip(f.dom.labels, f_table):
         fiber_f[i].append(x)
-    hits = Counter(zip(d.pi1.table, d.pi2.table))
-    for v, i in zip(d.F.labels, phi_table):
+    hits: dict[tuple[str, str], int] = {}
+    rows: dict[str, list[tuple[str, str]]] = {v: [] for v in F.labels}
+    for v, x, y in zip(pi1.table, pi2.table, ev.table):
+        hits[v, x] = hits.get((v, x), 0) + 1
+        rows[v].append((x, y))
+    for v, i in zip(F.labels, phi_table):
         for x in fiber_f[i]:
             checked += 1
-            points = hits[v, x]
+            points = hits.get((v, x), 0)
             if points != 1:
                 return done(
                     FAIL,
                     {"face": "square pullback", "v": v, "x": x, "points": points},
                 )
 
-    sections_of: dict[str, set[tuple[str, str]]] = {v: set() for v in d.F.labels}
-    for v, x, y in zip(d.pi1.table, d.pi2.table, d.ev.table):
-        sections_of[v].add((x, y))
+    # Each v's rows are now a section over its fiber: count (see above), and
+    # enumerate the sections only to name the first that fails.
+    g_sizes = dict.fromkeys(x_obj.labels, 0)
+    for x in g_table:
+        g_sizes[x] += 1
+    sections = sum(math.prod([g_sizes[x] for x in xs]) for xs in fiber_f.values())
+    distinct = {(i, frozenset(rows[v])) for v, i in zip(F.labels, phi_table)}
+    if len(distinct) == len(F) == sections:
+        checked += sections
+        return done(PASS, None)
     points_over: dict[str, dict[frozenset, list[str]]] = {i: {} for i in i_obj.labels}
-    for v, i in zip(d.F.labels, phi_table):
-        points_over[i].setdefault(frozenset(sections_of[v]), []).append(v)
+    for v, i in zip(F.labels, phi_table):
+        points_over[i].setdefault(frozenset(rows[v]), []).append(v)
     fiber_g: dict[str, list[str]] = {x: [] for x in x_obj.labels}
     for y, x in zip(y_obj.labels, g_table):
         fiber_g[x].append(y)
-
     for i in i_obj.labels:
         xs, index = fiber_f[i], points_over[i]
         for choice in itertools.product(*[fiber_g[x] for x in xs]):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import CompositionError, EquivalenceError, ShapeError
 
@@ -72,7 +72,12 @@ class FinObj:
 
 @dataclass(frozen=True)
 class FinMor:
-    """A total mapping table; ``table[i]`` is the image of ``dom.labels[i]``."""
+    """A total mapping table; ``table[i]`` is the image of ``dom.labels[i]``.
+
+    ``pi_diagram`` keeps the sections it enumerates for g on g itself, as
+    ``_sections``.  They are read off the table, so equality and hashing,
+    which look only at the fields, ignore them.
+    """
 
     dom: FinObj
     cod: FinObj
@@ -401,11 +406,6 @@ class PiDiagram:
     ev: FinMor
 
 
-def section_label(i: str, assignment: Iterable[tuple[str, str]]) -> str:
-    inner = ",".join(f"{x}↦{y}" for x, y in assignment)
-    return f"({i}|{inner})"
-
-
 def pi_diagram(g: FinMor, f: FinMor) -> PiDiagram:
     """Construct the dependent product for the composable pair (g, f).
 
@@ -416,16 +416,26 @@ def pi_diagram(g: FinMor, f: FinMor) -> PiDiagram:
     labels: the points ``(v,x)`` with v in F's order and, for one v, x in
     the f-fiber of phi(v) in X's order.
 
-    One pass over the sections writes F, phi and every row of P, pi1, pi2
-    and ev, since each section is in hand when its rows are due.  Besides
-    indexing f and g by value once, O(|X| + |Y|), it writes O(|F| + |P|)
-    labels and table entries.
+    The sections of g over a list of points xs of X depend on g and xs
+    only, so g keeps them, as a carrier keeps its index: on first use it
+    stores its fibers and, for each xs met so far, the choice tuples and
+    the ``x↦y,...`` inner labels of its sections.  A later call with the
+    same g and any f, into any I, reads them back instead of enumerating
+    them.  A sweep of every f for one g pays the enumeration once per xs.
+    One pass over the sections then writes F, phi and every row of P, pi1,
+    pi2 and ev.  Besides indexing f by value, O(|X|), and on first use g,
+    O(|Y|), a call writes O(|F| + |P|) labels and table entries and builds
+    F, P and every leg through the validating constructors.
     """
-    if g.cod != f.dom:
+    if g.cod is not f.dom and g.cod != f.dom:
         raise CompositionError(
             f"pi needs a composable pair: codomain of [{g}] vs domain of [{f}]"
         )
-    fiber_f, fiber_g = _fibers(f), _fibers(g)
+    kept = g.__dict__.get("_sections")
+    if kept is None:
+        kept = g.__dict__["_sections"] = _fibers(g), {}
+    fiber_g, sections_over = kept
+    fiber_f = _fibers(f)
 
     f_labels: list[str] = []
     phi_table: list[str] = []
@@ -434,9 +444,15 @@ def pi_diagram(g: FinMor, f: FinMor) -> PiDiagram:
     pi2_table: list[str] = []
     ev_table: list[str] = []
     for i in f.cod.labels:
-        xs = fiber_f.get(i, [])
-        for choice in itertools.product(*[fiber_g.get(x, ()) for x in xs]):
-            v = section_label(i, zip(xs, choice))
+        xs = tuple(fiber_f.get(i, ()))
+        sections = sections_over.get(xs)
+        if sections is None:
+            sections = sections_over[xs] = [
+                (choice, ",".join([f"{x}↦{y}" for x, y in zip(xs, choice)]))
+                for choice in itertools.product(*[fiber_g.get(x, ()) for x in xs])
+            ]
+        for choice, inner in sections:
+            v = f"({i}|{inner})"
             f_labels.append(v)
             phi_table.append(i)
             p_labels += [f"({v},{x})" for x in xs]

@@ -178,6 +178,59 @@ def test_pi_morphism_check_identity_and_garbage():
         assert pi_morphism_check(d, d, swapped).failed
 
 
+def blind_to(face):
+    """A pi_morphism_check that lets t through when its only failure is ``face``."""
+    real = axioms.pi_morphism_check
+
+    def check(source, target, t):
+        rep = real(source, target, t)
+        if rep.failed and rep.witness["face"] == face:
+            return dataclasses.replace(rep, verdict=PASS, witness=None)
+        return rep
+
+    return check
+
+
+def test_pi_universality_kills_a_morphism_check_blind_to_evaluation(monkeypatch):
+    # Over g: {y0,y1} -> {x0} along x0 |-> i0 both maps from the one-point
+    # competitor commute with phi, and only evaluation tells them apart.
+    monkeypatch.setattr(axioms, "pi_morphism_check", blind_to("evaluation"))
+    assert check_theorem(CheckSpec(item="pi-universality", bound=1)).passed
+    rep = check_theorem(CheckSpec(item="pi-universality", bound=2))
+    assert (rep.verdict, rep.instances_checked) == (FAIL, 500)
+    assert rep.witness == {
+        "g": "{y0, y1} -> {x0} [y0 |-> x0, y1 |-> x0]",
+        "f": "{x0} -> {i0} [x0 |-> i0]",
+        "competitor": "{w0} -> {i0} [w0 |-> i0]",
+        "morphisms": 2,
+    }
+
+
+def test_pi_universality_offers_only_maps_over_the_index(monkeypatch):
+    """Why a pi_morphism_check blind to any face but evaluation survives.
+
+    pi-universality draws each candidate t from the points of F over
+    phi-source(v2), so t has the right feet and phi∘t = phi-source holds by
+    construction.  Then for each point (v2, x) of the competitor's apex,
+    phi(t(v2)) = f(x), and the real pullback P holds (t(v2), x): the induced
+    map on apexes exists.  A check blind to "t feet", "phi∘t = phi-source"
+    or "induced map on apexes" therefore returns what the real one does on
+    every t offered, and those mutants are equivalent.  This test pins the
+    premise: no offered t fails any face but evaluation.
+    """
+    real = axioms.pi_morphism_check
+    faces = Counter()
+
+    def spy(source, target, t):
+        rep = real(source, target, t)
+        faces[rep.witness["face"] if rep.failed else None] += 1
+        return rep
+
+    monkeypatch.setattr(axioms, "pi_morphism_check", spy)
+    assert check_theorem(CheckSpec(item="pi-universality", bound=2)).passed
+    assert set(faces) == {None, "evaluation"}
+
+
 # ---------------------------------------------------------------------------
 # dependent-product faces: every face of check_pi_universal, with the exact
 # witness and instance count it reports
@@ -277,6 +330,24 @@ def test_pi_universal_reports_each_face_exactly(face):
     d, g, f = two_index_diagram()
     rep = check_pi_universal(mutate(d, g, f), g, f)
     assert (rep.verdict, rep.witness, rep.instances_checked) == (FAIL, witness, checked)
+
+
+# Dropping a point of F with its rows leaves every other face and every
+# section distinct, so only the count of sections can notice.
+@pytest.mark.parametrize("k, witness, checked", [
+    (0, {"i": "i", "psi": [["u", "a"], ["v", "c"]], "matching": []}, 9),
+    (1, {"i": "i", "psi": [["u", "b"], ["v", "c"]], "matching": []}, 10),
+    (2, {"i": "k", "psi": [], "matching": []}, 13),
+])
+def test_pi_universal_names_the_section_of_a_dropped_point(k, witness, checked):
+    d, g, f = two_index_diagram()
+    rep = check_pi_universal(rebuilt(d, g, f, lambda F, P: drop_f_point(k, F, P)), g, f)
+    assert (rep.verdict, rep.witness, rep.instances_checked) == (FAIL, witness, checked)
+
+
+def drop_f_point(k, F, P):
+    v, _ = F.pop(k)
+    P[:] = [row for row in P if row[1] != v]
 
 
 def pointwise_check_pi_universal(d: PiDiagram, g: FinMor, f: FinMor) -> Report:

@@ -490,7 +490,15 @@ def test_pi_diagram_matches_the_pointwise_sections(data):
     i = draw_carrier(data, "i")
     f = draw_map_into(data, "x", i)
     g = draw_map_into(data, "y", f.dom)
+    fresh = FinMor(g.dom, g.cod, g.table)
+    # g keeps the sections it has met: warm it on other maps out of X, into
+    # I's labels or another index's, before the diagram under test
+    for prefix in data.draw(st.lists(st.sampled_from(["i", "j"]), max_size=3)):
+        index = draw_carrier(data, prefix, min_size=1 if f.dom.labels else 0)
+        pi_diagram(g, draw_map(data, f.dom, index))
     d = pi_diagram(g, f)
+    assert d == pi_diagram(fresh, f)
+    assert g == fresh and hash(g) == hash(fresh)
     f_labels, phi, points, ev = pointwise_pi(g, f)
     assert d.F.labels == f_labels and d.phi.table == phi
     assert d.P.labels == tuple(f"({s},{x})" for s, x in points)
