@@ -4,13 +4,14 @@ Each check enumerates every instance over canonical carriers of size up to a
 bound (plus instances contributed by a loaded model) and verifies the
 statement literally.  Universal properties quantify over all candidate
 mediating maps, and one helper, ``_sweep``, decides every "exactly one
-mediator per cone" statement: each site counts how many candidates induce
-each cone, and the sweep visits the cones in order and stops at the first
-whose count is not 1.  Existence and uniqueness are read off those counts,
-never assumed from the construction that produced the diagram.
-Epimorphisms are decided by right cancellation against test objects rather
-than by ontoness, so the statements that relate the two notions stay
-non-circular.
+mediator per cone" statement over a list of test objects: for each test
+object t the site counts how many candidates through t induce each cone,
+and lists the cones over t; the sweep visits them in order, t by t, and
+stops at the first cone whose count is not 1.  Existence and uniqueness are
+read off those counts, never assumed from the construction that produced
+the diagram.  Epimorphisms are decided by right cancellation against test
+objects rather than by ontoness, so the statements that relate the two
+notions stay non-circular.
 
 Counts are keyed by the tables of a cone's legs: all cones of one sweep
 share their feet, so tables tell them apart exactly as the morphisms
@@ -20,26 +21,28 @@ equalizers and coequalizers the fork check's composites already do this).
 Cones over a cospan are grouped by the checker-side composite (the table
 of g∘q2), so each first leg visits only the second legs it commutes with;
 the grouping reads the cospan alone, never the construction under test.
-Equalizer and coequalizer counts depend only on the construction and the
-test object, so each is made once per distinct pair and reused.
+Equalizer and coequalizer counts read only the construction's table (and a
+coequalizer's codomain) and the test object, so each is made once per key.
 
-Equalizers, coequalizers and the pullbacks of ``pullback-elements`` are
-swept once per relabelling orbit (symmetry reduction as in Ip & Dill,
-"Better verification through symmetry", 1996).  ``_orbits`` walks the
-instances over one tuple of carriers in ``all_maps`` order; at the first
-instance of an orbit, its rep, it applies every tuple gamma of label
-permutations once, so each later instance arrives with a gamma that moves
-the rep onto it.  The rep's construction is swept as above.  Every other
-instance is still constructed and has its fork, feet and point-count faces
-checked; then the checker tests gamma·rep against the instance from the
-definition, and the construction against the rep's construction
-relabelled: the same apex rows for equalizers and pullbacks, a
-well-defined bijection of classes for coequalizers.  That is an
-isomorphism of apexes commuting with the legs, and relabelling carries the
-cones over the rep one-to-one onto the cones over the instance, so the
-instance is credited with the rep's visit count: a PASS counts exactly the
-instances a sweep of every instance would.  A mismatch fails with face
-``equivariance``.
+Equalizers, coequalizers and the pullbacks of ``pullback-elements`` share
+one skeleton, ``_orbit_sweep``, which sweeps once per relabelling orbit
+(symmetry reduction as in Ip & Dill, "Better verification through
+symmetry", 1996).  Each item hands it only its construction, its feet and
+its own face (the fork, or the point count), an equivariance test, and its
+sweep's mediators and cones; how an instance is credited is decided there
+alone.  ``_orbits`` walks the instances over one tuple of carriers in
+``all_maps`` order; at the first instance of an orbit, its rep, it applies
+every tuple gamma of label permutations once, so each later instance
+arrives with a gamma that moves the rep onto it.  The rep's construction is
+swept as above.  Every other instance is still constructed and its faces
+checked; then the skeleton tests gamma·rep against the instance from the
+definition, and the item tests the construction against the rep's
+relabelled: the same apex rows for equalizers and pullbacks, a well-defined
+bijection of classes for coequalizers.  That is an isomorphism of apexes
+commuting with the legs, and relabelling carries the cones over the rep
+one-to-one onto the cones over the instance, so the instance is credited
+with the rep's visit count: a PASS counts exactly the instances a sweep of
+every instance would.  A mismatch fails with face ``equivariance``.
 
 Sampling mode (past the exhaustive threshold) draws seeded maps, or seeded
 relations for the items that range over every relation on a carrier; items
@@ -171,9 +174,9 @@ def _subsets(spec: CheckSpec, cells: list) -> Iterator[list]:
         yield [cell for i, cell in enumerate(cells) if mask >> i & 1]
 
 
-def _morphism_pool(spec: CheckSpec, dom_prefix: str = "a", cod_prefix: str = "b") -> Iterator[FinMor]:
-    for a in _objs(spec, dom_prefix):
-        for b in _objs(spec, cod_prefix):
+def _morphism_pool(spec: CheckSpec) -> Iterator[FinMor]:
+    for a in _objs(spec, "a"):
+        for b in _objs(spec, "b"):
             yield from _maps(spec, a, b)
     yield from spec.morphisms
 
@@ -231,21 +234,26 @@ _SAMPLED_SKIP = (
 )
 
 
-def _sweep(mediators: Counter, cones: Iterable, key: Callable) -> tuple[int, object, int]:
-    """Visit the cones in order until one has other than exactly one mediator.
+def _sweep(tests: Iterable[FinObj], mediators: Callable, cones: Callable,
+           key: Callable) -> tuple[int, FinObj | None, object, int]:
+    """Visit each test object's cones until one has other than exactly one mediator.
 
-    ``mediators`` counts how many candidates induce each cone key, and
-    ``key`` maps a cone to its key.  Returns the number of cones visited, then
-    the first cone without a unique mediator and its count, or ``None`` and 1
-    when every cone has exactly one.
+    ``mediators(t)`` counts how many candidates through the test object t
+    induce each cone key, ``cones(t)`` yields the cones over t, and ``key``
+    maps a cone to its key.  Returns the number of cones visited over all
+    test objects, then the test object, the cone and the count of the first
+    cone without a unique mediator, or ``None``, ``None`` and 1 when every
+    cone has exactly one.
     """
     visited = 0
-    for cone in cones:
-        visited += 1
-        n = mediators[key(cone)]
-        if n != 1:
-            return visited, cone, n
-    return visited, None, 1
+    for t in tests:
+        counts = mediators(t)
+        for cone in cones(t):
+            visited += 1
+            n = counts[key(cone)]
+            if n != 1:
+                return visited, t, cone, n
+    return visited, None, None, 1
 
 
 _table = operator.attrgetter("table")
@@ -312,6 +320,48 @@ def _in_orbit(gamma: tuple, shape: tuple[tuple[int, int], ...], rep: tuple, legs
         for (i, j), m, moved in zip(shape, rep, legs)
         for x, y in zip(m.dom.labels, m.table)
     )
+
+
+def _orbit_sweep(spec: CheckSpec, carriers: Iterable[tuple[FinObj, ...]],
+                 shape: tuple[tuple[int, int], ...], *, build: Callable, feet: Callable,
+                 face: tuple[Callable, dict], same: Callable, mediators: Callable,
+                 cones: Callable, key: Callable, name: Callable):
+    """Check a construction on every instance (f, g) of the shape over each
+    tuple of carriers, sweeping its cones once per orbit.
+
+    ``c = build(f, g)`` fails with face ``feet`` unless ``feet(c, f, g)``;
+    the instance then counts once and, for ``face = (holds, fault)``, fails
+    with ``fault`` unless ``holds(c, f, g)``.  A rep's c is swept over the
+    test objects with ``mediators(c, t)``, ``cones(f, g, t)`` and ``key``,
+    and a failing cone is named by ``name(cone, count)``.  Any other
+    instance must pass ``same(c0, c, gamma)`` against its rep's c0, and is
+    credited with the rep's visits.
+    """
+    checked = 0
+    tests = _objs(spec, "t")
+    holds, fault = face
+    for objs in carriers:
+        swept: dict = {}
+        for (f, g), gamma, rep in _orbits(objs, shape):
+            c = build(f, g)
+            if not feet(c, f, g):
+                return FAIL, {"f": str(f), "g": str(g), "face": "feet"}, checked
+            checked += 1
+            if not holds(c, f, g):
+                return FAIL, {"f": str(f), "g": str(g), **fault}, checked
+            if gamma is not None:
+                c0, visits = swept[rep]
+                if not (_in_orbit(gamma, shape, rep, (f, g)) and same(c0, c, gamma)):
+                    return FAIL, {"f": str(f), "g": str(g), "face": "equivariance"}, checked
+                checked += visits
+                continue
+            visits, _, cone, n = _sweep(tests, lambda t: mediators(c, t),
+                                        lambda t: cones(f, g, t), key)
+            if cone is not None:
+                return FAIL, {"f": str(f), "g": str(g), **name(cone, n)}, checked + visits
+            swept[rep] = c, visits
+            checked += visits
+    return PASS, None, checked
 
 
 # ---------------------------------------------------------------------------
@@ -542,70 +592,42 @@ def _ax_products(spec: CheckSpec):
             p, q = d.projections
             if p.cod != a or q.cod != b:
                 return FAIL, {"A": str(a), "B": str(b), "face": "feet"}, checked
-            for t in _objs(spec, "t"):
-                mediators = Counter(
-                    (compose(p, h).table, compose(q, h).table)
-                    for h in all_maps(t, d.apex)
-                )
-                visited, cone, n = _sweep(
-                    mediators, itertools.product(all_maps(t, a), all_maps(t, b)), _tables
-                )
-                checked += visited
-                if cone is not None:
-                    f, g = cone
-                    return FAIL, {
-                        "A": str(a), "B": str(b), "T": str(t),
-                        "f": str(f), "g": str(g), "mediators": n,
-                    }, checked
+            visited, t, cone, n = _sweep(_objs(spec, "t"), lambda t: Counter(
+                (compose(p, h).table, compose(q, h).table) for h in all_maps(t, d.apex)
+            ), lambda t: itertools.product(all_maps(t, a), all_maps(t, b)), _tables)
+            checked += visited
+            if cone is not None:
+                f, g = cone
+                return FAIL, {
+                    "A": str(a), "B": str(b), "T": str(t),
+                    "f": str(f), "g": str(g), "mediators": n,
+                }, checked
     return PASS, None, checked
 
 
 def _ax_equalizers(spec: CheckSpec):
-    checked = 0
+    # the count reads only e's table, so pairs sharing one reuse it
+    made: dict = {}
 
-    # Many parallel pairs share an equalizer, so the counts are made once
-    # per (equalizer, test object) and reused.
-    @functools.cache
     def mediators(e: FinMor, t: FinObj) -> Counter:
-        return Counter(compose(e, k).table for k in all_maps(t, e.dom))
+        key = e.table, t
+        if key not in made:
+            made[key] = Counter(compose(e, k).table for k in all_maps(t, e.dom))
+        return made[key]
 
-    tests = _objs(spec, "t")
-    for a in _objs(spec, "a"):
-        for b in _objs(spec, "b"):
-            swept: dict = {}
-            for (f, g), gamma, rep in _orbits((a, b), _PAIR):
-                e = equalizer(f, g)
-                if e.cod != a:
-                    return FAIL, {"f": str(f), "g": str(g), "face": "feet"}, checked
-                checked += 1
-                if compose(f, e) != compose(g, e):
-                    return FAIL, {"f": str(f), "g": str(g), "face": "fork"}, checked
-                if gamma is not None:
-                    # e must be alpha∘e0 up to a bijection of apexes: the
-                    # same rows, counted with multiplicity
-                    e0, visits = swept[rep]
-                    alpha = gamma[0]
-                    if not (_in_orbit(gamma, _PAIR, rep, (f, g)) and sorted(e.table)
-                            == sorted([alpha[x] for x in e0.table])):
-                        return FAIL, {"f": str(f), "g": str(g),
-                                      "face": "equivariance"}, checked
-                    checked += visits
-                    continue
-                visits = 0
-                for t in tests:
-                    visited, h, n = _sweep(mediators(e, t), (
-                        h for h in all_maps(t, a)
-                        if compose(f, h).table == compose(g, h).table
-                    ), _table)
-                    visits += visited
-                    if h is not None:
-                        return FAIL, {
-                            "f": str(f), "g": str(g), "h": str(h),
-                            "mediators": n,
-                        }, checked + visits
-                swept[rep] = e, visits
-                checked += visits
-    return PASS, None, checked
+    return _orbit_sweep(
+        spec, itertools.product(_objs(spec, "a"), _objs(spec, "b")), _PAIR, build=equalizer,
+        feet=lambda e, f, g: e.cod == f.dom,
+        face=(lambda e, f, g: compose(f, e) == compose(g, e), {"face": "fork"}),
+        # e must be alpha∘e0 up to a bijection of apexes: the same rows,
+        # counted with multiplicity
+        same=lambda e0, e, gamma: sorted(e.table) == sorted([gamma[0][x] for x in e0.table]),
+        mediators=mediators,
+        cones=lambda f, g, t: (h for h in all_maps(t, f.dom)
+                               if compose(f, h).table == compose(g, h).table),
+        key=_table,
+        name=lambda h, n: {"h": str(h), "mediators": n},
+    )
 
 
 def _ax_sums(spec: CheckSpec):
@@ -616,67 +638,46 @@ def _ax_sums(spec: CheckSpec):
             inl, inr = d.injections
             if inl.dom != a or inr.dom != b:
                 return FAIL, {"A": str(a), "B": str(b), "face": "feet"}, checked
-            for t in _objs(spec, "t"):
-                mediators = Counter(
-                    (compose(h, inl).table, compose(h, inr).table)
-                    for h in all_maps(d.apex, t)
-                )
-                visited, cone, n = _sweep(
-                    mediators, itertools.product(all_maps(a, t), all_maps(b, t)), _tables
-                )
-                checked += visited
-                if cone is not None:
-                    f, g = cone
-                    return FAIL, {
-                        "A": str(a), "B": str(b), "T": str(t),
-                        "f": str(f), "g": str(g), "mediators": n,
-                    }, checked
+            visited, t, cone, n = _copairings(_objs(spec, "t"), d.apex, inl, inr)
+            checked += visited
+            if cone is not None:
+                f, g = cone
+                return FAIL, {
+                    "A": str(a), "B": str(b), "T": str(t),
+                    "f": str(f), "g": str(g), "mediators": n,
+                }, checked
     return PASS, None, checked
+
+
+def _copairings(tests: list[FinObj], s: FinObj, i: FinMor, j: FinMor):
+    """``_sweep`` of the cones (f, g) out of the feet of i and j into each
+    test object against the copairs (h∘i, h∘j) of the maps h out of s."""
+    return _sweep(tests, lambda t: Counter(
+        (compose(h, i).table, compose(h, j).table) for h in all_maps(s, t)
+    ), lambda t: itertools.product(all_maps(i.dom, t), all_maps(j.dom, t)), _tables)
 
 
 def _ax_coequalizers(spec: CheckSpec):
-    checked = 0
+    # unreached classes change the count, so the codomain stays in the key
+    made: dict = {}
 
-    # Many parallel pairs share a coequalizer, so the counts are made once
-    # per (coequalizer, test object) and reused.
-    @functools.cache
     def mediators(q: FinMor, t: FinObj) -> Counter:
-        return Counter(compose(k, q).table for k in all_maps(q.cod, t))
+        key = q.cod, q.table, t
+        if key not in made:
+            made[key] = Counter(compose(k, q).table for k in all_maps(q.cod, t))
+        return made[key]
 
-    tests = _objs(spec, "t")
-    for a in _objs(spec, "a"):
-        for b in _objs(spec, "b"):
-            swept: dict = {}
-            for (f, g), gamma, rep in _orbits((a, b), _PAIR):
-                q = coequalizer(f, g)
-                if q.dom != b:
-                    return FAIL, {"f": str(f), "g": str(g), "face": "feet"}, checked
-                checked += 1
-                if compose(q, f) != compose(q, g):
-                    return FAIL, {"f": str(f), "g": str(g), "face": "fork"}, checked
-                if gamma is not None:
-                    q0, visits = swept[rep]
-                    if not (_in_orbit(gamma, _PAIR, rep, (f, g))
-                            and _classes_match(q0, q, gamma[1])):
-                        return FAIL, {"f": str(f), "g": str(g),
-                                      "face": "equivariance"}, checked
-                    checked += visits
-                    continue
-                visits = 0
-                for t in tests:
-                    visited, h, n = _sweep(mediators(q, t), (
-                        h for h in all_maps(b, t)
-                        if compose(h, f).table == compose(h, g).table
-                    ), _table)
-                    visits += visited
-                    if h is not None:
-                        return FAIL, {
-                            "f": str(f), "g": str(g), "h": str(h),
-                            "mediators": n,
-                        }, checked + visits
-                swept[rep] = q, visits
-                checked += visits
-    return PASS, None, checked
+    return _orbit_sweep(
+        spec, itertools.product(_objs(spec, "a"), _objs(spec, "b")), _PAIR, build=coequalizer,
+        feet=lambda q, f, g: q.dom == f.cod,
+        face=(lambda q, f, g: compose(q, f) == compose(q, g), {"face": "fork"}),
+        same=lambda q0, q, gamma: _classes_match(q0, q, gamma[1]),
+        mediators=mediators,
+        cones=lambda f, g, t: (h for h in all_maps(f.cod, t)
+                               if compose(h, f).table == compose(h, g).table),
+        key=_table,
+        name=lambda h, n: {"h": str(h), "mediators": n},
+    )
 
 
 def _classes_match(q0: FinMor, q: FinMor, kappa: dict[str, str]) -> bool:
@@ -782,16 +783,8 @@ def _separating_pool(spec: CheckSpec) -> CheckSpec:
 
 
 def _is_sum_diagram(spec: CheckSpec, s: FinObj, i: FinMor, j: FinMor) -> bool:
-    for t in _objs(_separating_pool(spec), "t"):
-        mediators = Counter(
-            (compose(h, i).table, compose(h, j).table) for h in all_maps(s, t)
-        )
-        _, cone, _ = _sweep(
-            mediators, itertools.product(all_maps(i.dom, t), all_maps(j.dom, t)), _tables
-        )
-        if cone is not None:
-            return False
-    return True
+    _, _, cone, _ = _copairings(_objs(_separating_pool(spec), "t"), s, i, j)
+    return cone is None
 
 
 def _ax_sum_disjunction(spec: CheckSpec):
@@ -1029,48 +1022,25 @@ def _cones(f: FinMor, g: FinMor, t: FinObj) -> Iterator[tuple[FinMor, FinMor]]:
 
 
 def _thm_pullback_elements(spec: CheckSpec):
-    checked = 0
-    tests = _objs(spec, "t")
-    for c in _objs(spec, "c"):
-        for a in _objs(spec, "a"):
-            for b in _objs(spec, "b"):
-                swept: dict = {}
-                for (f, g), gamma, rep in _orbits((a, b, c), _COSPAN):
-                    square = pullback(f, g)
-                    if not _pullback_feet(square, f, g):
-                        return FAIL, {"f": str(f), "g": str(g), "face": "feet"}, checked
-                    checked += 1
-                    if not _eq10_counts(square.p1, square.p2, f, g):
-                        return FAIL, {"f": str(f), "g": str(g),
-                                      "reason": "constructed"}, checked
-                    if gamma is not None:
-                        # the square must be the rep's relabelled up to a
-                        # bijection of apexes: the same rows (p1, p2), counted
-                        # with multiplicity
-                        rows0, visits = swept[rep]
-                        alpha, beta = gamma[0], gamma[1]
-                        if not (_in_orbit(gamma, _COSPAN, rep, (f, g))
-                                and sorted(zip(square.p1.table, square.p2.table))
-                                == sorted([(alpha[x], beta[y]) for x, y in rows0])):
-                            return FAIL, {"f": str(f), "g": str(g),
-                                          "face": "equivariance"}, checked
-                        checked += visits
-                        continue
-                    visits = 0
-                    for t in tests:
-                        mediators = Counter(
-                            (compose(square.p1, h).table, compose(square.p2, h).table)
-                            for h in all_maps(t, square.apex)
-                        )
-                        visited, cone, _ = _sweep(mediators, _cones(f, g, t), _tables)
-                        visits += visited
-                        if cone is not None:
-                            q1, q2 = cone
-                            return FAIL, {
-                                "f": str(f), "g": str(g), "q1": str(q1), "q2": str(q2),
-                            }, checked + visits
-                    swept[rep] = list(zip(square.p1.table, square.p2.table)), visits
-                    checked += visits
+    carriers = [(a, b, c) for c in _objs(spec, "c") for a in _objs(spec, "a")
+                for b in _objs(spec, "b")]
+    verdict, witness, checked = _orbit_sweep(
+        spec, carriers, _COSPAN, build=pullback, feet=_pullback_feet,
+        face=(lambda s, f, g: _eq10_counts(s.p1, s.p2, f, g), {"reason": "constructed"}),
+        # the square must be the rep's relabelled up to a bijection of
+        # apexes: the same rows (p1, p2), counted with multiplicity
+        same=lambda s0, s, gamma: sorted(zip(s.p1.table, s.p2.table)) == sorted(
+            [(gamma[0][x], gamma[1][y]) for x, y in zip(s0.p1.table, s0.p2.table)]
+        ),
+        mediators=lambda s, t: Counter(
+            (compose(s.p1, h).table, compose(s.p2, h).table) for h in all_maps(t, s.apex)
+        ),
+        cones=_cones,
+        key=_tables,
+        name=lambda cone, n: {"q1": str(cone[0]), "q2": str(cone[1])},
+    )
+    if verdict != PASS:
+        return verdict, witness, checked
     cap = min(spec.bound, 2)
     small = CheckSpec(item=spec.item, bound=cap)
     for f, g in _cospans(small):
@@ -1104,19 +1074,20 @@ def _thm_quotients(spec: CheckSpec):
                     checked += 1
                     if ((a, b) in rows) != (q(a) == q(b)):
                         return FAIL, {"X": str(x), "a": a, "b": b}, checked
-            for t in _objs(spec, "t"):
-                mediators = Counter(compose(k, q).table for k in all_maps(q.cod, t))
-                visited, h, n = _sweep(mediators, (
-                    h for h in all_maps(x, t) if all(h(a) == h(b) for a, b in rows)
-                ), _table)
-                checked += visited
-                if h is not None:
-                    return FAIL, {"X": str(x), "h": str(h), "mediators": n}, checked
+            visited, _, h, n = _sweep(_objs(spec, "t"), lambda t: Counter(
+                compose(k, q).table for k in all_maps(q.cod, t)
+            ), lambda t: (
+                h for h in all_maps(x, t) if all(h(a) == h(b) for a, b in rows)
+            ), _table)
+            checked += visited
+            if h is not None:
+                return FAIL, {"X": str(x), "h": str(h), "mediators": n}, checked
     return PASS, None, checked
 
 
-def _thm_induction(spec: CheckSpec, prefix_len: int = 8):
+def _thm_induction(spec: CheckSpec):
     checked = 0
+    prefix_len = 8
     universe = list(range(prefix_len + 1))
     for mask in range(1 << len(universe)):
         members = {n for n in universe if mask >> n & 1}
@@ -1163,7 +1134,7 @@ def _thm_exponentials(spec: CheckSpec):
     return PASS, None, checked
 
 
-def _thm_dependent_choice(spec: CheckSpec, chain_len: int = 8):
+def _thm_dependent_choice(spec: CheckSpec):
     checked = 0
     for x in _objs(spec, "x"):
         cells = list(itertools.product(x.labels, x.labels))
@@ -1172,7 +1143,7 @@ def _thm_dependent_choice(spec: CheckSpec, chain_len: int = 8):
                 continue
             for start in x.labels:
                 chain = [start]
-                for _ in range(chain_len):
+                for _ in range(8):
                     cur = chain[-1]
                     nxt = next(b for b in x.labels if (cur, b) in rows)
                     chain.append(nxt)
@@ -1264,12 +1235,10 @@ def _thm_regularity(spec: CheckSpec):
 
 def _is_epi(spec: CheckSpec, f: FinMor) -> bool:
     """Right cancellation: each composite h∘f has h as its only mediator."""
-    for t in _objs(_separating_pool(spec), "t"):
-        composites = [compose(h, f) for h in all_maps(f.cod, t)]
-        _, cone, _ = _sweep(Counter(map(_table, composites)), composites, _table)
-        if cone is not None:
-            return False
-    return True
+    composites = functools.cache(lambda t: [compose(h, f) for h in all_maps(f.cod, t)])
+    _, _, cone, _ = _sweep(_objs(_separating_pool(spec), "t"),
+                           lambda t: Counter(map(_table, composites(t))), composites, _table)
+    return cone is None
 
 
 def _thm_epi_onto(spec: CheckSpec):

@@ -42,6 +42,7 @@ from cetcs.finset import (
     compose,
     coproduct,
     equalizer,
+    identity,
     initial,
     pi_diagram,
     product,
@@ -496,9 +497,16 @@ def test_sweep_stops_at_the_first_cone_without_a_unique_mediator():
     x = carrier("u", "v")
     cones = [FinMor(x, x, table) for table in (("u", "v"), ("v", "u"), ("u", "u"))]
     mediators = Counter({("u", "v"): 1, ("v", "u"): 2})
-    assert axioms._sweep(mediators, cones[:1], axioms._table) == (1, None, 1)
-    assert axioms._sweep(mediators, cones, axioms._table) == (2, cones[1], 2)
-    assert axioms._sweep(mediators, cones[2:], axioms._table) == (1, cones[2], 0)
+
+    def sweep(tests, cones_over):
+        return axioms._sweep(tests, lambda t: mediators, cones_over, axioms._table)
+
+    assert sweep([x], lambda t: cones[:1]) == (1, None, None, 1)
+    assert sweep([x], lambda t: cones) == (2, x, cones[1], 2)
+    assert sweep([x], lambda t: cones[2:]) == (1, x, cones[2], 0)
+    # the visits add up over the test objects, and the first failing one is named
+    y = carrier("w")
+    assert sweep([y, x], lambda t: cones[:1] if t is y else cones) == (3, x, cones[1], 2)
 
 
 # ---------------------------------------------------------------------------
@@ -902,6 +910,92 @@ def test_equivariance_accepts_an_isomorphic_relabelling(monkeypatch, check, item
         relabelled(f, g) if f.table < g.table else plain(f, g)))
     rep = check(CheckSpec(item=item, bound=3))
     assert (rep.verdict, rep.instances_checked) == (PASS, BOUND_3_COUNTS[item])
+
+
+# ---------------------------------------------------------------------------
+# every face the orbit sweep and the test-object sweep decide, pinned whole:
+# the fork and point-count faces of a construction, and the first failing
+# cone of a sweep.  Where a mutant breaks only the instances over one carrier
+# size, which relabelling keeps, every orbit before it is swept or credited
+# first, so the count pins the crediting too.
+
+
+def omitted_last(e):
+    return FinMor(FinObj(e.table[:-1]), e.cod, e.table[:-1])
+
+
+def dropped_last_pair(d):
+    apex = FinObj(d.apex.labels[:-1])
+    return ProductDiagram(apex, tuple(FinMor(apex, p.cod, p.table[:-1]) for p in d.projections))
+
+
+def with_stray_point(d):
+    apex = with_junk(d.apex)
+    return SumDiagram(apex, tuple(FinMor(i.dom, apex, i.table) for i in d.injections))
+
+
+SHARED_FACES = {
+    "C3 fork": ("C3", {"equalizer": lambda f, g: identity(f.dom)}, (FAIL, {
+        "f": "{a0} -> {b0, b1} [a0 |-> b0]", "g": "{a0} -> {b0, b1} [a0 |-> b1]",
+        "face": "fork"}, 19)),
+    "D3 fork": ("D3", {"coequalizer": lambda f, g: identity(f.cod)}, (FAIL, {
+        "f": "{a0} -> {b0, b1} [a0 |-> b0]", "g": "{a0} -> {b0, b1} [a0 |-> b1]",
+        "face": "fork"}, 87)),
+    "pullback-elements constructed": ("pullback-elements", {
+        "pullback": lambda f, g: drop_last_point(pullback(f, g)),
+    }, (FAIL, {
+        "f": "{a0} -> {c0} [a0 |-> c0]", "g": "{b0} -> {c0} [b0 |-> c0]",
+        "reason": "constructed"}, 13)),
+    "C2 sweep": ("C2", {"product": lambda a, b: dropped_last_pair(product(a, b))}, (FAIL, {
+        "A": "{a0}", "B": "{b0}", "T": "{t0}", "f": "{t0} -> {a0} [t0 |-> a0]",
+        "g": "{t0} -> {b0} [t0 |-> b0]", "mediators": 0}, 7)),
+    "D2 sweep": ("D2", {"coproduct": lambda a, b: (
+        with_stray_point(coproduct(a, b)) if len(a) == 1 else coproduct(a, b)),
+    }, (FAIL, {
+        "A": "{a0}", "B": "{}", "T": "{t0, t1}", "f": "{a0} -> {t0, t1} [a0 |-> t0]",
+        "g": "{} -> {t0, t1} []", "mediators": 2}, 62)),
+    "C3 sweep": ("C3", {"equalizer": lambda f, g: (
+        omitted_last(equalizer(f, g)) if len(f.dom) == 3 else equalizer(f, g)),
+    }, (FAIL, {
+        "f": "{a0, a1, a2} -> {b0} [a0 |-> b0, a1 |-> b0, a2 |-> b0]",
+        "g": "{a0, a1, a2} -> {b0} [a0 |-> b0, a1 |-> b0, a2 |-> b0]",
+        "h": "{t0} -> {a0, a1, a2} [t0 |-> a2]", "mediators": 0}, 583)),
+    "D3 sweep": ("D3", {"coequalizer": lambda f, g: (
+        collapsed(coequalizer(f, g)) if (len(f.dom), len(f.cod)) == (2, 3)
+        else coequalizer(f, g)),
+    }, (FAIL, {
+        "f": "{a0, a1} -> {b0, b1, b2} [a0 |-> b0, a1 |-> b0]",
+        "g": "{a0, a1} -> {b0, b1, b2} [a0 |-> b0, a1 |-> b0]",
+        "h": "{b0, b1, b2} -> {t0, t1} [b0 |-> t0, b1 |-> t0, b2 |-> t1]",
+        "mediators": 0}, 471)),
+    # the first rep over a one-point A has the table of a rep over the empty
+    # A, so a count cached without the codomain would let the stray through
+    "D3 unreached class": ("D3", {"coequalizer": lambda f, g: (
+        with_stray_class(coequalizer(f, g)) if len(f.dom) == 1 else coequalizer(f, g)),
+    }, (FAIL, {
+        "f": "{a0} -> {b0} [a0 |-> b0]", "g": "{a0} -> {b0} [a0 |-> b0]",
+        "h": "{b0} -> {t0, t1} [b0 |-> t0]", "mediators": 2}, 67)),
+    "pullback-elements sweep": ("pullback-elements", {
+        "_eq10_counts": lambda *legs: True,
+        "pullback": lambda f, g: (
+            drop_last_point(pullback(f, g)) if len(f.cod) == 3 else pullback(f, g)),
+    }, (FAIL, {
+        "f": "{a0} -> {c0, c1, c2} [a0 |-> c0]", "g": "{b0} -> {c0, c1, c2} [b0 |-> c0]",
+        "q1": "{t0} -> {a0} [t0 |-> a0]", "q2": "{t0} -> {b0} [t0 |-> b0]"}, 15843)),
+    "quotients sweep": ("quotients", {"quotient": lambda rel: (
+        with_stray_class(quotient(rel)) if len(rel.cods[0]) else quotient(rel)),
+    }, (FAIL, {
+        "X": "{x0}", "h": "{x0} -> {t0, t1} [x0 |-> t0]", "mediators": 2}, 7)),
+}
+
+
+@pytest.mark.parametrize("item, patches, want", SHARED_FACES.values(), ids=list(SHARED_FACES))
+def test_every_shared_sweep_face_is_pinned(monkeypatch, item, patches, want):
+    for name, value in patches.items():
+        monkeypatch.setattr(axioms, name, value)
+    check = check_axiom if item in AXIOMS else check_theorem
+    rep = check(CheckSpec(item=item, bound=3))
+    assert (rep.verdict, rep.witness, rep.instances_checked) == want
 
 
 # ---------------------------------------------------------------------------
