@@ -29,10 +29,8 @@ from .errors import (
     ShapeError,
 )
 from .finset import (
-    FINSET,
     FinMor,
     FinObj,
-    FinSetCategory,
     PiDiagram,
     ProductDiagram,
     PullbackSquare,
@@ -45,7 +43,6 @@ from .finset import (
     coequalizer,
     compose,
     coproduct,
-    element,
     equalizer,
     exponential,
     identity,

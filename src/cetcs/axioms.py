@@ -65,7 +65,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 from . import kernel
 from .errors import EquivalenceError
 from .finset import (
-    FINSET,
     FinMor,
     FinObj,
     PiDiagram,
@@ -374,6 +373,12 @@ def _same(a: FinObj, b: FinObj) -> bool:
     return a is b or a == b
 
 
+def _report(item: str, t0: float, verdict: str, witness: dict | None, checked: int) -> Report:
+    """The report of a check begun at ``t0``."""
+    return Report(item=item, verdict=verdict, witness=witness,
+                  instances_checked=checked, elapsed=time.perf_counter() - t0)
+
+
 def check_pi_universal(d: PiDiagram, g: FinMor, f: FinMor) -> Report:
     """Decide whether d is a universal dependent product of g along f.
 
@@ -403,18 +408,8 @@ def check_pi_universal(d: PiDiagram, g: FinMor, f: FinMor) -> Report:
     each, only when this fails, to name the first psi with no point or
     with two; each psi counts one instance either way.
     """
-    t0 = time.perf_counter()
+    t0, item = time.perf_counter(), "pi-universal"
     checked = 0
-
-    def done(verdict: str, witness: dict | None) -> Report:
-        return Report(
-            item="pi-universal",
-            verdict=verdict,
-            witness=witness,
-            instances_checked=checked,
-            elapsed=time.perf_counter() - t0,
-        )
-
     y_obj, x_obj, i_obj, P, F = g.dom, g.cod, f.cod, d.P, d.F
     pi1, pi2, phi, ev = d.pi1, d.pi2, d.phi, d.ev
     shape_checks = [
@@ -426,17 +421,17 @@ def check_pi_universal(d: PiDiagram, g: FinMor, f: FinMor) -> Report:
     for ok, face in shape_checks:
         checked += 1
         if not ok:
-            return done(FAIL, {"face": face})
+            return _report(item, t0, FAIL, {"face": face}, checked)
     # With the feet in place both faces are equalities of tables.
     checked += 1
     g_at, g_table = y_obj.index, g.table
     if tuple([g_table[g_at[y]] for y in ev.table]) != pi2.table:
-        return done(FAIL, {"face": "evaluation triangle g∘ev = pi2"})
+        return _report(item, t0, FAIL, {"face": "evaluation triangle g∘ev = pi2"}, checked)
     checked += 1
     phi_at, phi_table, f_at, f_table = F.index, phi.table, f.dom.index, f.table
     if ([phi_table[phi_at[v]] for v in pi1.table]
             != [f_table[f_at[x]] for x in pi2.table]):
-        return done(FAIL, {"face": "square phi∘pi1 = f∘pi2"})
+        return _report(item, t0, FAIL, {"face": "square phi∘pi1 = f∘pi2"}, checked)
 
     # The square is a pullback.  It commutes, so every point of P lies over
     # a compatible (v, x), and "exactly one point each" leaves no stray one.
@@ -453,10 +448,8 @@ def check_pi_universal(d: PiDiagram, g: FinMor, f: FinMor) -> Report:
             checked += 1
             points = hits.get((v, x), 0)
             if points != 1:
-                return done(
-                    FAIL,
-                    {"face": "square pullback", "v": v, "x": x, "points": points},
-                )
+                return _report(item, t0, FAIL, {"face": "square pullback", "v": v,
+                                                "x": x, "points": points}, checked)
 
     # Each v's rows are now a section over its fiber: count (see above), and
     # enumerate the sections only to name the first that fails.
@@ -467,7 +460,7 @@ def check_pi_universal(d: PiDiagram, g: FinMor, f: FinMor) -> Report:
     distinct = {(i, frozenset(rows[v])) for v, i in zip(F.labels, phi_table)}
     if len(distinct) == len(F) == sections:
         checked += sections
-        return done(PASS, None)
+        return _report(item, t0, PASS, None, checked)
     points_over: dict[str, dict[frozenset, list[str]]] = {i: {} for i in i_obj.labels}
     for v, i in zip(F.labels, phi_table):
         points_over[i].setdefault(frozenset(rows[v]), []).append(v)
@@ -481,15 +474,9 @@ def check_pi_universal(d: PiDiagram, g: FinMor, f: FinMor) -> Report:
             psi = frozenset(zip(xs, choice))
             matching = index.get(psi, [])
             if len(matching) != 1:
-                return done(
-                    FAIL,
-                    {
-                        "i": i,
-                        "psi": sorted(map(list, psi)),
-                        "matching": matching,
-                    },
-                )
-    return done(PASS, None)
+                return _report(item, t0, FAIL, {"i": i, "psi": sorted(map(list, psi)),
+                                                "matching": matching}, checked)
+    return _report(item, t0, PASS, None, checked)
 
 
 def pi_morphism_check(source: PiDiagram, target: PiDiagram, t: FinMor) -> Report:
@@ -498,24 +485,13 @@ def pi_morphism_check(source: PiDiagram, target: PiDiagram, t: FinMor) -> Report
     Requires phi∘t = phi', and that the induced map on the pullback apexes
     commutes with evaluation.
     """
-    t0 = time.perf_counter()
-    checked = 0
-
-    def done(verdict: str, witness: dict | None) -> Report:
-        return Report(
-            item="pi-morphism",
-            verdict=verdict,
-            witness=witness,
-            instances_checked=checked,
-            elapsed=time.perf_counter() - t0,
-        )
-
-    checked += 1
+    t0, item = time.perf_counter(), "pi-morphism"
+    checked = 1
     if t.dom != source.F or t.cod != target.F:
-        return done(FAIL, {"face": "t feet"})
+        return _report(item, t0, FAIL, {"face": "t feet"}, checked)
     checked += 1
     if compose(target.phi, t) != source.phi:
-        return done(FAIL, {"face": "phi∘t = phi-source"})
+        return _report(item, t0, FAIL, {"face": "phi∘t = phi-source"}, checked)
     locate: dict[tuple[str, str], str] = {
         (target.pi1(p), target.pi2(p)): p for p in target.P.labels
     }
@@ -523,14 +499,14 @@ def pi_morphism_check(source: PiDiagram, target: PiDiagram, t: FinMor) -> Report
     for p in source.P.labels:
         key = (t(source.pi1(p)), source.pi2(p))
         if key not in locate:
-            return done(FAIL, {"face": "induced map on apexes", "point": p})
+            return _report(item, t0, FAIL, {"face": "induced map on apexes", "point": p}, checked)
         table.append(locate[key])
     induced = FinMor(source.P, target.P, tuple(table))
     for p in source.P.labels:
         checked += 1
         if target.ev(induced(p)) != source.ev(p):
-            return done(FAIL, {"face": "evaluation", "point": p})
-    return done(PASS, None)
+            return _report(item, t0, FAIL, {"face": "evaluation", "point": p}, checked)
+    return _report(item, t0, PASS, None, checked)
 
 
 def _section_count(g: FinMor, f: FinMor) -> int:
@@ -564,21 +540,12 @@ def _competitors(g: FinMor, f: FinMor, size_cap: int) -> Iterator[PiDiagram]:
 # axiom checks
 
 
-def _ax_terminal(spec: CheckSpec):
+def _unique_maps(spec: CheckSpec, hom: Callable[[FinObj], Iterable[FinMor]]):
+    """Every carrier a of the pool has exactly one map in ``hom(a)``."""
     checked = 0
     for a in _objs(spec, "a"):
         checked += 1
-        maps = list(all_maps(a, terminal()))
-        if len(maps) != 1:
-            return FAIL, {"object": str(a), "maps": len(maps)}, checked
-    return PASS, None, checked
-
-
-def _ax_initial(spec: CheckSpec):
-    checked = 0
-    for a in _objs(spec, "a"):
-        checked += 1
-        maps = list(all_maps(initial(), a))
+        maps = list(hom(a))
         if len(maps) != 1:
             return FAIL, {"object": str(a), "maps": len(maps)}, checked
     return PASS, None, checked
@@ -722,20 +689,26 @@ def _ax_pi(spec: CheckSpec, count_sections: bool = False):
     return PASS, None, checked
 
 
+def _first_preimages(f: FinMor, fallback: str | None = None) -> FinMor:
+    """The map cod(f) -> dom(f) sending each point to its first preimage
+    under f, or to ``fallback`` when it has none, through the validating
+    ``FinMor``."""
+    return FinMor(f.cod, f.dom, tuple(
+        f.dom.labels[f.table.index(y)] if y in f.table else fallback for y in f.cod.labels
+    ))
+
+
 def _ax_onto_mono_iso(spec: CheckSpec):
     checked = 0
     for f in _morphism_pool(spec):
         onto = f.is_surjective()
-        mono = kernel.is_mono(FINSET, f, bound=min(spec.bound, 2))
+        mono = kernel.is_mono(f, bound=min(spec.bound, 2))
         checked += 1
         if not (onto and mono):
             continue
         if not f.is_bijective():
             return FAIL, {"f": str(f), "reason": "not bijective"}, checked
-        inverse = FinMor(
-            f.cod, f.dom,
-            tuple(f.dom.labels[f.table.index(y)] for y in f.cod.labels),
-        )
+        inverse = _first_preimages(f)
         if compose(inverse, f) != identity(f.dom) or compose(f, inverse) != identity(f.cod):
             return FAIL, {"f": str(f), "reason": "inverse fails"}, checked
     return PASS, None, checked
@@ -754,17 +727,13 @@ def _ax_choice_covers(spec: CheckSpec):
                 if not h.is_surjective():
                     continue
                 checked += 1
-                table = []
-                for x in p.labels:
-                    table.append(b.labels[h.table.index(x)])
-                section = FinMor(p, b, tuple(table))
-                if compose(h, section) != identity(p):
+                if compose(h, _first_preimages(h)) != identity(p):
                     return FAIL, {"object": str(a), "h": str(h)}, checked
     return PASS, None, checked
 
 
 def _ax_no_initial_elements(spec: CheckSpec):
-    points = kernel.elements(FINSET, initial())
+    points = kernel.elements(initial())
     if points:
         return FAIL, {"elements": len(points)}, 1
     return PASS, None, 1
@@ -880,10 +849,12 @@ def _ax_effective(spec: CheckSpec):
 
 
 AXIOMS: dict[str, tuple[str, Callable]] = {
-    "C1": ("terminal object with unique maps into it", _ax_terminal),
+    "C1": ("terminal object with unique maps into it",
+           lambda spec: _unique_maps(spec, lambda a: all_maps(a, terminal()))),
     "C2": ("binary products with unique pairing", _ax_products),
     "C3": ("equalizers with unique factorization", _ax_equalizers),
-    "D1": ("initial object with unique maps out of it", _ax_initial),
+    "D1": ("initial object with unique maps out of it",
+           lambda spec: _unique_maps(spec, lambda a: all_maps(initial(), a))),
     "D2": ("binary sums with unique copairing", _ax_sums),
     "D3": ("coequalizers with unique factorization", _ax_coequalizers),
     "Pi": ("dependent products along every composable pair", _ax_pi),
@@ -909,7 +880,7 @@ def _thm_element_equality(spec: CheckSpec):
             maps = list(_maps(spec, a, b))
             for f in maps:
                 checked += 1
-                if kernel.is_mono(FINSET, f, bound=small) != f.is_injective():
+                if kernel.is_mono(f, bound=small) != f.is_injective():
                     return FAIL, {"f": str(f), "statement": "mono vs injective"}, checked
             for f in maps:
                 for g in maps:
@@ -1098,8 +1069,7 @@ def _thm_induction(spec: CheckSpec):
             return FAIL, {"subset": sorted(members)}, checked
     for a in _objs(spec, "a"):
         for h in _maps(spec, a, a):
-            for lbl in a.labels:
-                b = kernel.elements(FINSET, a)[a.index[lbl]]
+            for lbl, b in zip(a.labels, kernel.elements(a)):
                 seq = nno_prefix(prefix_len, b, h)
                 checked += 1
                 if seq[0] != b:
@@ -1248,7 +1218,7 @@ def _thm_epi_onto(spec: CheckSpec):
         checked += 1
         if epi != f.is_surjective():
             return FAIL, {"f": str(f), "epi": epi}, checked
-        if epi and kernel.is_mono(FINSET, f, bound=min(spec.bound, 2)):
+        if epi and kernel.is_mono(f, bound=min(spec.bound, 2)):
             if not f.is_bijective():
                 return FAIL, {"f": str(f), "statement": "balance"}, checked
     return PASS, None, checked
@@ -1298,22 +1268,13 @@ def _thm_choice(spec: CheckSpec):
                 if not h.is_surjective():
                     continue
                 checked += 1
-                table = tuple(b.labels[h.table.index(x)] for x in a.labels)
-                section = FinMor(a, b, table)
-                if compose(h, section) != identity(a):
+                if compose(h, _first_preimages(h)) != identity(a):
                     return FAIL, {"h": str(h), "statement": "split onto"}, checked
     for f in _morphism_pool(spec):
         if not len(f.dom):
             continue
         checked += 1
-        fallback = f.dom.labels[0]
-        table = []
-        for ylbl in f.cod.labels:
-            if ylbl in f.table:
-                table.append(f.dom.labels[f.table.index(ylbl)])
-            else:
-                table.append(fallback)
-        g = FinMor(f.cod, f.dom, tuple(table))
+        g = _first_preimages(f, fallback=f.dom.labels[0])
         if compose(compose(f, g), f) != f:
             return FAIL, {"f": str(f), "statement": "f∘g∘f = f"}, checked
     return PASS, None, checked
@@ -1475,16 +1436,8 @@ def _run(kind: str, table: dict[str, tuple[str, Callable]], spec: CheckSpec) -> 
         )
     t0 = time.perf_counter()
     if spec.sampled and spec.item in _EXHAUSTIVE_ONLY:
-        verdict, witness, checked = SKIP, {"reason": _SAMPLED_SKIP}, 0
-    else:
-        verdict, witness, checked = table[spec.item][1](spec)
-    return Report(
-        item=spec.item,
-        verdict=verdict,
-        witness=witness,
-        instances_checked=checked,
-        elapsed=time.perf_counter() - t0,
-    )
+        return _report(spec.item, t0, SKIP, {"reason": _SAMPLED_SKIP}, 0)
+    return _report(spec.item, t0, *table[spec.item][1](spec))
 
 
 def check_axiom(spec: CheckSpec) -> Report:

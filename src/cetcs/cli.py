@@ -98,15 +98,18 @@ def _emit_lines(lines: list[str], ns: argparse.Namespace, payload: dict) -> None
 # commands
 
 
-def _items(kind: str, choice: str | None, table: dict) -> list[str]:
-    """The ids one --axiom or --theorem value selects from its table."""
-    if choice is None:
-        return []
-    if choice == "all":
-        return list(table)
-    if choice not in table:
-        raise CetcsError(f"unknown {kind} {choice!r} (known: {', '.join(table)})")
-    return [choice]
+def _items(kind: str, choices: list[str] | None, table: dict) -> list[str]:
+    """The ids the --axiom or --theorem values select, in the order given;
+    ``all`` stands for the whole table in registry order."""
+    items: list[str] = []
+    for choice in choices or ():
+        if choice == "all":
+            items += table
+        elif choice in table:
+            items.append(choice)
+        else:
+            raise CetcsError(f"unknown {kind} {choice!r} (known: {', '.join(table)})")
+    return items
 
 
 def _run_check(ns: argparse.Namespace) -> int:
@@ -124,7 +127,7 @@ def _run_check(ns: argparse.Namespace) -> int:
     mf = _model(ns)
     axiom, theorem = ns.axiom, ns.theorem
     if axiom is None and theorem is None:
-        axiom = theorem = "all"
+        axiom = theorem = ["all"]
     axiom_items = _items("axiom", axiom, AXIOMS)
     theorem_items = _items("theorem", theorem, THEOREMS)
     shared = dict(
@@ -336,8 +339,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run axiom and theorem checks")
     p.set_defaults(run=_run_check)
-    p.add_argument("--axiom", metavar="ID", help="axiom id or 'all'")
-    p.add_argument("--theorem", metavar="ID", help="theorem id or 'all'")
+    p.add_argument("--axiom", metavar="ID", action="append",
+                   help="axiom id or 'all'; repeat to run several")
+    p.add_argument("--theorem", metavar="ID", action="append",
+                   help="theorem id or 'all'; repeat to run several")
     p.add_argument("--bound", type=int, default=None,
                    help="max carrier size (default 3, or CETCS_BOUND)")
     p.add_argument("--sample", type=int, default=None,

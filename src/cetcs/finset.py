@@ -1,8 +1,11 @@
 """Finite carriers and total mapping tables, with their universal constructions.
 
-This is the concrete category everything else computes in: an object is a
-finite tuple of distinct string labels, a morphism is a total lookup table
-between two carriers.  Constructions fix canonical labels so repeated runs
+This is the concrete category everything else computes in, and the only
+model of the axioms the checker instantiates: an object is a finite tuple
+of distinct string labels, a morphism is a total lookup table between two
+carriers.  No category handle stands in front of it; ``kernel`` reaches
+its hom-sets through ``all_maps``, ``terminal``, ``carrier_of_size`` and
+``compose`` directly.  Constructions fix canonical labels so repeated runs
 produce identical output:
 
 * products label tuples ``(a,b)`` in first-factor-major order,
@@ -157,13 +160,6 @@ def compose(g: FinMor, f: FinMor) -> FinMor:
         )
     index, table = g.dom.index, g.table
     return FinMor._trusted(f.dom, g.cod, tuple([table[index[v]] for v in f.table]))
-
-
-def element(a: FinObj, label: str) -> FinMor:
-    """The label seen as a point, a morphism from the terminal carrier."""
-    if label not in a:
-        raise ShapeError(f"{label!r} is not a label of {a}")
-    return FinMor(terminal(), a, (label,))
 
 
 def unique_to_terminal(a: FinObj) -> FinMor:
@@ -574,25 +570,3 @@ def projective_cover(a: FinObj) -> FinMor:
     """A cover of a by a choice object; finite carriers are their own covers."""
     return identity(a)
 
-
-# ---------------------------------------------------------------------------
-# the category adapter used by the signature-level operations
-
-
-class FinSetCategory:
-    """Hom-enumeration view of finite carriers, consumed by ``kernel``."""
-
-    def compose(self, g: FinMor, f: FinMor) -> FinMor:
-        return compose(g, f)
-
-    def terminal(self) -> FinObj:
-        return terminal()
-
-    def hom(self, a: FinObj, b: FinObj) -> Iterator[FinMor]:
-        return all_maps(a, b)
-
-    def objects(self, bound: int) -> list[FinObj]:
-        return [carrier_of_size(n) for n in range(bound + 1)]
-
-
-FINSET = FinSetCategory()

@@ -397,11 +397,11 @@ def test_criterion_8_bounded_recursion_prefix_8(capsys):
     induction = check_theorem(CheckSpec(item="induction", bound=3))
     choice = check_theorem(CheckSpec(item="dependent-choice", bound=3))
 
-    from cetcs.finset import element, nno_prefix
+    from cetcs.finset import nno_prefix, terminal
 
     b_obj = carrier_of_size(3, "n")
     h = FinMor(b_obj, b_obj, ("n1", "n2", "n0"))
-    seq = nno_prefix(8, element(b_obj, "n0"), h)
+    seq = nno_prefix(8, FinMor(terminal(), b_obj, ("n0",)), h)
     equations_hold = len(seq) == 9 and all(
         seq[k + 1].table == (h(seq[k].table[0]),) for k in range(8)
     )

@@ -38,10 +38,12 @@ from cetcs.finset import (
     all_maps,
     carrier,
     carrier_of_size,
+    characteristic,
     coequalizer,
     compose,
     coproduct,
     equalizer,
+    exponential,
     identity,
     initial,
     pi_diagram,
@@ -50,6 +52,7 @@ from cetcs.finset import (
     quotient,
     unique_to_terminal,
 )
+from cetcs.relcalc import relation_from_tuples
 from cetcs.report import FAIL, PASS, Report
 
 
@@ -603,6 +606,38 @@ def test_quotient_sweep_rejects_an_unreachable_class(monkeypatch):
     rep = check_theorem(CheckSpec(item="quotients", bound=2))
     assert rep.failed
     assert rep.witness["mediators"] != 1
+
+
+def test_exponentials_reject_a_dropped_function(monkeypatch):
+    # The last point of E goes, and with it its rows of ev.
+    def drop_last(x, y):
+        e_obj, ev = exponential(x, y)
+        kept = FinObj(e_obj.labels[:-1])
+        rows = [row for row in ev.tuples if row[0] in kept]
+        return kept, relation_from_tuples(rows, (kept, x, y))
+
+    monkeypatch.setattr(axioms, "exponential", drop_last)
+    rep = check_theorem(CheckSpec(item="exponentials", bound=3))
+    assert (rep.verdict, rep.witness, rep.instances_checked) == (
+        FAIL, {"X": "{}", "Y": "{}", "size": 0}, 1,
+    )
+
+
+def test_classifier_rejects_a_flipped_entry(monkeypatch):
+    # The first point of the carrier is sent to the other point of 1+1.
+    def flip_first(r):
+        chi = characteristic(r)
+        if not chi.table:
+            return chi
+        false_lbl, true_lbl = chi.cod.labels
+        first = true_lbl if chi.table[0] == false_lbl else false_lbl
+        return FinMor(chi.dom, chi.cod, (first,) + chi.table[1:])
+
+    monkeypatch.setattr(axioms, "characteristic", flip_first)
+    rep = check_theorem(CheckSpec(item="classifier", bound=3))
+    assert (rep.verdict, rep.witness, rep.instances_checked) == (
+        FAIL, {"X": "{x0}", "subset": [], "at": "x0"}, 2,
+    )
 
 
 # Buckets are keyed by tables, which carry no feet: a construction whose legs

@@ -111,6 +111,23 @@ def test_check_runs_the_named_axiom_then_the_named_theorem(capsys, model_path):
     ]
 
 
+def test_check_runs_every_repeated_item_in_the_order_given(capsys, model_path):
+    code, out, _ = run(capsys, "check", "--axiom", "D1", "--axiom", "C1",
+                       "--theorem", "classifier", "--theorem", "choice",
+                       "--bound", "1", model_path)
+    assert code == 0
+    assert [line.split()[1] for line in out.splitlines()] == [
+        "D1", "C1", "classifier", "choice",
+    ]
+    # 'all' expands in registry order wherever it stands
+    _, out, _ = run(capsys, "check", "--theorem", "choice", "--theorem", "all",
+                    "--bound", "1", model_path)
+    assert [line.split()[1] for line in out.splitlines()] == ["choice", *THEOREMS]
+    # an unknown item exits 2 before any of the named items runs
+    code, out, err = run(capsys, "check", "--axiom", "C1", "--axiom", "Q7", model_path)
+    assert (code, out) == (2, "") and "unknown axiom 'Q7'" in err
+
+
 def test_missing_model_file_exits_2(capsys):
     code, _, err = run(capsys, "check", "--axiom", "C1", "/no/such/file")
     assert code == 2 and "error" in err

@@ -19,9 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cetcs
+from cetcs import kernel
 from cetcs.errors import CompositionError, EquivalenceError, ShapeError
 from cetcs.finset import (
-    FINSET,
     FinMor,
     FinObj,
     all_maps,
@@ -32,7 +32,6 @@ from cetcs.finset import (
     coequalizer,
     compose,
     coproduct,
-    element,
     equalizer,
     exponential,
     identity,
@@ -140,8 +139,9 @@ def test_composition_associativity(data):
 
 
 def test_elements_are_points():
-    e = element(B, "v")
-    assert e.dom == terminal() and e.table == ("v",)
+    points = kernel.elements(B)
+    assert [e.table for e in points] == [("u",), ("v",), ("w",)]
+    assert all(e.dom == terminal() and e.cod == B for e in points)
 
 
 def test_hom_set_count():
@@ -186,8 +186,9 @@ def test_product_labels_frozen():
     assert d.apex.labels == (
         "(a,u)", "(a,v)", "(a,w)", "(b,u)", "(b,v)", "(b,w)",
     )
-    assert compose(d.projections[0], element(d.apex, "(b,v)"))("★") == "b"
-    assert compose(d.projections[1], element(d.apex, "(b,v)"))("★") == "v"
+    point = FinMor(terminal(), d.apex, ("(b,v)",))
+    assert compose(d.projections[0], point)("★") == "b"
+    assert compose(d.projections[1], point)("★") == "v"
 
 
 def test_product_universal_property_brute_force():
@@ -565,7 +566,7 @@ def test_quotient_collapses_exactly_the_classes():
 
 def test_nno_prefix_unrolls_the_recursion():
     h = FinMor(B, B, ("v", "w", "u"))
-    seq = nno_prefix(5, element(B, "u"), h)
+    seq = nno_prefix(5, FinMor(terminal(), B, ("u",)), h)
     assert [e.table[0] for e in seq] == ["u", "v", "w", "u", "v", "w"]
     for n in range(5):
         assert seq[n + 1] == compose(h, seq[n])
@@ -582,14 +583,6 @@ def test_unique_maps_at_the_poles():
     assert unique_from_initial(B).dom == initial()
     assert len(list(all_maps(B, terminal()))) == 1
     assert len(list(all_maps(initial(), B))) == 1
-
-
-def test_category_handle_enumerates_canonical_objects():
-    objs = FINSET.objects(2)
-    assert [len(o) for o in objs] == [0, 1, 2]
-    assert FINSET.terminal() == terminal()
-    f = FinMor(A, B, ("u", "v"))
-    assert FINSET.compose(identity(B), f) == f
 
 
 def test_carriers_survive_a_pickle_from_another_hash_seed():
