@@ -50,6 +50,7 @@ from .finset import (
     initial,
     nno_prefix,
     pi_diagram,
+    pi_object,
     product,
     product_n,
     projective_cover,

@@ -10,7 +10,9 @@ produce identical output:
 
 * products label tuples ``(a,b)`` in first-factor-major order,
 * sums tag labels ``inl:a`` / ``inr:b``,
-* dependent products label points by their sections, ``(i|x0↦y1,x1↦y0)``,
+* dependent products label points by their sections, ``(i|x0↦y1,x1↦y0)``;
+  ``pi_diagram`` builds the whole diagram and ``pi_object`` only its
+  phi: F -> I, with the same labels,
 * coequalizers and quotients reuse the least label of each merged class,
 * equalizers and images keep the ambient labels they select.
 
@@ -52,12 +54,10 @@ class FinObj:
     def __hash__(self) -> int:
         # The generated hash, computed on first use and kept: most carriers
         # are never hashed, and a memo key is hashed on every lookup.
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.labels,))
-            object.__setattr__(self, "_hash", h)
-            return h
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.labels,))
+        return h
 
     def __getstate__(self) -> dict:
         # str hashes differ between processes, so a kept hash is not pickled
@@ -349,7 +349,11 @@ def _fibers(m: FinMor) -> dict[str, list[str]]:
     """Each value m takes, mapped to its preimage in domain order."""
     out: dict[str, list[str]] = {}
     for x, c in zip(m.dom.labels, m.table):
-        out.setdefault(c, []).append(x)
+        xs = out.get(c)
+        if xs is None:
+            out[c] = [x]
+        else:
+            xs.append(x)
     return out
 
 
@@ -365,9 +369,10 @@ def pullback(f: FinMor, g: FinMor) -> PullbackSquare:
         raise ShapeError(f"not a cospan: [{f}] and [{g}]")
     fiber = _fibers(g)
     pairs = [(x, y) for x, c in zip(f.dom.labels, f.table) for y in fiber.get(c, ())]
-    apex = FinObj(tuple(tuple_label(p) for p in pairs))
-    p1 = FinMor(apex, f.dom, tuple(x for x, _ in pairs))
-    p2 = FinMor(apex, g.dom, tuple(y for _, y in pairs))
+    # each label is tuple_label((x, y)), written inline
+    apex = FinObj(tuple([f"({x},{y})" for x, y in pairs]))
+    p1 = FinMor(apex, f.dom, tuple([x for x, _ in pairs]))
+    p2 = FinMor(apex, g.dom, tuple([y for _, y in pairs]))
     return PullbackSquare(apex, p1, p2, f, g)
 
 
@@ -402,6 +407,26 @@ class PiDiagram:
     ev: FinMor
 
 
+def _require_composable(g: FinMor, f: FinMor) -> None:
+    if g.cod is not f.dom and g.cod != f.dom:
+        raise CompositionError(
+            f"pi needs a composable pair: codomain of [{g}] vs domain of [{f}]"
+        )
+
+
+def _fiber_sections(
+    fiber_g: dict[str, list[str]], xs: Sequence[str]
+) -> Iterator[tuple[tuple[str, ...], str]]:
+    """The sections of g over the points xs of X, given g's fibers.
+
+    Each is a pair: its choice, one g-preimage for every x in xs, and its
+    ``x↦y,...`` inner label.  They come in the lexicographic order of their
+    choices; an empty xs has exactly one (empty) section.
+    """
+    for choice in itertools.product(*[fiber_g.get(x, ()) for x in xs]):
+        yield choice, ",".join([f"{x}↦{y}" for x, y in zip(xs, choice)])
+
+
 def pi_diagram(g: FinMor, f: FinMor) -> PiDiagram:
     """Construct the dependent product for the composable pair (g, f).
 
@@ -421,12 +446,10 @@ def pi_diagram(g: FinMor, f: FinMor) -> PiDiagram:
     One pass over the sections then writes F, phi and every row of P, pi1,
     pi2 and ev.  Besides indexing f by value, O(|X|), and on first use g,
     O(|Y|), a call writes O(|F| + |P|) labels and table entries and builds
-    F, P and every leg through the validating constructors.
+    F, P and every leg through the validating constructors.  A caller that
+    needs only phi calls ``pi_object``, which writes none of P.
     """
-    if g.cod is not f.dom and g.cod != f.dom:
-        raise CompositionError(
-            f"pi needs a composable pair: codomain of [{g}] vs domain of [{f}]"
-        )
+    _require_composable(g, f)
     kept = g.__dict__.get("_sections")
     if kept is None:
         kept = g.__dict__["_sections"] = _fibers(g), {}
@@ -443,10 +466,7 @@ def pi_diagram(g: FinMor, f: FinMor) -> PiDiagram:
         xs = tuple(fiber_f.get(i, ()))
         sections = sections_over.get(xs)
         if sections is None:
-            sections = sections_over[xs] = [
-                (choice, ",".join([f"{x}↦{y}" for x, y in zip(xs, choice)]))
-                for choice in itertools.product(*[fiber_g.get(x, ()) for x in xs])
-            ]
+            sections = sections_over[xs] = list(_fiber_sections(fiber_g, xs))
         for choice, inner in sections:
             v = f"({i}|{inner})"
             f_labels.append(v)
@@ -465,6 +485,30 @@ def pi_diagram(g: FinMor, f: FinMor) -> PiDiagram:
         phi=FinMor(f_obj, f.cod, tuple(phi_table)),
         ev=FinMor(p_obj, g.dom, tuple(ev_table)),
     )
+
+
+def pi_object(g: FinMor, f: FinMor) -> FinMor:
+    """The map phi: F -> I of ``pi_diagram(g, f)``, and nothing else.
+
+    F has the same labels in the same order, and phi the same table, as in
+    ``pi_diagram``; P, pi1, pi2 and ev are never written.  This is the part
+    of the dependent product that the internal logic reads for ``=>`` and
+    ``forall``: when g is monic, each i has at most one section, so phi is
+    monic, the subobject Π_f g of I.  Unlike ``pi_diagram`` it keeps
+    nothing on g, which suits a caller whose g is new on every call.  A call
+    indexes g and f by value, O(|Y| + |X|), and writes O(|F|) labels and
+    table entries through the validating constructors.
+    """
+    _require_composable(g, f)
+    fiber_g = _fibers(g)
+    fiber_f = _fibers(f)
+    f_labels: list[str] = []
+    phi_table: list[str] = []
+    for i in f.cod.labels:
+        for _, inner in _fiber_sections(fiber_g, fiber_f.get(i, ())):
+            f_labels.append(f"({i}|{inner})")
+            phi_table.append(i)
+    return FinMor(FinObj(tuple(f_labels)), f.cod, tuple(phi_table))
 
 
 def exponential(x_obj: FinObj, y_obj: FinObj):

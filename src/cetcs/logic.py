@@ -13,6 +13,9 @@ constructions of the model:
 * ``exists``             image of the projected legs,
 * ``forall``             dependent product along the context projection.
 
+Both dependent products are built as phi only (``finset.pi_object``): the
+subobject Π_f g of the context product, without its pullback or evaluation.
+
 ``~p`` is shorthand for ``p => false`` and is desugared by the parser.
 Connective precedence is ``~`` over ``/\\`` over ``\\/`` over ``=>``;
 ``=>`` associates right, the other binaries left, and a quantifier body
@@ -56,7 +59,7 @@ from .finset import (
     equalizer,
     identity,
     image_factorization,
-    pi_diagram,
+    pi_object,
     product_n,
     pullback,
     unique_from_initial,
@@ -225,12 +228,10 @@ class Context:
     def __hash__(self) -> int:
         # The generated hash, computed on first use and kept: every memo
         # lookup hashes its context.
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.vars,))
-            object.__setattr__(self, "_hash", h)
-            return h
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.vars,))
+        return h
 
     def __getstate__(self) -> dict:
         # str hashes differ between processes, so a kept hash is not pickled
@@ -364,35 +365,36 @@ _TOKEN_RE = re.compile(
       | (?P<dot>\.)
       | (?P<colon>:)
       | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
+      | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 _KEYWORDS = {"true", "false", "forall", "exists"}
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    pos: int
+# A token is a (kind, text, offset) tuple.
+_Token = tuple[str, str, int]
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """The tokens of text, ending in ``eof``, in one pass of ``_TOKEN_RE``.
+
+    ``bad`` matches any one character the other groups do not, so the
+    matches tile the text and the first bad character is reported.
+    """
     out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise FormulaError(f"unexpected character {text[pos]!r}", pos)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind != "ws":
-            value = m.group()
-            if kind == "ident" and value in _KEYWORDS:
+        if kind == "ws":
+            continue
+        value = m.group()
+        if kind == "ident":
+            if value in _KEYWORDS:
                 kind = value
-            out.append(_Token(kind, value, pos))
-        pos = m.end()
-    out.append(_Token("eof", "", len(text)))
+        elif kind == "bad":
+            raise FormulaError(f"unexpected character {value!r}", m.start())
+        out.append((kind, value, m.start()))
+    out.append(("eof", "", len(text)))
     return out
 
 
@@ -402,8 +404,9 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
+    def peek(self) -> str:
+        """The kind of the next token."""
+        return self.tokens[self.i][0]
 
     def next(self) -> _Token:
         tok = self.tokens[self.i]
@@ -412,8 +415,8 @@ class _Parser:
 
     def expect(self, kind: str) -> _Token:
         tok = self.next()
-        if tok.kind != kind:
-            raise FormulaError(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.pos)
+        if tok[0] != kind:
+            raise FormulaError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}", tok[2])
         return tok
 
     def formula(self) -> Formula:
@@ -421,99 +424,96 @@ class _Parser:
 
     def implies(self) -> Formula:
         lhs = self.disjunction()
-        if self.peek().kind == "implies":
-            tok = self.next()
+        if self.peek() == "implies":
+            pos = self.next()[2]
             rhs = self.implies()
-            return Implies(lhs, rhs, pos=tok.pos)
+            return Implies(lhs, rhs, pos=pos)
         return lhs
 
     def disjunction(self) -> Formula:
         lhs = self.conjunction()
-        while self.peek().kind == "or":
-            tok = self.next()
+        while self.peek() == "or":
+            pos = self.next()[2]
             rhs = self.conjunction()
-            lhs = Or(lhs, rhs, pos=tok.pos)
+            lhs = Or(lhs, rhs, pos=pos)
         return lhs
 
     def conjunction(self) -> Formula:
         lhs = self.unary()
-        while self.peek().kind == "and":
-            tok = self.next()
+        while self.peek() == "and":
+            pos = self.next()[2]
             rhs = self.unary()
-            lhs = And(lhs, rhs, pos=tok.pos)
+            lhs = And(lhs, rhs, pos=pos)
         return lhs
 
     def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "not":
-            self.next()
+        kind = self.peek()
+        if kind == "not":
+            pos = self.next()[2]
             sub = self.unary()
-            return Implies(sub, Bot(pos=tok.pos), pos=tok.pos)
-        if tok.kind in ("forall", "exists"):
-            self.next()
-            var = self.expect("ident")
+            return Implies(sub, Bot(pos=pos), pos=pos)
+        if kind in ("forall", "exists"):
+            pos = self.next()[2]
+            var = self.expect("ident")[1]
             self.expect("colon")
-            sort = self.expect("ident")
+            sort = self.expect("ident")[1]
             self.expect("dot")
             body = self.formula()
-            cls = Forall if tok.kind == "forall" else Exists
-            return cls(var.text, sort.text, body, pos=tok.pos)
+            cls = Forall if kind == "forall" else Exists
+            return cls(var, sort, body, pos=pos)
         return self.atomish()
 
     def atomish(self) -> Formula:
-        tok = self.next()
-        if tok.kind == "true":
-            return Top(pos=tok.pos)
-        if tok.kind == "false":
-            return Bot(pos=tok.pos)
-        if tok.kind == "lpar":
+        kind, name, pos = self.next()
+        if kind == "true":
+            return Top(pos=pos)
+        if kind == "false":
+            return Bot(pos=pos)
+        if kind == "lpar":
             inner = self.formula()
             self.expect("rpar")
             return inner
-        if tok.kind != "ident":
-            raise FormulaError(f"expected a formula, found {tok.text or 'end of input'!r}", tok.pos)
-        name = tok.text
-        if self.peek().kind == "lpar":
+        if kind != "ident":
+            raise FormulaError(f"expected a formula, found {name or 'end of input'!r}", pos)
+        if self.peek() == "lpar":
             self.next()
             args = [self.term()]
-            while self.peek().kind == "comma":
+            while self.peek() == "comma":
                 self.next()
                 args.append(self.term())
             self.expect("rpar")
-            if self.peek().kind == "eq":
-                eq_tok = self.next()
+            if self.peek() == "eq":
+                eq_pos = self.next()[2]
                 if len(args) != 1:
                     raise FormulaError(
-                        "left side of '=' must be a term (one argument)", eq_tok.pos
+                        "left side of '=' must be a term (one argument)", eq_pos
                     )
                 rhs = self.term()
-                return Eq(App(name, args[0], pos=tok.pos), rhs, pos=eq_tok.pos)
-            return Atom(name, tuple(args), pos=tok.pos)
-        if self.peek().kind == "eq":
-            eq_tok = self.next()
+                return Eq(App(name, args[0], pos=pos), rhs, pos=eq_pos)
+            return Atom(name, tuple(args), pos=pos)
+        if self.peek() == "eq":
+            eq_pos = self.next()[2]
             rhs = self.term()
-            return Eq(Var(name, pos=tok.pos), rhs, pos=eq_tok.pos)
-        raise FormulaError(f"expected '(' or '=' after {name!r}", tok.pos)
+            return Eq(Var(name, pos=pos), rhs, pos=eq_pos)
+        raise FormulaError(f"expected '(' or '=' after {name!r}", pos)
 
     def term(self) -> Term:
-        tok = self.expect("ident")
-        if tok.kind != "ident" or tok.text in _KEYWORDS:
-            raise FormulaError(f"expected a term, found {tok.text!r}", tok.pos)
-        if self.peek().kind == "lpar":
+        _, name, pos = self.expect("ident")
+        if self.peek() == "lpar":
             self.next()
             arg = self.term()
             self.expect("rpar")
-            return App(tok.text, arg, pos=tok.pos)
-        return Var(tok.text, pos=tok.pos)
+            return App(name, arg, pos=pos)
+        return Var(name, pos=pos)
 
 
 def parse(text: str) -> Formula:
     """Parse a formula; raises FormulaError with an offset on bad input."""
     parser = _Parser(text)
     phi = parser.formula()
-    tail = parser.peek()
-    if tail.kind != "eof":
-        raise FormulaError(f"unexpected trailing input {tail.text!r}", tail.pos)
+    kind, value, pos = parser.next()
+    if kind != "eof":
+        raise FormulaError(f"unexpected trailing input {value!r}", pos)
     return phi
 
 
@@ -681,8 +681,8 @@ def _build_mono(
             return _built(env, ("or", inputs), lambda: image_factorization(
                 coproduct(a.dom, b.dom).copair(a, b))[1])
         trace.append("implies:pullback+pi")
-        return _built(env, ("implies", inputs), lambda: pi_diagram(
-            pullback(a, b).p1, a).phi)
+        return _built(env, ("implies", inputs), lambda: pi_object(
+            pullback(a, b).p1, a))
     if isinstance(phi, (Forall, Exists)):
         inner_ctx = ctx.extend(phi.var, env.objects[phi.sort])
         inner_prod = context_product(inner_ctx)
@@ -692,8 +692,8 @@ def _build_mono(
         inputs = (inner_ctx.objects, body.dom, body.table)
         if isinstance(phi, Forall):
             trace.append("forall:product+pi")
-            return _built(env, ("forall", inputs), lambda: pi_diagram(
-                body, _drop_last_projection(inner_prod, cprod)).phi)
+            return _built(env, ("forall", inputs), lambda: pi_object(
+                body, _drop_last_projection(inner_prod, cprod)))
         trace.append("exists:image")
         return _built(env, ("exists", inputs), lambda: image_factorization(
             compose(_drop_last_projection(inner_prod, cprod), body))[1])

@@ -39,6 +39,7 @@ from cetcs.finset import (
     initial,
     nno_prefix,
     pi_diagram,
+    pi_object,
     product,
     product_n,
     projective_cover,
@@ -379,6 +380,23 @@ def test_pi_section_count_matches_independent_formula():
                     for f in all_maps(x, i):
                         d = pi_diagram(g, f)
                         assert len(d.F) == independent_section_count(g, f)
+
+
+def test_pi_object_is_the_phi_of_pi_diagram():
+    pairs = 0
+    for y, x, i in itertools.product(*(small_objects(3, p) for p in "yxi")):
+        for g in all_maps(y, x):
+            fs = list(all_maps(x, i))
+            phis = [pi_object(g, f) for f in fs]
+            # pi_object keeps nothing on g; pi_diagram then starts cold
+            assert "_sections" not in g.__dict__
+            for f, phi in zip(fs, phis):
+                expected = pi_diagram(g, f).phi
+                assert phi.dom.labels == expected.dom.labels
+                assert phi.table == expected.table
+                assert phi.cod == expected.cod == i
+                pairs += 1
+    assert pairs == 1678
 
 
 def test_pi_empty_fiber_kills_sections():

@@ -7,8 +7,6 @@ m = {(x0,y0),(x0,y1),(x2,y0)}, f = x0,x1 -> y0, x2 -> y1).
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +19,7 @@ from cetcs.finset import (
     PullbackSquare,
     equalizer,
     image_factorization,
-    pi_diagram,
+    pi_object,
     pullback,
 )
 from cetcs.logic import (
@@ -126,6 +124,39 @@ def test_parse_error_positions():
         parse("")
     with pytest.raises(FormulaError):
         parse("forall y Y. r(x)")
+
+
+# The exact message and offset for each malformed input, whitespace-only,
+# tab and newline input included.
+@pytest.mark.parametrize("text, message", [
+    ("", "expected a formula, found 'end of input' (at offset 0)"),
+    ("  ", "expected a formula, found 'end of input' (at offset 2)"),
+    ("r(x", "expected 'rpar', found 'end of input' (at offset 3)"),
+    ("r(x))", "unexpected trailing input ')' (at offset 4)"),
+    ("x =", "expected 'ident', found 'end of input' (at offset 3)"),
+    ("r(x) # s", "unexpected character '#' (at offset 5)"),
+    ("true(x)", "unexpected trailing input '(' (at offset 4)"),
+    ("f(x, y) = z", "left side of '=' must be a term (one argument) (at offset 8)"),
+    ("r(true)", "expected 'ident', found 'true' (at offset 2)"),
+    ("forall y Y. r(x)", "expected 'colon', found 'Y' (at offset 9)"),
+    ("r(x) /\\ x", "expected '(' or '=' after 'x' (at offset 8)"),
+    ("\t", "expected a formula, found 'end of input' (at offset 1)"),
+    (" \t\n", "expected a formula, found 'end of input' (at offset 3)"),
+    ("\tr(x) #", "unexpected character '#' (at offset 6)"),
+    ("r(x)\n#", "unexpected character '#' (at offset 5)"),
+    ("\nr(x", "expected 'rpar', found 'end of input' (at offset 4)"),
+    ("r(x)\t)", "unexpected trailing input ')' (at offset 5)"),
+    ("\n\tforall", "expected 'ident', found 'end of input' (at offset 8)"),
+    ("r(x) =>\n", "expected a formula, found 'end of input' (at offset 8)"),
+    ("exists y:Y r(x)", "expected 'dot', found 'r' (at offset 11)"),
+    ("r(x, )", "expected 'ident', found ')' (at offset 5)"),
+    ("x = forall", "expected 'ident', found 'forall' (at offset 4)"),
+    ("r(x) @\n", "unexpected character '@' (at offset 5)"),
+])
+def test_parse_error_messages_are_pinned(text, message):
+    with pytest.raises(FormulaError) as err:
+        parse(text)
+    assert str(err.value) == message
 
 
 def test_bare_identifier_needs_application_or_equality():
@@ -442,16 +473,15 @@ def _dropping_image(f):
     return e, _without_last_point(i)
 
 
-def _dropping_pi(g, f):
-    d = pi_diagram(g, f)
-    return dataclasses.replace(d, phi=_without_last_point(d.phi))
+def _dropping_pi_object(g, f):
+    return _without_last_point(pi_object(g, f))
 
 
 MUTANTS = {
     "pullback": _dropping_pullback,
     "equalizer": _dropping_equalizer,
     "image_factorization": _dropping_image,
-    "pi_diagram": _dropping_pi,
+    "pi_object": _dropping_pi_object,
 }
 
 
@@ -461,8 +491,8 @@ MUTANTS = {
     ("equalizer", "f(x) = f(x)"),
     ("image_factorization", r"true \/ false"),
     ("image_factorization", "exists y:Y. true"),
-    ("pi_diagram", "true => true"),
-    ("pi_diagram", "forall y:Y. true"),
+    ("pi_object", "true => true"),
+    ("pi_object", "forall y:Y. true"),
 ])
 def test_verify_rejects_a_construction_that_drops_a_point(
     std_model, monkeypatch, construction, text
