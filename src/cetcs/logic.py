@@ -26,16 +26,20 @@ touching none of the constructions above, and ``verify`` sweeps every
 context tuple comparing the two routes.
 
 An ``Env`` holds read-only snapshots of its carriers, relations and maps,
-and keeps two bounded memos.  The first maps (context, node) to the node's
+and keeps four bounded memos.  The first maps (context, node) to the node's
 mono, so a subtree repeated within a formula, or shared with one compiled
 just before, is built once; a memoized node replays its trace steps, so the
 trace reads the same either way.  The second maps a connective and its
 input monos (the two children's for ``/\\``, ``\\/`` and ``=>``; the body's
 and the extended context's carriers for a quantifier) to the mono the
 connective builds from them, so different formulas whose children reduce
-to the same subobjects share one construction.  The env also remembers the
-last formula it type-checked, so the oracle's per-row check costs nothing;
-the oracle itself still evaluates every row without either memo.
+to the same subobjects share one construction.  Two more keep each
+relation's mono, by name, and each quantifier's projection onto the context
+less its last variable, by the extended context's carriers.  The type
+checker skips a subtree already in the first memo: it was checked in that
+same context before it was compiled.  The env also remembers the last
+formula it type-checked, so the oracle's per-row check costs nothing; the
+oracle itself still evaluates every row without any memo.
 """
 
 from __future__ import annotations
@@ -216,34 +220,34 @@ def render(phi: Formula) -> str:
 
 @dataclass(frozen=True)
 class Context:
-    """Ordered typed variables; names must be distinct."""
+    """Ordered typed variables; names must be distinct.
+
+    ``names``, ``objects`` and the generated hash are computed once, at
+    construction: every memo lookup hashes its context.
+    """
 
     vars: tuple[tuple[str, FinObj], ...]
 
     def __post_init__(self):
-        names = [n for n, _ in self.vars]
+        names = tuple(n for n, _ in self.vars)
         if len(set(names)) != len(names):
-            raise ShapeError(f"duplicate context variable in {names}")
+            raise ShapeError(f"duplicate context variable in {list(names)}")
+        kept = self.__dict__
+        kept["names"] = names
+        kept["objects"] = tuple(o for _, o in self.vars)
+        kept["_hash"] = hash((self.vars,))
 
     def __hash__(self) -> int:
-        # The generated hash, computed on first use and kept: every memo
-        # lookup hashes its context.
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self.__dict__["_hash"] = hash((self.vars,))
-        return h
+        return self._hash
 
     def __getstate__(self) -> dict:
-        # str hashes differ between processes, so a kept hash is not pickled
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+        # str hashes differ between processes, so the kept hash is not
+        # pickled but recomputed on loading
+        return {"vars": self.vars}
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.vars)
-
-    @property
-    def objects(self) -> tuple[FinObj, ...]:
-        return tuple(o for _, o in self.vars)
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.__post_init__()
 
     def sort_of(self, name: str) -> FinObj | None:
         for n, o in self.vars:
@@ -268,7 +272,7 @@ class Context:
         return len(self.vars)
 
 
-# Entries kept by each of an Env's two memos.  Each entry keeps a compiled
+# Entries kept by each of an Env's memos.  Each entry keeps a compiled
 # subobject alive, so size costs memory.  perfbench formula-shared at seed 7
 # (reference seconds, one run each): the (context, node) memo alone at 64
 # entries ran in 8.24 s at a 37.9 MB peak, and alone at 256 entries in
@@ -292,21 +296,34 @@ class _LRU(OrderedDict):
         if len(self) > _MEMO_SIZE:
             self.popitem(last=False)
 
+    def kept(self, key, build):
+        """The value under key, now most recently used; built and kept if absent."""
+        value = self.hit(key)
+        if value is None:
+            value = build()
+            self.keep(key, value)
+        return value
+
 
 class _Memo:
     """What an Env remembers between calls.
 
     ``compiled`` maps (context, node) to the node's mono and the trace steps
     that built it; ``built`` maps (connective, input monos) to the mono the
-    connective builds from them; ``checked`` is the last (context, formula)
-    that ``check_formula`` accepted.
+    connective builds from them; ``relations`` maps a relation's name to its
+    mono into the product of its carriers, and ``projections`` the carriers
+    of an extended context to its projection onto the context less its
+    last variable; ``checked`` is the last (context, formula) that
+    ``check_formula`` accepted.
     """
 
-    __slots__ = ("compiled", "built", "checked")
+    __slots__ = ("compiled", "built", "relations", "projections", "checked")
 
     def __init__(self) -> None:
         self.compiled = _LRU()
         self.built = _LRU()
+        self.relations = _LRU()
+        self.projections = _LRU()
         self.checked: tuple[Context, Formula] | None = None
 
 
@@ -554,6 +571,11 @@ def check_formula(ctx: Context, phi: Formula, env: Env) -> None:
 def _check(ctx: Context, phi: Formula, env: Env) -> None:
     if isinstance(phi, (Top, Bot)):
         return
+    # A node in the compile memo was checked in this very context, since
+    # compile_formula checks a whole formula before compiling any node of
+    # it.  A membership test leaves the LRU order alone.
+    if (ctx, phi) in env._memo.compiled:
+        return
     if isinstance(phi, Atom):
         rel = env.relations.get(phi.name)
         if rel is None:
@@ -606,19 +628,10 @@ def _product_cached(objs: tuple[FinObj, ...]) -> ProductDiagram:
     return product_n(objs)
 
 
-def context_product(ctx: Context) -> ProductDiagram:
-    return _product_cached(ctx.objects)
-
-
 def _term_mor(ctx: Context, t: Term, env: Env, cprod: ProductDiagram) -> FinMor:
     if isinstance(t, Var):
         return cprod.projections[ctx.position(t.name)]
     return compose(env.morphisms[t.fn], _term_mor(ctx, t.arg, env, cprod))
-
-
-def _drop_last_projection(outer: ProductDiagram, inner: ProductDiagram) -> FinMor:
-    """The projection from the extended context product onto the original one."""
-    return inner.pair(outer.projections[:-1], dom=outer.apex)
 
 
 def _compile_mono(
@@ -646,6 +659,7 @@ def _compile_mono(
 def _build_mono(
     ctx: Context, phi: Formula, env: Env, cprod: ProductDiagram, trace: list[str]
 ) -> FinMor:
+    memo = env._memo
     if isinstance(phi, Top):
         trace.append("true:identity")
         return identity(cprod.apex)
@@ -655,7 +669,8 @@ def _build_mono(
     if isinstance(phi, Atom):
         rel = env.relations[phi.name]
         tprod = _product_cached(rel.cods)
-        rel_mono = tprod.pair(rel.legs, dom=rel.dom)
+        rel_mono = memo.relations.kept(
+            phi.name, lambda: tprod.pair(rel.legs, dom=rel.dom))
         terms = tprod.pair(
             tuple(_term_mor(ctx, a, env, cprod) for a in phi.args), dom=cprod.apex
         )
@@ -667,54 +682,46 @@ def _build_mono(
         rhs = _term_mor(ctx, phi.rhs, env, cprod)
         trace.append("eq:equalizer")
         return equalizer(lhs, rhs)
+    # A connective's mono is built once per Env for a key naming it and the
+    # inputs that fix its result.  An input mono is spelled by its domain and
+    # table rather than by itself, its codomain being the context product:
+    # FinMor's generated hash and equality build a tuple of its fields in
+    # Python on every call, which made each lookup cost about twice as much.
+    built = memo.built.kept
     if isinstance(phi, (And, Or, Implies)):
         a = _compile_mono(ctx, phi.lhs, env, cprod, trace)
         b = _compile_mono(ctx, phi.rhs, env, cprod, trace)
-        # Both are subobjects of the context product, whose apex stands for
-        # their codomain in the key.
         inputs = (cprod.apex, a.dom, a.table, b.dom, b.table)
         if isinstance(phi, And):
             trace.append("and:pullback")
-            return _built(env, ("and", inputs), lambda: compose(a, pullback(a, b).p1))
+            return built(("and", inputs), lambda: compose(a, pullback(a, b).p1))
         if isinstance(phi, Or):
             trace.append("or:sum+image")
-            return _built(env, ("or", inputs), lambda: image_factorization(
+            return built(("or", inputs), lambda: image_factorization(
                 coproduct(a.dom, b.dom).copair(a, b))[1])
         trace.append("implies:pullback+pi")
-        return _built(env, ("implies", inputs), lambda: pi_object(
-            pullback(a, b).p1, a))
+        return built(("implies", inputs), lambda: pi_object(pullback(a, b).p1, a))
     if isinstance(phi, (Forall, Exists)):
         inner_ctx = ctx.extend(phi.var, env.objects[phi.sort])
-        inner_prod = context_product(inner_ctx)
+        objs = inner_ctx.objects
+        inner_prod = _product_cached(objs)
         body = _compile_mono(inner_ctx, phi.body, env, inner_prod, trace)
         # The inner carriers fix both context products (the outer context is
-        # the inner one less its last variable), hence the projection.
-        inputs = (inner_ctx.objects, body.dom, body.table)
+        # the inner one less its last variable), hence the projection that
+        # drops the last variable, kept per Env for them.
+        inputs = (objs, body.dom, body.table)
+
+        def drop() -> FinMor:
+            return memo.projections.kept(objs, lambda: cprod.pair(
+                inner_prod.projections[:-1], dom=inner_prod.apex))
+
         if isinstance(phi, Forall):
             trace.append("forall:product+pi")
-            return _built(env, ("forall", inputs), lambda: pi_object(
-                body, _drop_last_projection(inner_prod, cprod)))
+            return built(("forall", inputs), lambda: pi_object(body, drop()))
         trace.append("exists:image")
-        return _built(env, ("exists", inputs), lambda: image_factorization(
-            compose(_drop_last_projection(inner_prod, cprod), body))[1])
+        return built(("exists", inputs), lambda: image_factorization(
+            compose(drop(), body))[1])
     raise FormulaError(f"unsupported formula node {phi!r}")
-
-
-def _built(env: Env, key: tuple, build) -> FinMor:
-    """The mono ``build()`` returns, built once per Env for one key.
-
-    The key names the connective and the inputs that fix its result.  An
-    input mono is spelled by its domain and table, its codomain being the
-    ambient product, rather than by itself: FinMor's generated ``__hash__``
-    and ``__eq__`` build a tuple of its fields in Python on every call,
-    which made each lookup cost about twice as much.
-    """
-    memo = env._memo.built
-    mono = memo.hit(key)
-    if mono is None:
-        mono = build()
-        memo.keep(key, mono)
-    return mono
 
 
 def compile_formula(ctx: Context, phi: Formula, env: Env) -> CompilationResult:
@@ -723,7 +730,7 @@ def compile_formula(ctx: Context, phi: Formula, env: Env) -> CompilationResult:
     The trace lists, in postorder, which construction realized each node.
     """
     check_formula(ctx, phi, env)
-    cprod = context_product(ctx)
+    cprod = _product_cached(ctx.objects)
     trace: list[str] = []
     mono = _compile_mono(ctx, phi, env, cprod, trace)
     legs = tuple(compose(p, mono) for p in cprod.projections)
@@ -784,8 +791,8 @@ def oracle(ctx: Context, phi: Formula, env: Env, row: Sequence[str]) -> bool:
     row = tuple(row)
     if len(row) != len(ctx):
         raise ShapeError(f"expected {len(ctx)} components, got {len(row)}")
-    for lbl, (_, obj) in zip(row, ctx.vars):
-        if lbl not in obj:
+    for lbl, obj in zip(row, ctx.objects):
+        if lbl not in obj.index:
             raise ShapeError(f"{lbl!r} is not a label of {obj}")
     return _eval(phi, env, dict(zip(ctx.names, row)))
 

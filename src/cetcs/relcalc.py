@@ -14,13 +14,13 @@ factoring map; one of the checked statements is that they agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import CompositionError, JointMonicityError, ShapeError
 from .finset import (
     FinMor,
     FinObj,
+    _rows,
     compose,
     tuple_label,
 )
@@ -31,26 +31,33 @@ class Relation:
     """A jointly monic tuple of legs out of a shared domain.
 
     ``dom`` is stored explicitly so the arity-0 case (a subterminal) still
-    knows its carrier.  Rows are exposed as ``tuples``/``member``.
+    knows its carrier.  Validation zips the leg tables into rows once and
+    keeps a map from each row to its label, which ``tuples``, ``member``
+    and both inclusions read.
     """
 
     dom: FinObj
     legs: tuple[FinMor, ...]
 
     def __post_init__(self):
+        dom = self.dom
         for leg in self.legs:
-            if leg.dom != self.dom:
+            if leg.dom is not dom and leg.dom != dom:
                 raise ShapeError("relation legs must share their domain")
-        seen: dict[tuple[str, ...], str] = {}
-        for a in self.dom.labels:
-            row = tuple(leg(a) for leg in self.legs)
-            if row in seen:
-                raise JointMonicityError(
-                    f"legs are not jointly monic: {seen[row]!r} and {a!r} "
-                    f"share the row {row!r}",
-                    (seen[row], a),
-                )
-            seen[row] = a
+        tables, labels = tuple(leg.table for leg in self.legs), dom.labels
+        index = dict(zip(_rows(tables, len(labels)), labels))
+        if len(index) != len(labels):
+            # some row repeats: find the first repeat, for the witness
+            seen: dict[tuple[str, ...], str] = {}
+            for a, row in zip(labels, _rows(tables, len(labels))):
+                if row in seen:
+                    raise JointMonicityError(
+                        f"legs are not jointly monic: {seen[row]!r} and {a!r} "
+                        f"share the row {row!r}",
+                        (seen[row], a),
+                    )
+                seen[row] = a
+        self.__dict__["_index"] = index
 
     @property
     def arity(self) -> int:
@@ -60,19 +67,13 @@ class Relation:
     def cods(self) -> tuple[FinObj, ...]:
         return tuple(leg.cod for leg in self.legs)
 
-    @cached_property
+    @property
     def tuples(self) -> tuple[tuple[str, ...], ...]:
         """All rows, in domain order."""
-        return tuple(
-            tuple(leg(a) for leg in self.legs) for a in self.dom.labels
-        )
-
-    @cached_property
-    def _rows(self) -> frozenset:
-        return frozenset(self.tuples)
+        return tuple(self._index)
 
     def member(self, row: Sequence[str]) -> bool:
-        return tuple(row) in self._rows
+        return tuple(row) in self._index
 
     def __str__(self) -> str:
         rows = ", ".join(tuple_label(r) for r in self.tuples)
@@ -129,7 +130,7 @@ def subseteq(m: Relation, n: Relation) -> bool:
     """Row-level inclusion: every member of m is a member of n."""
     if m.cods != n.cods:
         raise ShapeError("inclusion needs relations into the same carriers")
-    return all(n.member(row) for row in m.tuples)
+    return all(row in n._index for row in m._index)
 
 
 def leq(m: Relation, n: Relation) -> tuple[bool, FinMor | None]:
@@ -139,9 +140,9 @@ def leq(m: Relation, n: Relation) -> tuple[bool, FinMor | None]:
     """
     if m.cods != n.cods:
         raise ShapeError("inclusion needs relations into the same carriers")
-    locate = {row: a for row, a in zip(n.tuples, n.dom.labels)}
+    locate = n._index
     table = []
-    for row in m.tuples:
+    for row in m._index:
         if row not in locate:
             return False, None
         table.append(locate[row])

@@ -8,6 +8,7 @@ written independently of the library code they judge.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
@@ -47,6 +48,7 @@ from cetcs.logic import (
     Or,
     Top,
     Var,
+    compile_formula,
     parse_context,
     verify,
 )
@@ -198,6 +200,29 @@ def test_criterion_2_formula_suite_zero_discrepancies(capsys):
     assert len(tree_suite) > 5000 and len(chain_suite) > 150
     assert discrepancies == []
     assert elapsed <= 120.0
+
+
+# The compiled output of the criterion-2 suite, recorded before the
+# logic-layer speed-ups it guards: per formula, the compiled relation's
+# domain labels and leg tables, the trace, the verdict and the row count.
+CRITERION_2_DIGEST = "5c2955400e33b9a3fc69800922e58b340c534dd9703514b794c90998fab5492c"
+
+
+def test_criterion_2_compiled_output_is_pinned():
+    digest = hashlib.sha256()
+    formulas = closure(2, False) + operator_words(3)
+    for nx, ny in ((3, 2), (2, 3)):
+        env = size_config_env(nx, ny)
+        ctx = parse_context("x:X", env.objects)
+        for phi in formulas:
+            result = compile_formula(ctx, phi, env)
+            rel = result.relation
+            rep = verify(ctx, phi, env)
+            digest.update(repr((
+                rel.dom.labels, [leg.table for leg in rel.legs], result.trace,
+                rep.verdict, rep.instances_checked,
+            )).encode())
+    assert digest.hexdigest() == CRITERION_2_DIGEST
 
 
 # ---------------------------------------------------------------------------

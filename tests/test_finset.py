@@ -624,3 +624,4 @@ def test_carriers_survive_a_pickle_from_another_hash_seed():
         fresh = carrier("a", "b")
         assert a in {fresh} and hash(a) == hash(fresh)
         assert ctx in {Context((("x", fresh),))}
+        assert ctx.names == ("x",) and ctx.objects == (fresh,)

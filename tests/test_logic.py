@@ -208,6 +208,38 @@ def test_check_rejects_shadowing(ctx, env):
         check_formula(ctx, parse("forall y:Y. exists y:Y. m(x,y)"), env)
 
 
+def _check_error(ctx, phi, env):
+    with pytest.raises(FormulaError) as err:
+        check_formula(ctx, phi, env)
+    return str(err.value), err.value.pos
+
+
+def test_check_reports_the_same_error_past_a_memoized_subtree(std_model):
+    # The left conjunct is in the compile memo, so checking skips it; the
+    # ill-typed right conjunct must still raise as on a fresh Env.
+    left = parse("forall y:Y. m(x,y)")
+    phi = parse(r"(forall y:Y. m(x,y)) /\ (forall y:Y. m(y,x))")
+    fresh = std_model.env()
+    ctx = parse_context("x:X", fresh.objects)
+    want = _check_error(ctx, phi, fresh)
+    assert want == (
+        "argument of 'm' has sort {y0, y1}, expected {x0, x1, x2} (at offset 37)", 37,
+    )
+    warm = std_model.env()
+    compile_formula(ctx, left, warm)
+    assert (ctx, left) in warm._memo.compiled
+    assert _check_error(ctx, phi, warm) == want
+
+
+def test_a_body_checked_in_a_wider_context_is_not_checked_in_a_narrower_one(std_model):
+    env = std_model.env()
+    ctx = parse_context("x:X", env.objects)
+    wide = parse_context("x:X, y:X", env.objects)
+    compile_formula(ctx, parse("forall y:X. r(y)"), env)
+    assert (wide, parse("r(y)")) in env._memo.compiled
+    assert _check_error(ctx, parse("r(y)"), env) == ("unbound variable 'y' (at offset 2)", 2)
+
+
 def test_check_accepts_the_standard_suite(ctx, env):
     for text in (r"r(x) /\ s(x)", "m(x, f(x))", "forall y:Y. m(x,y)"):
         check_formula(ctx, parse(text), env)
@@ -433,6 +465,18 @@ def test_compile_memo_keeps_at_most_its_size(env, ctx):
     assert len(env._memo.compiled) == _MEMO_SIZE
     assert len(env._memo.built) == _MEMO_SIZE
     assert set(compile_formula(ctx, phi, env).relation.tuples) == {("x0",), ("x1",)}
+
+
+def test_quantifiers_over_one_context_keep_a_projection_per_sort(std_model):
+    # Both binders extend x:X, by Y and by X: each needs its own projection.
+    env = std_model.env()
+    ctx = parse_context("x:X", env.objects)
+    for text in ("forall y:Y. m(x,y)", r"exists z:X. r(z) /\ s(x)",
+                 r"forall z:X. r(z) \/ r(x)", "exists y:Y. m(x,y)"):
+        phi = parse(text)
+        want = compile_formula(ctx, phi, std_model.env())
+        assert compile_formula(ctx, phi, env) == want
+        assert verify(ctx, phi, env).passed
 
 
 def test_verify_rejects_a_poisoned_construction_memo(env, ctx):

@@ -150,3 +150,65 @@ def test_function_predicates_match_row_counting(rows):
     per_x = {x: sum(1 for (a, _) in rows if a == x) for x in X.labels}
     assert is_partial_function(r) == all(v <= 1 for v in per_x.values())
     assert is_total_function(r) == all(v == 1 for v in per_x.values())
+
+
+# ---------------------------------------------------------------------------
+# construction-time validation, pinned
+
+
+def test_relation_names_the_first_duplicate_after_distinct_rows():
+    d = carrier("p", "q", "r")
+    legs = (FinMor(d, X, ("x0", "x1", "x0")), FinMor(d, Y, ("y1", "y1", "y1")))
+    with pytest.raises(JointMonicityError) as err:
+        Relation(dom=d, legs=legs)
+    assert str(err.value) == (
+        "legs are not jointly monic: 'p' and 'r' share the row ('x0', 'y1')"
+    )
+    assert err.value.witness == ("p", "r")
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_arity_zero_relation_has_at_most_one_point(n):
+    dom = FinObj(tuple(f"a{i}" for i in range(n)))
+    if n < 2:
+        r = Relation(dom=dom, legs=())
+        assert r.tuples == ((),) * n
+        assert r.member(()) == (n == 1)
+        assert not r.member(("x0",))
+        return
+    with pytest.raises(JointMonicityError) as err:
+        Relation(dom=dom, legs=())
+    assert str(err.value) == "legs are not jointly monic: 'a0' and 'a1' share the row ()"
+    assert err.value.witness == ("a0", "a1")
+
+
+@st.composite
+def leg_tuples(draw):
+    dom = FinObj(tuple(f"d{i}" for i in range(draw(st.integers(0, 4)))))
+    cods = draw(st.lists(st.sampled_from([X, Y]), max_size=3))
+    legs = tuple(
+        FinMor(dom, c, tuple(draw(st.sampled_from(c.labels)) for _ in dom.labels))
+        for c in cods
+    )
+    return dom, legs
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(leg_tuples())
+def test_rows_are_the_per_label_definition(dom_legs):
+    dom, legs = dom_legs
+    rows = tuple(tuple(leg(a) for leg in legs) for a in dom.labels)
+    first = {}
+    for a, row in zip(dom.labels, rows):
+        if row in first:
+            with pytest.raises(JointMonicityError) as err:
+                Relation(dom=dom, legs=legs)
+            assert err.value.witness == (first[row], a)
+            return
+        first[row] = a
+    r = Relation(dom=dom, legs=legs)
+    assert r.tuples == rows
+    for row in itertools.product(*(leg.cod.labels for leg in legs)):
+        assert r.member(row) == (row in first)
+        assert r.member(list(row)) == (row in first)
+    assert not r.member(("nowhere",) * (len(legs) + 1))
