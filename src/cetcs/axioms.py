@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 import random
 import time
@@ -367,12 +366,6 @@ def _orbit_sweep(spec: CheckSpec, carriers: Iterable[tuple[FinObj, ...]],
 # dependent-product checking (shared by the axiom and the CLI `pi` command)
 
 
-def _same(a: FinObj, b: FinObj) -> bool:
-    # Identity first: constructions share their carriers, and FinObj's
-    # generated __eq__ builds two tuples.
-    return a is b or a == b
-
-
 def _report(item: str, t0: float, verdict: str, witness: dict | None, checked: int) -> Report:
     """The report of a check begun at ``t0``."""
     return Report(item=item, verdict=verdict, witness=witness,
@@ -391,9 +384,11 @@ def check_pi_universal(d: PiDiagram, g: FinMor, f: FinMor) -> Report:
     failure carries the instance it happened on.
 
     The checker reads the tables of d, g and f in zipped passes and indexes
-    them itself: f by value, g by fiber size, and P by its (pi1, pi2) rows
-    and each v's (x, y) rows in one pass.  Every face counts one instance
-    per statement it decides, in the order above.
+    them itself: f by value, g by fiber size, and P by its (pi1, pi2) rows,
+    each mapped to its ev value.  Every face counts one instance per
+    statement it decides, in the order above; the pullback face is decided
+    by counting too, and walks its (v, x) pairs only to name the first that
+    fails.
 
     The element-wise criterion is decided by counting.  Once the earlier
     faces pass, the rows of each v over i are a section of g over the
@@ -409,61 +404,68 @@ def check_pi_universal(d: PiDiagram, g: FinMor, f: FinMor) -> Report:
     with two; each psi counts one instance either way.
     """
     t0, item = time.perf_counter(), "pi-universal"
-    checked = 0
     y_obj, x_obj, i_obj, P, F = g.dom, g.cod, f.cod, d.P, d.F
     pi1, pi2, phi, ev = d.pi1, d.pi2, d.phi, d.ev
-    shape_checks = [
-        (_same(pi1.dom, P) and _same(pi1.cod, F), "pi1 feet"),
-        (_same(pi2.dom, P) and _same(pi2.cod, x_obj), "pi2 feet"),
-        (_same(phi.dom, F) and _same(phi.cod, i_obj), "phi feet"),
-        (_same(ev.dom, P) and _same(ev.cod, y_obj), "ev feet"),
-    ]
-    for ok, face in shape_checks:
-        checked += 1
-        if not ok:
-            return _report(item, t0, FAIL, {"face": face}, checked)
+    # Identity first: constructions share their carriers, and FinObj's
+    # generated __eq__ builds two tuples.
+    if not (pi1.dom is P and pi1.cod is F and pi2.dom is P and pi2.cod is x_obj
+            and phi.dom is F and phi.cod is i_obj and ev.dom is P and ev.cod is y_obj):
+        feet = ((pi1, P, F, "pi1 feet"), (pi2, P, x_obj, "pi2 feet"),
+                (phi, F, i_obj, "phi feet"), (ev, P, y_obj, "ev feet"))
+        for checked, (leg, dom, cod, face) in enumerate(feet, 1):
+            if leg.dom != dom or leg.cod != cod:
+                return _report(item, t0, FAIL, {"face": face}, checked)
     # With the feet in place both faces are equalities of tables.
-    checked += 1
+    checked = 5  # the four feet, then this face
     g_at, g_table = y_obj.index, g.table
     if tuple([g_table[g_at[y]] for y in ev.table]) != pi2.table:
         return _report(item, t0, FAIL, {"face": "evaluation triangle g∘ev = pi2"}, checked)
-    checked += 1
+    checked = 6
     phi_at, phi_table, f_at, f_table = F.index, phi.table, f.dom.index, f.table
     if ([phi_table[phi_at[v]] for v in pi1.table]
             != [f_table[f_at[x]] for x in pi2.table]):
         return _report(item, t0, FAIL, {"face": "square phi∘pi1 = f∘pi2"}, checked)
 
     # The square is a pullback.  It commutes, so every point of P lies over
-    # a compatible (v, x), and "exactly one point each" leaves no stray one.
+    # one of the compatible (v, x), and "exactly one point each" says that
+    # the points have distinct (v, x) and number as many as those pairs.
     fiber_f: dict[str, list[str]] = {i: [] for i in i_obj.labels}
     for x, i in zip(f.dom.labels, f_table):
         fiber_f[i].append(x)
-    hits: dict[tuple[str, str], int] = {}
-    rows: dict[str, list[tuple[str, str]]] = {v: [] for v in F.labels}
-    for v, x, y in zip(pi1.table, pi2.table, ev.table):
-        hits[v, x] = hits.get((v, x), 0) + 1
-        rows[v].append((x, y))
-    for v, i in zip(F.labels, phi_table):
-        for x in fiber_f[i]:
-            checked += 1
-            points = hits.get((v, x), 0)
-            if points != 1:
-                return _report(item, t0, FAIL, {"face": "square pullback", "v": v,
-                                                "x": x, "points": points}, checked)
+    compatible = 0
+    for i in phi_table:
+        compatible += len(fiber_f[i])
+    at = dict(zip(zip(pi1.table, pi2.table), ev.table))
+    if len(at) == len(P.labels) == compatible:
+        checked += compatible
+    else:
+        hits = Counter(zip(pi1.table, pi2.table))
+        for v, i in zip(F.labels, phi_table):
+            for x in fiber_f[i]:
+                checked += 1
+                if hits[v, x] != 1:
+                    return _report(item, t0, FAIL, {"face": "square pullback", "v": v,
+                                                    "x": x, "points": hits[v, x]}, checked)
 
-    # Each v's rows are now a section over its fiber: count (see above), and
-    # enumerate the sections only to name the first that fails.
+    # Each v's rows are now a section over its fiber, its ev values in fiber
+    # order: count (see above), and enumerate the sections only to name the
+    # first that fails.
     g_sizes = dict.fromkeys(x_obj.labels, 0)
     for x in g_table:
         g_sizes[x] += 1
-    sections = sum(math.prod([g_sizes[x] for x in xs]) for xs in fiber_f.values())
-    distinct = {(i, frozenset(rows[v])) for v, i in zip(F.labels, phi_table)}
-    if len(distinct) == len(F) == sections:
-        checked += sections
-        return _report(item, t0, PASS, None, checked)
+    sections = 0
+    for xs in fiber_f.values():
+        n = 1
+        for x in xs:
+            n *= g_sizes[x]
+        sections += n
+    distinct = {(i, *[at[v, x] for x in fiber_f[i]]) for v, i in zip(F.labels, phi_table)}
+    if len(distinct) == len(F.labels) == sections:
+        return _report(item, t0, PASS, None, checked + sections)
     points_over: dict[str, dict[frozenset, list[str]]] = {i: {} for i in i_obj.labels}
     for v, i in zip(F.labels, phi_table):
-        points_over[i].setdefault(frozenset(rows[v]), []).append(v)
+        psi = frozenset([(x, at[v, x]) for x in fiber_f[i]])
+        points_over[i].setdefault(psi, []).append(v)
     fiber_g: dict[str, list[str]] = {x: [] for x in x_obj.labels}
     for y, x in zip(y_obj.labels, g_table):
         fiber_g[x].append(y)

@@ -77,9 +77,9 @@ class FinObj:
 class FinMor:
     """A total mapping table; ``table[i]`` is the image of ``dom.labels[i]``.
 
-    ``pi_diagram`` keeps the sections it enumerates for g on g itself, as
-    ``_sections``.  They are read off the table, so equality and hashing,
-    which look only at the fields, ignore them.
+    ``pi_diagram`` keeps the fibers and diagram blocks it builds for g on g
+    itself, as ``_sections``.  They are read off the table, so equality and
+    hashing, which look only at the fields, ignore them.
     """
 
     dom: FinObj
@@ -87,7 +87,7 @@ class FinMor:
     table: tuple[str, ...]
 
     def __post_init__(self):
-        if len(self.table) != len(self.dom):
+        if len(self.table) != len(self.dom.labels):
             raise ShapeError(
                 f"table length {len(self.table)} != domain size {len(self.dom)}"
             )
@@ -427,6 +427,23 @@ def _fiber_sections(
         yield choice, ",".join([f"{x}↦{y}" for x, y in zip(xs, choice)])
 
 
+def _pi_block(fiber_g: dict[str, list[str]], i: str, xs: tuple[str, ...]) -> tuple:
+    """The block of ``pi_diagram`` for the point i with f-fiber xs.
+
+    Its F labels, phi entries, P labels and pi1, pi2 and ev chunks, as tuples.
+    """
+    f_labels, p_labels, pi1_chunk, ev_chunk = [], [], [], []
+    for choice, inner in _fiber_sections(fiber_g, xs):
+        v = f"({i}|{inner})"
+        f_labels.append(v)
+        p_labels += [f"({v},{x})" for x in xs]
+        pi1_chunk += [v] * len(xs)
+        ev_chunk += choice
+    n = len(f_labels)
+    return (tuple(f_labels), (i,) * n, tuple(p_labels), tuple(pi1_chunk),
+            xs * n, tuple(ev_chunk))
+
+
 def pi_diagram(g: FinMor, f: FinMor) -> PiDiagram:
     """Construct the dependent product for the composable pair (g, f).
 
@@ -437,44 +454,38 @@ def pi_diagram(g: FinMor, f: FinMor) -> PiDiagram:
     labels: the points ``(v,x)`` with v in F's order and, for one v, x in
     the f-fiber of phi(v) in X's order.
 
-    The sections of g over a list of points xs of X depend on g and xs
-    only, so g keeps them, as a carrier keeps its index: on first use it
-    stores its fibers and, for each xs met so far, the choice tuples and
-    the ``x↦y,...`` inner labels of its sections.  A later call with the
-    same g and any f, into any I, reads them back instead of enumerating
-    them.  A sweep of every f for one g pays the enumeration once per xs.
-    One pass over the sections then writes F, phi and every row of P, pi1,
-    pi2 and ev.  Besides indexing f by value, O(|X|), and on first use g,
-    O(|Y|), a call writes O(|F| + |P|) labels and table entries and builds
-    F, P and every leg through the validating constructors.  A caller that
-    needs only phi calls ``pi_object``, which writes none of P.
+    So each i of I, with its f-fiber xs, contributes one block to every
+    part: its F labels ``(i|x↦y,...)``, phi entries, P labels ``(v,x)`` and
+    pi1, pi2 and ev chunks.  A block depends on g, i and xs only, so g keeps
+    them, as a carrier keeps its index: on first use it stores its fibers,
+    then one block per ``(i, xs)`` it has met.  A later call with the same
+    g and any f, into any I, concatenates the blocks for each i of I, so a
+    sweep of every f for one g formats each label once.  Besides indexing f
+    by value, O(|X|), and on first use g, O(|Y|), a call copies O(|F| + |P|)
+    labels and table entries and builds F, P and every leg through the
+    validating constructors.  A caller that needs only phi calls
+    ``pi_object``, which writes none of P.
     """
     _require_composable(g, f)
     kept = g.__dict__.get("_sections")
     if kept is None:
         kept = g.__dict__["_sections"] = _fibers(g), {}
-    fiber_g, sections_over = kept
+    fiber_g, blocks = kept
     fiber_f = _fibers(f)
 
-    f_labels: list[str] = []
-    phi_table: list[str] = []
-    p_labels: list[str] = []
-    pi1_table: list[str] = []
-    pi2_table: list[str] = []
-    ev_table: list[str] = []
+    f_labels, phi_table, p_labels, pi1_table, pi2_table, ev_table = [], [], [], [], [], []
     for i in f.cod.labels:
         xs = tuple(fiber_f.get(i, ()))
-        sections = sections_over.get(xs)
-        if sections is None:
-            sections = sections_over[xs] = list(_fiber_sections(fiber_g, xs))
-        for choice, inner in sections:
-            v = f"({i}|{inner})"
-            f_labels.append(v)
-            phi_table.append(i)
-            p_labels += [f"({v},{x})" for x in xs]
-            pi1_table += [v] * len(xs)
-            pi2_table += xs
-            ev_table += choice
+        block = blocks.get((i, xs))
+        if block is None:
+            block = blocks[i, xs] = _pi_block(fiber_g, i, xs)
+        f_chunk, phi_chunk, p_chunk, pi1_chunk, pi2_chunk, ev_chunk = block
+        f_labels += f_chunk
+        phi_table += phi_chunk
+        p_labels += p_chunk
+        pi1_table += pi1_chunk
+        pi2_table += pi2_chunk
+        ev_table += ev_chunk
     f_obj = FinObj(tuple(f_labels))
     p_obj = FinObj(tuple(p_labels))
     return PiDiagram(

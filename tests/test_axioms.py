@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import math
 import os
@@ -490,6 +491,41 @@ def test_pi_universal_agrees_with_the_pointwise_reference(data):
     want = pointwise_check_pi_universal(d, g, f)
     assert (got.verdict, got.witness, got.instances_checked) == (
         want.verdict, want.witness, want.instances_checked)
+
+
+# SHA-256 over every composable pair at bound 3, in the Pi axiom's order: the
+# labels of P and F, the four leg tables, and the checker's verdict and count.
+PI_BOUND_3_DIGEST = "e2fd0c4f88c2b8c505c671a378cf9b465a7a566202002df4361530ec65630569"
+
+
+def test_pi_construction_and_verdicts_at_bound_three_are_pinned():
+    digest, pairs = hashlib.sha256(), 0
+    for y, x, i in itertools.product(*([carrier_of_size(n, p) for n in range(4)] for p in "yxi")):
+        for g in all_maps(y, x):
+            for f in all_maps(x, i):
+                d = pi_diagram(g, f)
+                rep = check_pi_universal(d, g, f)
+                for part in (d.P.labels, d.F.labels, d.pi1.table, d.pi2.table,
+                             d.phi.table, d.ev.table):
+                    digest.update("\x1f".join(part).encode() + b"\x1e")
+                digest.update(f"{rep.verdict} {rep.instances_checked}\n".encode())
+                pairs += 1
+    assert pairs == 1678
+    assert digest.hexdigest() == PI_BOUND_3_DIGEST
+
+
+def test_the_pi_axiom_calls_the_public_checker_once_per_pair(monkeypatch):
+    # A profiler that wraps check_pi_universal must see every pair.
+    calls = []
+    checker = axioms.check_pi_universal
+
+    def counting(*args):
+        calls.append(1)
+        return checker(*args)
+
+    monkeypatch.setattr(axioms, "check_pi_universal", counting)
+    assert check_axiom(CheckSpec("Pi", bound=2)).passed
+    assert len(calls) == 47
 
 
 # ---------------------------------------------------------------------------
