@@ -24,30 +24,40 @@ the grouping reads the cospan alone, never the construction under test.
 Equalizer and coequalizer counts read only the construction's table (and a
 coequalizer's codomain) and the test object, so each is made once per key.
 
+Statements about maps range over the instances of a shape: parallel pairs
+(C3, D3), cospans (``pullback-elements``, ``onto-pullback``, ``regularity``)
+or composable pairs (Pi, ``pi-universality``).  A shape constant names its
+carrier pools in loop order and its legs, and ``_instances`` is the one
+enumerator: the legs over each tuple of carriers in ``all_maps`` order,
+first leg outermost and streamed.
+
 Equalizers, coequalizers and the pullbacks of ``pullback-elements`` share
 one skeleton, ``_orbit_sweep``, which sweeps once per relabelling orbit
-(symmetry reduction as in Ip & Dill, "Better verification through
-symmetry", 1996).  Each item hands it only its construction, its feet and
+(symmetry reduction as in Ip & Dill, "Better verification through symmetry",
+1996).  Each item hands it only its shape, its construction, its feet and
 its own face (the fork, or the point count), an equivariance test, and its
 sweep's mediators and cones; how an instance is credited is decided there
 alone.  ``_orbits`` walks the instances over one tuple of carriers in
-``all_maps`` order; at the first instance of an orbit, its rep, it applies
-every tuple gamma of label permutations once, so each later instance
-arrives with a gamma that moves the rep onto it.  The rep's construction is
-swept as above.  Every other instance is still constructed and its faces
-checked; then the skeleton tests gamma·rep against the instance from the
-definition, and the item tests the construction against the rep's
-relabelled: the same apex rows for equalizers and pullbacks, a well-defined
-bijection of classes for coequalizers.  That is an isomorphism of apexes
-commuting with the legs, and relabelling carries the cones over the rep
-one-to-one onto the cones over the instance, so the instance is credited
-with the rep's visit count: a PASS counts exactly the instances a sweep of
-every instance would.  A mismatch fails with face ``equivariance``.
+``_instances`` order, each hom-set listed whole; at the first instance of an
+orbit, its rep, it applies every tuple gamma of label permutations once, so
+each later instance arrives with a gamma that moves the rep onto it.  The
+rep's construction is swept as above.  Every other instance is still
+constructed and its faces checked; then the skeleton tests gamma·rep against
+the instance from the definition, and the item tests the construction
+against the rep's relabelled: the same apex rows for equalizers and
+pullbacks, a well-defined bijection of classes for coequalizers.  That is an
+isomorphism of apexes commuting with the legs, and relabelling carries the
+cones over the rep one-to-one onto the cones over the instance, so the
+instance is credited with the rep's visit count: a PASS counts exactly the
+instances a sweep of every instance would.  A mismatch fails with face
+``equivariance``.  Pi stays on ``_instances``: its check of one pair costs
+less than the relabellings of a rep's orbit.
 
-Sampling mode (past the exhaustive threshold) draws seeded maps, or seeded
-relations for the items that range over every relation on a carrier; items
-about uniqueness of mediating candidates are skipped with a reason instead
-of pretending a sampled uniqueness sweep is exhaustive.
+Sampling mode (past the exhaustive threshold) draws each leg from a seeded
+reservoir of its hom-set (``_maps``), and the subsets of cells and pairs of
+subobjects by seeded index (``_draw``), so those cost the draw, not 2^n.
+Items about uniqueness of mediating candidates are skipped with a reason
+instead of pretending a sampled uniqueness sweep is exhaustive.
 """
 
 from __future__ import annotations
@@ -161,31 +171,48 @@ def _maps(spec: CheckSpec, a: FinObj, b: FinObj) -> Iterator[FinMor] | list[FinM
     return _reservoir(all_maps(a, b), spec.sample, rng)
 
 
+def _draw(spec: CheckSpec, key: object, n: int) -> Sequence[int]:
+    """The indices of n items, or under sampling ``spec.sample`` distinct
+    ones drawn with a seed of the key, so the cost does not grow with n."""
+    if not spec.sampled:
+        return range(n)
+    return random.Random(f"{spec.seed}|{key}").sample(range(n), min(spec.sample, n))
+
+
 def _subsets(spec: CheckSpec, cells: list) -> Iterator[list]:
-    """Every subset of the cells, or under sampling ``spec.sample`` distinct
-    ones drawn with a seed of the cells, so the cost does not grow as 2^n."""
-    masks = range(1 << len(cells))
-    if spec.sampled:
-        rng = random.Random(f"{spec.seed}|{cells}")
-        masks = rng.sample(masks, min(spec.sample, len(masks)))
-    for mask in masks:
+    """The drawn subsets of the cells: every one unless sampling."""
+    for mask in _draw(spec, cells, 1 << len(cells)):
         yield [cell for i, cell in enumerate(cells) if mask >> i & 1]
 
 
 def _morphism_pool(spec: CheckSpec) -> Iterator[FinMor]:
-    for a in _objs(spec, "a"):
-        for b in _objs(spec, "b"):
-            yield from _maps(spec, a, b)
+    for a, b in _carriers(spec, "ab"):
+        yield from _maps(spec, a, b)
     yield from spec.morphisms
 
 
-def _cospans(spec: CheckSpec) -> Iterator[tuple[FinMor, FinMor]]:
-    for c in _objs(spec, "c"):
-        for a in _objs(spec, "a"):
-            for b in _objs(spec, "b"):
-                for f in _maps(spec, a, c):
-                    for g in _maps(spec, b, c):
-                        yield f, g
+# A shape names the pool of each carrier by its prefix, in loop order
+# (outermost first), and each leg by the (domain, codomain) positions of its
+# carriers: f, g: a -> b; f: a -> c <- b :g; and y -g-> x -f-> i.
+_PAIR = ("ab", ((0, 1), (0, 1)))
+_COSPAN = ("cab", ((1, 0), (2, 0)))
+_COMPOSABLE = ("yxi", ((0, 1), (1, 2)))
+
+
+def _carriers(spec: CheckSpec, prefixes: str) -> Iterator[tuple[FinObj, ...]]:
+    return itertools.product(*[_objs(spec, prefix) for prefix in prefixes])
+
+
+def _instances(spec: CheckSpec, shape: tuple) -> Iterator[tuple[FinMor, ...]]:
+    """Every instance of the shape over the pools: its legs, first leg
+    outermost.  Only the inner legs are listed, so a first leg, and what a
+    construction keeps on it (``pi_diagram``'s blocks), is freed once passed."""
+    for objs in _carriers(spec, shape[0]):
+        first, *inner = [_maps(spec, objs[i], objs[j]) for i, j in shape[1]]
+        inner = [list(maps) for maps in inner]
+        for leg in first:
+            for rest in itertools.product(*inner):
+                yield leg, *rest
 
 
 def _mono_tables_into(x: FinObj, dom_prefix: str) -> Iterator[FinMor]:
@@ -265,18 +292,13 @@ def _tables(cone: tuple[FinMor, FinMor]) -> tuple[tuple[str, ...], tuple[str, ..
 # ---------------------------------------------------------------------------
 # relabelling orbits: one mediator sweep per orbit, an isomorphism per instance
 
-# Which carriers each leg joins, as (domain, codomain) positions in the
-# carrier tuple: f, g: A -> B over (A, B), and f: A -> C <- B :g over (A, B, C).
-_PAIR = ((0, 1), (0, 1))
-_COSPAN = ((0, 2), (1, 2))
-
-
-def _orbits(objs: tuple[FinObj, ...], shape: tuple[tuple[int, int], ...]) -> Iterator:
+def _orbits(objs: tuple[FinObj, ...], shape: tuple) -> Iterator:
     """Every instance of the shape over the carriers, each with its orbit.
 
-    The instances are the tuples of legs in ``all_maps`` order, first leg
-    outermost.  A relabelling gamma is a tuple of label permutations, one
-    per carrier, and moves a leg m: X -> Y to gamma_Y ∘ m ∘ gamma_X⁻¹.
+    The instances are the tuples of legs in ``_instances`` order, each
+    hom-set listed whole.  A relabelling gamma is a tuple of label
+    permutations, one per carrier, and moves a leg m: X -> Y to
+    gamma_Y ∘ m ∘ gamma_X⁻¹.
     Yields (legs, gamma, rep): the first instance of an orbit is its own
     rep, with gamma None; every later one comes with a gamma such that
     gamma·rep is the instance.  A new rep's orbit is made by applying every
@@ -288,8 +310,8 @@ def _orbits(objs: tuple[FinObj, ...], shape: tuple[tuple[int, int], ...]) -> Ite
     # sits at position p.index(label).
     back = [[tuple(map(p.index, x.labels)) for p in ps] for x, ps in zip(objs, perms)]
     image = [[dict(zip(x.labels, p)) for p in ps] for x, ps in zip(objs, perms)]
-    seen: dict = {}
-    for legs in itertools.product(*[list(all_maps(objs[i], objs[j])) for i, j in shape]):
+    ends, seen = shape[1], {}
+    for legs in itertools.product(*[list(all_maps(objs[i], objs[j])) for i, j in ends]):
         key = tuple([m.table for m in legs])
         hit = seen.pop(key, None)
         if hit is not None:
@@ -300,32 +322,31 @@ def _orbits(objs: tuple[FinObj, ...], shape: tuple[tuple[int, int], ...]) -> Ite
         moved = [
             {(s, d): tuple([image[j][d][table[k]] for k in back[i][s]])
              for s in range(len(perms[i])) for d in range(len(perms[j]))}
-            for table, (i, j) in zip(key, shape)
+            for table, (i, j) in zip(key, ends)
         ]
         for idx in itertools.product(*[range(len(ps)) for ps in perms]):
-            moved_key = tuple([m[idx[i], idx[j]] for m, (i, j) in zip(moved, shape)])
+            moved_key = tuple([m[idx[i], idx[j]] for m, (i, j) in zip(moved, ends)])
             if moved_key not in seen:
                 seen[moved_key] = (legs, idx)
         del seen[key]
         yield legs, None, legs
 
 
-def _in_orbit(gamma: tuple, shape: tuple[tuple[int, int], ...], rep: tuple, legs: tuple) -> bool:
+def _in_orbit(gamma: tuple, shape: tuple, rep: tuple, legs: tuple) -> bool:
     """Whether gamma·rep is the instance, read off the definition: each leg
     m: X -> Y of the rep and its leg m' satisfy m'(gamma_X(x)) = gamma_Y(m(x))."""
     return all(
         moved(gamma[i][x]) == gamma[j][y]
-        for (i, j), m, moved in zip(shape, rep, legs)
+        for (i, j), m, moved in zip(shape[1], rep, legs)
         for x, y in zip(m.dom.labels, m.table)
     )
 
 
-def _orbit_sweep(spec: CheckSpec, carriers: Iterable[tuple[FinObj, ...]],
-                 shape: tuple[tuple[int, int], ...], *, build: Callable, feet: Callable,
+def _orbit_sweep(spec: CheckSpec, shape: tuple, *, build: Callable, feet: Callable,
                  face: tuple[Callable, dict], same: Callable, mediators: Callable,
                  cones: Callable, key: Callable, name: Callable):
-    """Check a construction on every instance (f, g) of the shape over each
-    tuple of carriers, sweeping its cones once per orbit.
+    """Check a construction on every instance (f, g) of the shape over the
+    pools, sweeping its cones once per orbit.
 
     ``c = build(f, g)`` fails with face ``feet`` unless ``feet(c, f, g)``;
     the instance then counts once and, for ``face = (holds, fault)``, fails
@@ -338,7 +359,7 @@ def _orbit_sweep(spec: CheckSpec, carriers: Iterable[tuple[FinObj, ...]],
     checked = 0
     tests = _objs(spec, "t")
     holds, fault = face
-    for objs in carriers:
+    for objs in _carriers(spec, shape[0]):
         swept: dict = {}
         for (f, g), gamma, rep in _orbits(objs, shape):
             c = build(f, g)
@@ -555,22 +576,21 @@ def _unique_maps(spec: CheckSpec, hom: Callable[[FinObj], Iterable[FinMor]]):
 
 def _ax_products(spec: CheckSpec):
     checked = 0
-    for a in _objs(spec, "a"):
-        for b in _objs(spec, "b"):
-            d = product(a, b)
-            p, q = d.projections
-            if p.cod != a or q.cod != b:
-                return FAIL, {"A": str(a), "B": str(b), "face": "feet"}, checked
-            visited, t, cone, n = _sweep(_objs(spec, "t"), lambda t: Counter(
-                (compose(p, h).table, compose(q, h).table) for h in all_maps(t, d.apex)
-            ), lambda t: itertools.product(all_maps(t, a), all_maps(t, b)), _tables)
-            checked += visited
-            if cone is not None:
-                f, g = cone
-                return FAIL, {
-                    "A": str(a), "B": str(b), "T": str(t),
-                    "f": str(f), "g": str(g), "mediators": n,
-                }, checked
+    for a, b in _carriers(spec, "ab"):
+        d = product(a, b)
+        p, q = d.projections
+        if p.cod != a or q.cod != b:
+            return FAIL, {"A": str(a), "B": str(b), "face": "feet"}, checked
+        visited, t, cone, n = _sweep(_objs(spec, "t"), lambda t: Counter(
+            (compose(p, h).table, compose(q, h).table) for h in all_maps(t, d.apex)
+        ), lambda t: itertools.product(all_maps(t, a), all_maps(t, b)), _tables)
+        checked += visited
+        if cone is not None:
+            f, g = cone
+            return FAIL, {
+                "A": str(a), "B": str(b), "T": str(t),
+                "f": str(f), "g": str(g), "mediators": n,
+            }, checked
     return PASS, None, checked
 
 
@@ -585,7 +605,7 @@ def _ax_equalizers(spec: CheckSpec):
         return made[key]
 
     return _orbit_sweep(
-        spec, itertools.product(_objs(spec, "a"), _objs(spec, "b")), _PAIR, build=equalizer,
+        spec, _PAIR, build=equalizer,
         feet=lambda e, f, g: e.cod == f.dom,
         face=(lambda e, f, g: compose(f, e) == compose(g, e), {"face": "fork"}),
         # e must be alpha∘e0 up to a bijection of apexes: the same rows,
@@ -601,20 +621,19 @@ def _ax_equalizers(spec: CheckSpec):
 
 def _ax_sums(spec: CheckSpec):
     checked = 0
-    for a in _objs(spec, "a"):
-        for b in _objs(spec, "b"):
-            d = coproduct(a, b)
-            inl, inr = d.injections
-            if inl.dom != a or inr.dom != b:
-                return FAIL, {"A": str(a), "B": str(b), "face": "feet"}, checked
-            visited, t, cone, n = _copairings(_objs(spec, "t"), d.apex, inl, inr)
-            checked += visited
-            if cone is not None:
-                f, g = cone
-                return FAIL, {
-                    "A": str(a), "B": str(b), "T": str(t),
-                    "f": str(f), "g": str(g), "mediators": n,
-                }, checked
+    for a, b in _carriers(spec, "ab"):
+        d = coproduct(a, b)
+        inl, inr = d.injections
+        if inl.dom != a or inr.dom != b:
+            return FAIL, {"A": str(a), "B": str(b), "face": "feet"}, checked
+        visited, t, cone, n = _copairings(_objs(spec, "t"), d.apex, inl, inr)
+        checked += visited
+        if cone is not None:
+            f, g = cone
+            return FAIL, {
+                "A": str(a), "B": str(b), "T": str(t),
+                "f": str(f), "g": str(g), "mediators": n,
+            }, checked
     return PASS, None, checked
 
 
@@ -637,7 +656,7 @@ def _ax_coequalizers(spec: CheckSpec):
         return made[key]
 
     return _orbit_sweep(
-        spec, itertools.product(_objs(spec, "a"), _objs(spec, "b")), _PAIR, build=coequalizer,
+        spec, _PAIR, build=coequalizer,
         feet=lambda q, f, g: q.dom == f.cod,
         face=(lambda q, f, g: compose(q, f) == compose(q, g), {"face": "fork"}),
         same=lambda q0, q, gamma: _classes_match(q0, q, gamma[1]),
@@ -662,21 +681,12 @@ def _classes_match(q0: FinMor, q: FinMor, kappa: dict[str, str]) -> bool:
     return len(set(psi.values())) == len(psi) and len(q0.cod) == len(q.cod)
 
 
-def _pi_instances(spec: CheckSpec) -> Iterator[tuple[FinMor, FinMor, PiDiagram]]:
-    """Every composable pair y -g-> x -f-> i of the pool, with its dependent product."""
-    for y in _objs(spec, "y"):
-        for x in _objs(spec, "x"):
-            for i in _objs(spec, "i"):
-                for g in all_maps(y, x):
-                    for f in all_maps(x, i):
-                        yield g, f, pi_diagram(g, f)
-
-
 def _ax_pi(spec: CheckSpec, count_sections: bool = False):
     # pi-universality also checks each F against the section-count oracle
     # in this pass, so that no dependent product is built twice.
     checked = 0
-    for g, f, d in _pi_instances(spec):
+    for g, f in _instances(spec, _COMPOSABLE):
+        d = pi_diagram(g, f)
         rep = check_pi_universal(d, g, f)
         checked += rep.instances_checked
         if not rep.passed:
@@ -760,30 +770,28 @@ def _is_sum_diagram(spec: CheckSpec, s: FinObj, i: FinMor, j: FinMor) -> bool:
 
 def _ax_sum_disjunction(spec: CheckSpec):
     checked = 0
-    for a in _objs(spec, "a"):
-        for b in _objs(spec, "b"):
-            d = coproduct(a, b)
-            left = set(d.injections[0].table)
-            right = set(d.injections[1].table)
-            for z in d.apex.labels:
-                checked += 1
-                if z not in left and z not in right:
-                    return FAIL, {"A": str(a), "B": str(b), "z": z}, checked
+    for a, b in _carriers(spec, "ab"):
+        d = coproduct(a, b)
+        left = set(d.injections[0].table)
+        right = set(d.injections[1].table)
+        for z in d.apex.labels:
+            checked += 1
+            if z not in left and z not in right:
+                return FAIL, {"A": str(a), "B": str(b), "z": z}, checked
     cap = min(spec.bound, 2)
     small = CheckSpec(item=spec.item, bound=cap)
-    for a in _objs(small, "a"):
-        for b in _objs(small, "b"):
-            s = carrier_of_size(len(a) + len(b), "s")
-            for i in all_maps(a, s):
-                for j in all_maps(b, s):
-                    if not _is_sum_diagram(small, s, i, j):
-                        continue
-                    left = set(i.table)
-                    right = set(j.table)
-                    for z in s.labels:
-                        checked += 1
-                        if z not in left and z not in right:
-                            return FAIL, {"i": str(i), "j": str(j), "z": z}, checked
+    for a, b in _carriers(small, "ab"):
+        s = carrier_of_size(len(a) + len(b), "s")
+        for i in all_maps(a, s):
+            for j in all_maps(b, s):
+                if not _is_sum_diagram(small, s, i, j):
+                    continue
+                left = set(i.table)
+                right = set(j.table)
+                for z in s.labels:
+                    checked += 1
+                    if z not in left and z not in right:
+                        return FAIL, {"i": str(i), "j": str(j), "z": z}, checked
     return PASS, None, checked
 
 
@@ -877,21 +885,20 @@ AXIOMS: dict[str, tuple[str, Callable]] = {
 def _thm_element_equality(spec: CheckSpec):
     checked = 0
     small = min(spec.bound, 2)
-    for a in _objs(spec, "a"):
-        for b in _objs(spec, "b"):
-            maps = list(_maps(spec, a, b))
-            for f in maps:
+    for a, b in _carriers(spec, "ab"):
+        maps = list(_maps(spec, a, b))
+        for f in maps:
+            checked += 1
+            if kernel.is_mono(f, bound=small) != f.is_injective():
+                return FAIL, {"f": str(f), "statement": "mono vs injective"}, checked
+        for f in maps:
+            for g in maps:
+                agree = all(f(x) == g(x) for x in a.labels)
                 checked += 1
-                if kernel.is_mono(f, bound=small) != f.is_injective():
-                    return FAIL, {"f": str(f), "statement": "mono vs injective"}, checked
-            for f in maps:
-                for g in maps:
-                    agree = all(f(x) == g(x) for x in a.labels)
-                    checked += 1
-                    if agree != (f == g):
-                        return FAIL, {
-                            "f": str(f), "g": str(g), "statement": "pointwise equality",
-                        }, checked
+                if agree != (f == g):
+                    return FAIL, {
+                        "f": str(f), "g": str(g), "statement": "pointwise equality",
+                    }, checked
     return PASS, None, checked
 
 
@@ -899,15 +906,10 @@ def _thm_inclusion_orders(spec: CheckSpec):
     checked = 0
     for x in _objs(spec, "x"):
         monos = [sub_relation(m) for m in _mono_tables_into(x, "m")]
-        pairs = itertools.product(monos, repeat=2)
-        if spec.sampled:
-            # The pairs grow as (sum of |x|!/k!)^2; draw spec.sample distinct
-            # ones with a seed of the carrier, as _subsets draws its masks.
-            rng = random.Random(f"{spec.seed}|{x.labels}")
-            k = len(monos)
-            drawn = rng.sample(range(k * k), min(spec.sample, k * k))
-            pairs = [(monos[d // k], monos[d % k]) for d in drawn]
-        for m, n in pairs:
+        # the pairs grow as (sum of |x|!/k!)^2, so they are drawn by index
+        k = len(monos)
+        for d in _draw(spec, x.labels, k * k):
+            m, n = monos[d // k], monos[d % k]
             checked += 1
             row_incl = subseteq(m, n)
             factored, wit = leq(m, n)
@@ -923,32 +925,31 @@ def _thm_inclusion_orders(spec: CheckSpec):
 
 def _thm_function_graphs(spec: CheckSpec):
     checked = 0
-    for x in _objs(spec, "x"):
-        for y in _objs(spec, "y"):
-            cells = list(itertools.product(x.labels, y.labels))
-            for rows in _subsets(spec, cells):
-                rel = relation_from_tuples(rows, (x, y))
-                row_set = set(rows)
-                at_most = all(
-                    len([y2 for (x2, y2) in row_set if x2 == xl]) <= 1
-                    for xl in x.labels
-                )
-                exactly = all(
-                    len([y2 for (x2, y2) in row_set if x2 == xl]) == 1
-                    for xl in x.labels
-                )
-                checked += 1
-                if is_partial_function(rel) != at_most:
+    for x, y in _carriers(spec, "xy"):
+        cells = list(itertools.product(x.labels, y.labels))
+        for rows in _subsets(spec, cells):
+            rel = relation_from_tuples(rows, (x, y))
+            row_set = set(rows)
+            at_most = all(
+                len([y2 for (x2, y2) in row_set if x2 == xl]) <= 1
+                for xl in x.labels
+            )
+            exactly = all(
+                len([y2 for (x2, y2) in row_set if x2 == xl]) == 1
+                for xl in x.labels
+            )
+            checked += 1
+            if is_partial_function(rel) != at_most:
+                return FAIL, {"rows": sorted(map(list, row_set)),
+                              "statement": "partial"}, checked
+            if is_total_function(rel) != exactly:
+                return FAIL, {"rows": sorted(map(list, row_set)),
+                              "statement": "total"}, checked
+            if exactly:
+                fn = unique_choice(rel)
+                if {(xl, fn(xl)) for xl in x.labels} != row_set:
                     return FAIL, {"rows": sorted(map(list, row_set)),
-                                  "statement": "partial"}, checked
-                if is_total_function(rel) != exactly:
-                    return FAIL, {"rows": sorted(map(list, row_set)),
-                                  "statement": "total"}, checked
-                if exactly:
-                    fn = unique_choice(rel)
-                    if {(xl, fn(xl)) for xl in x.labels} != row_set:
-                        return FAIL, {"rows": sorted(map(list, row_set)),
-                                      "statement": "unique choice"}, checked
+                                  "statement": "unique choice"}, checked
     return PASS, None, checked
 
 
@@ -995,15 +996,13 @@ def _cones(f: FinMor, g: FinMor, t: FinObj) -> Iterator[tuple[FinMor, FinMor]]:
 
 
 def _thm_pullback_elements(spec: CheckSpec):
-    carriers = [(a, b, c) for c in _objs(spec, "c") for a in _objs(spec, "a")
-                for b in _objs(spec, "b")]
     verdict, witness, checked = _orbit_sweep(
-        spec, carriers, _COSPAN, build=pullback, feet=_pullback_feet,
+        spec, _COSPAN, build=pullback, feet=_pullback_feet,
         face=(lambda s, f, g: _eq10_counts(s.p1, s.p2, f, g), {"reason": "constructed"}),
         # the square must be the rep's relabelled up to a bijection of
         # apexes: the same rows (p1, p2), counted with multiplicity
         same=lambda s0, s, gamma: sorted(zip(s.p1.table, s.p2.table)) == sorted(
-            [(gamma[0][x], gamma[1][y]) for x, y in zip(s0.p1.table, s0.p2.table)]
+            [(gamma[1][x], gamma[2][y]) for x, y in zip(s0.p1.table, s0.p2.table)]
         ),
         mediators=lambda s, t: Counter(
             (compose(s.p1, h).table, compose(s.p2, h).table) for h in all_maps(t, s.apex)
@@ -1016,7 +1015,7 @@ def _thm_pullback_elements(spec: CheckSpec):
         return verdict, witness, checked
     cap = min(spec.bound, 2)
     small = CheckSpec(item=spec.item, bound=cap)
-    for f, g in _cospans(small):
+    for f, g in _instances(small, _COSPAN):
         square = pullback(f, g)
         if not _pullback_feet(square, f, g):
             return FAIL, {"f": str(f), "g": str(g), "face": "feet"}, checked
@@ -1084,25 +1083,23 @@ def _thm_induction(spec: CheckSpec):
 
 def _thm_exponentials(spec: CheckSpec):
     checked = 0
-    for x in _objs(spec, "x"):
-        for y in _objs(spec, "y"):
-            e_obj, ev_rel = exponential(x, y)
+    for x, y in _carriers(spec, "xy"):
+        e_obj, ev_rel = exponential(x, y)
+        checked += 1
+        if len(e_obj) != len(y) ** len(x):
+            return FAIL, {"X": str(x), "Y": str(y), "size": len(e_obj)}, checked
+        d = pi_diagram(product(x, y).projections[0], unique_to_terminal(x))
+        if len(d.F) != len(e_obj):
+            return FAIL, {"X": str(x), "Y": str(y), "reason": "pi route disagrees"}, checked
+        graphs: dict[str, set[tuple[str, str]]] = {s: set() for s in e_obj.labels}
+        for s, xl, yl in ev_rel.tuples:
+            graphs[s].add((xl, yl))
+        for f in all_maps(x, y):
+            wanted = {(xl, f(xl)) for xl in x.labels}
+            matching = [s for s in e_obj.labels if graphs[s] == wanted]
             checked += 1
-            if len(e_obj) != len(y) ** len(x):
-                return FAIL, {"X": str(x), "Y": str(y), "size": len(e_obj)}, checked
-            d = pi_diagram(product(x, y).projections[0], unique_to_terminal(x))
-            if len(d.F) != len(e_obj):
-                return FAIL, {"X": str(x), "Y": str(y),
-                              "reason": "pi route disagrees"}, checked
-            graphs: dict[str, set[tuple[str, str]]] = {s: set() for s in e_obj.labels}
-            for s, xl, yl in ev_rel.tuples:
-                graphs[s].add((xl, yl))
-            for f in all_maps(x, y):
-                wanted = {(xl, f(xl)) for xl in x.labels}
-                matching = [s for s in e_obj.labels if graphs[s] == wanted]
-                checked += 1
-                if len(matching) != 1:
-                    return FAIL, {"f": str(f), "matching": matching}, checked
+            if len(matching) != 1:
+                return FAIL, {"f": str(f), "matching": matching}, checked
     return PASS, None, checked
 
 
@@ -1129,7 +1126,7 @@ def _thm_dependent_choice(spec: CheckSpec):
 
 def _thm_onto_pullback(spec: CheckSpec):
     checked = 0
-    for f, g in _cospans(spec):
+    for f, g in _instances(spec, _COSPAN):
         square = pullback(f, g)
         if f.is_surjective():
             checked += 1
@@ -1186,7 +1183,7 @@ def _thm_covers_onto(spec: CheckSpec):
 
 def _thm_regularity(spec: CheckSpec):
     checked = 0
-    for f, g in _cospans(spec):
+    for f, g in _instances(spec, _COSPAN):
         if not f.is_surjective():
             continue
         square = pullback(f, g)
@@ -1264,14 +1261,13 @@ def _thm_pretopos(spec: CheckSpec):
 
 def _thm_choice(spec: CheckSpec):
     checked = 0
-    for a in _objs(spec, "a"):
-        for b in _objs(spec, "b"):
-            for h in _maps(spec, b, a):
-                if not h.is_surjective():
-                    continue
-                checked += 1
-                if compose(h, _first_preimages(h)) != identity(a):
-                    return FAIL, {"h": str(h), "statement": "split onto"}, checked
+    for a, b in _carriers(spec, "ab"):
+        for h in _maps(spec, b, a):
+            if not h.is_surjective():
+                continue
+            checked += 1
+            if compose(h, _first_preimages(h)) != identity(a):
+                return FAIL, {"h": str(h), "statement": "split onto"}, checked
     for f in _morphism_pool(spec):
         if not len(f.dom):
             continue
@@ -1288,7 +1284,8 @@ def _thm_pi_universality(spec: CheckSpec):
         return verdict, witness, checked
     competitor_cap = min(spec.bound, 3)
     small = CheckSpec(item=spec.item, bound=min(spec.bound, 2))
-    for g, f, d in _pi_instances(small):
+    for g, f in _instances(small, _COMPOSABLE):
+        d = pi_diagram(g, f)
         fiber_allowed = {
             il: [v for v in d.F.labels if d.phi(v) == il] for il in f.cod.labels
         }

@@ -306,7 +306,6 @@ def coequalizer(f: FinMor, g: FinMor) -> FinMor:
     for start in b.labels:
         if start in rep:
             continue
-        seen = [start]
         rep[start] = start
         queue = [start]
         while queue:
@@ -314,7 +313,6 @@ def coequalizer(f: FinMor, g: FinMor) -> FinMor:
             for nxt in adj[cur]:
                 if nxt not in rep:
                     rep[nxt] = start
-                    seen.append(nxt)
                     queue.append(nxt)
         reps.append(start)
     q_obj = FinObj(tuple(reps))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import itertools
 import math
@@ -10,6 +11,7 @@ import os
 import subprocess
 import sys
 import time
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -788,9 +790,10 @@ def fixed_maps(src, dst):
     return math.prod(sum(d for d in dst if l % d == 0) for l in src)
 
 
-def burnside(carriers, legs):
-    """Orbits of leg tuples under relabelling every carrier (sizes given)."""
-    total = 0
+def burnside(carriers, shape):
+    """Orbits of the shape's leg tuples under relabelling every carrier
+    (sizes given, in the shape's carrier order)."""
+    legs, total = shape[1], 0
     for types in itertools.product(*[list(cycle_types(n)) for n in carriers]):
         weight = math.prod(size for _, size in types)
         total += weight * math.prod(fixed_maps(types[i][0], types[j][0]) for i, j in legs)
@@ -811,7 +814,13 @@ def pair_carriers(sizes=SIZES):
 def cospan_carriers(sizes=SIZES):
     """The carrier tuples of pullback-elements in its order (c outermost)."""
     for c, a, b in itertools.product(sizes, sizes, sizes):
-        yield (carrier_of_size(a, "a"), carrier_of_size(b, "b"), carrier_of_size(c, "c"))
+        yield (carrier_of_size(c, "c"), carrier_of_size(a, "a"), carrier_of_size(b, "b"))
+
+
+def composable_carriers(sizes=SIZES):
+    """The carrier tuples of Pi and pi-universality in their order."""
+    for y, x, i in itertools.product(sizes, sizes, sizes):
+        yield (carrier_of_size(y, "y"), carrier_of_size(x, "x"), carrier_of_size(i, "i"))
 
 
 def test_burnside_counts_match_the_enumerator_at_bound_three():
@@ -831,17 +840,22 @@ def test_burnside_counts_match_the_enumerator_at_bound_three():
                        for _, gamma, _ in axioms._orbits(objs, axioms._COSPAN)),
     }
     assert reps == {"pairs": pairs, "cospans": cospans}
+    composables = sum(burnside(sizes, axioms._COMPOSABLE)
+                      for sizes in itertools.product(SIZES, SIZES, SIZES))
+    assert composables == sum(gamma is None for objs in composable_carriers()
+                              for _, gamma, _ in axioms._orbits(objs, axioms._COMPOSABLE)) == 100
 
 
 @pytest.mark.parametrize("shape, carriers, total", [
     (axioms._PAIR, pair_carriers, 910),      # sum of b^(2a)
     (axioms._COSPAN, cospan_carriers, 1842),  # sum of c^(a+b)
+    (axioms._COMPOSABLE, composable_carriers, 1678),  # sum of x^y i^x
 ])
 def test_orbits_partition_the_hom_sets_in_enumeration_order(shape, carriers, total):
     yielded = 0
     for objs in carriers():
         walk = list(axioms._orbits(objs, shape))
-        plain = list(itertools.product(*[list(all_maps(objs[i], objs[j])) for i, j in shape]))
+        plain = list(itertools.product(*[list(all_maps(objs[i], objs[j])) for i, j in shape[1]]))
         assert [legs for legs, _, _ in walk] == plain
         reps = set()
         for legs, gamma, rep in walk:
@@ -850,7 +864,7 @@ def test_orbits_partition_the_hom_sets_in_enumeration_order(shape, carriers, tot
                 reps.add(rep)
                 continue
             assert rep in reps  # the rep was yielded, and so swept, first
-            for (i, j), m, moved in zip(shape, rep, legs):
+            for (i, j), m, moved in zip(shape[1], rep, legs):
                 src, dst = gamma[i], gamma[j]
                 assert sorted(src) == sorted(src.values()) == list(objs[i].labels)
                 assert sorted(dst.values()) == list(objs[j].labels)
@@ -915,7 +929,7 @@ def test_equivariance_rejects_a_coequalizer_broken_off_the_reps(monkeypatch, bre
 def test_equivariance_rejects_a_pullback_broken_off_the_reps(monkeypatch):
     # The point-count face would see a dropped point first, so it is
     # defeated, as in the sweep mutations above.
-    objs = (carrier_of_size(1, "a"), carrier_of_size(1, "b"), carrier_of_size(2, "c"))
+    objs = (carrier_of_size(2, "c"), carrier_of_size(1, "a"), carrier_of_size(1, "b"))
     target = first_non_rep(objs, axioms._COSPAN, lambda legs: len(pullback(*legs).apex) > 0)
     monkeypatch.setattr(axioms, "_eq10_counts", lambda *legs: True)
     monkeypatch.setattr(axioms, "pullback", lambda f, g: (
@@ -948,6 +962,30 @@ def test_equivariance_rejects_a_wrong_relabelling(monkeypatch, check, item, shap
     rep = check(CheckSpec(item=item, bound=2))
     assert rep.failed
     assert rep.witness == {"f": str(first[0]), "g": str(first[1]), "face": "equivariance"}
+
+
+@pytest.mark.parametrize("item", ["Pi", "pi-universality"])
+def test_pi_rejects_a_dependent_product_broken_off_the_reps(monkeypatch, item):
+    # Pi checks every pair, not one per orbit.  A construction wrong on the
+    # first pair that is no orbit's rep, here by a second point over the
+    # empty section of F, must fail there and be named by that pair.
+    g0, f0 = next(legs for objs in composable_carriers(range(3))
+                  for legs, gamma, _ in axioms._orbits(objs, axioms._COMPOSABLE)
+                  if gamma is not None)
+    plain = axioms.pi_diagram
+
+    def break_once(g, f):
+        d = plain(g, f)
+        if (g, f) != (g0, f0):
+            return d
+        return rebuilt(d, g, f, lambda F, P: F.append(["dup", F[0][1]]))
+
+    monkeypatch.setattr(axioms, "pi_diagram", break_once)
+    check = check_axiom if item in AXIOMS else check_theorem
+    rep = check(CheckSpec(item=item, bound=2))
+    assert rep.failed
+    assert rep.witness == {"i": "i0", "psi": [], "matching": ["(i0|)", "dup"],
+                           "g": str(g0), "f": str(f0)}
 
 
 def reversed_equalizer(f, g):
@@ -1067,6 +1105,66 @@ def test_every_shared_sweep_face_is_pinned(monkeypatch, item, patches, want):
     check = check_axiom if item in AXIOMS else check_theorem
     rep = check(CheckSpec(item=item, bound=3))
     assert (rep.verdict, rep.witness, rep.instances_checked) == want
+
+
+# ---------------------------------------------------------------------------
+# the instance source: every shape enumerated by one generator
+
+
+def cospans_by_loops(spec):
+    """The cospans f: a -> c <- b :g as nested loops, c outermost."""
+    for c in axioms._objs(spec, "c"):
+        for a in axioms._objs(spec, "a"):
+            for b in axioms._objs(spec, "b"):
+                for f in axioms._maps(spec, a, c):
+                    for g in axioms._maps(spec, b, c):
+                        yield f, g
+
+
+def composables_by_loops(spec):
+    """The composable pairs y -g-> x -f-> i as nested loops, y outermost."""
+    for y in axioms._objs(spec, "y"):
+        for x in axioms._objs(spec, "x"):
+            for i in axioms._objs(spec, "i"):
+                for g in axioms._maps(spec, y, x):
+                    for f in axioms._maps(spec, x, i):
+                        yield g, f
+
+
+@pytest.mark.parametrize("spec", [
+    *(CheckSpec(item="onto-pullback", bound=b) for b in (1, 2, 3)),
+    CheckSpec(item="onto-pullback", bound=2, objects=(carrier("p", "q"),)),
+    CheckSpec(item="onto-pullback", bound=5, sample=3, seed=2),
+], ids=["b1", "b2", "b3", "model", "sampled-b5"])
+@pytest.mark.parametrize("shape, loops", [
+    (axioms._COSPAN, cospans_by_loops),
+    (axioms._COMPOSABLE, composables_by_loops),
+], ids=["cospan", "composable"])
+def test_instances_follow_the_nested_loops(spec, shape, loops):
+    assert list(axioms._instances(spec, shape)) == list(loops(spec))
+
+
+def test_instances_free_each_first_leg_once_past_it():
+    # pi_diagram keeps its blocks on g, so a listed first leg would hold
+    # every g's blocks for a whole carrier tuple.  Over y1 -> x2 -> i1
+    # there are two g and one f.
+    walk = axioms._instances(CheckSpec(item="Pi", bound=2), axioms._COMPOSABLE)
+    g, f = next(legs for legs in walk if (len(legs[0].dom), len(legs[0].cod)) == (1, 2))
+    pi_diagram(g, f)
+    passed = weakref.ref(g)
+    g, f = next(walk)
+    assert g is not passed() and len(g.cod) == 2
+    gc.collect()
+    assert passed() is None
+
+
+def test_sampled_counts_at_bound_five_are_pinned():
+    want = {"onto-pullback": 508, "regularity": 282, "function-graphs": 85,
+            "inclusion-orders": 16, "dependent-choice": 34}
+    got = {item: check_theorem(CheckSpec(item=item, bound=5, sample=3, seed=2))
+           for item in want}
+    assert {item: (r.verdict, r.instances_checked) for item, r in got.items()} == {
+        item: (PASS, n) for item, n in want.items()}
 
 
 # ---------------------------------------------------------------------------
