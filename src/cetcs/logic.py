@@ -26,18 +26,20 @@ touching none of the constructions above, and ``verify`` sweeps every
 context tuple comparing the two routes.
 
 An ``Env`` holds read-only snapshots of its carriers, relations and maps,
-and keeps four bounded memos.  The first maps (context, node) to the node's
+and keeps six bounded memos.  The first maps (context, node) to the node's
 mono, so a subtree repeated within a formula, or shared with one compiled
 just before, is built once; a memoized node replays its trace steps, so the
 trace reads the same either way.  The second maps a connective and its
 input monos (the two children's for ``/\\``, ``\\/`` and ``=>``; the body's
 and the extended context's carriers for a quantifier) to the mono the
 connective builds from them, so different formulas whose children reduce
-to the same subobjects share one construction.  Two more keep each
-relation's mono, by name, and each quantifier's projection onto the context
-less its last variable, by the extended context's carriers.  The type
-checker skips a subtree already in the first memo: it was checked in that
-same context before it was compiled.  The env also remembers the last
+to the same subobjects share one construction.  The third, the result
+memo, keeps the relation ``compile_formula`` returns, by the context's
+carriers and the formula's mono.  Three more keep each relation's mono, by
+name, each quantifier's projection onto the context less its last
+variable, and each product of carriers, by the carriers.  The type checker
+skips a subtree already in the first memo: it was checked in that same
+context before it was compiled.  The env also remembers the last
 formula it type-checked, so the oracle's per-row check costs nothing; the
 oracle itself still evaluates every row without any memo.
 """
@@ -49,7 +51,6 @@ import re
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -310,21 +311,29 @@ class _Memo:
 
     ``compiled`` maps (context, node) to the node's mono and the trace steps
     that built it; ``built`` maps (connective, input monos) to the mono the
-    connective builds from them; ``relations`` maps a relation's name to its
-    mono into the product of its carriers, and ``projections`` the carriers
-    of an extended context to its projection onto the context less its
-    last variable; ``checked`` is the last (context, formula) that
+    connective builds from them; ``results`` maps a context's carriers and a
+    mono into their product to the relation it compiles to; ``relations``
+    maps a relation's name to its mono into the product of its carriers,
+    ``projections`` an extended context's carriers to its projection onto
+    the context less its last variable, and ``products`` carriers to their
+    product; ``checked`` is the last (context, formula) that
     ``check_formula`` accepted.
     """
 
-    __slots__ = ("compiled", "built", "relations", "projections", "checked")
+    __slots__ = ("compiled", "built", "results", "relations", "projections", "products",
+                 "checked")
 
     def __init__(self) -> None:
         self.compiled = _LRU()
         self.built = _LRU()
+        self.results = _LRU()
         self.relations = _LRU()
         self.projections = _LRU()
+        self.products = _LRU()
         self.checked: tuple[Context, Formula] | None = None
+
+    def product(self, objs: tuple[FinObj, ...]) -> ProductDiagram:
+        return self.products.kept(objs, lambda: product_n(objs))
 
 
 @dataclass(frozen=True)
@@ -623,11 +632,6 @@ class CompilationResult:
     trace: tuple[str, ...]
 
 
-@lru_cache(maxsize=None)
-def _product_cached(objs: tuple[FinObj, ...]) -> ProductDiagram:
-    return product_n(objs)
-
-
 def _term_mor(ctx: Context, t: Term, env: Env, cprod: ProductDiagram) -> FinMor:
     if isinstance(t, Var):
         return cprod.projections[ctx.position(t.name)]
@@ -668,7 +672,7 @@ def _build_mono(
         return unique_from_initial(cprod.apex)
     if isinstance(phi, Atom):
         rel = env.relations[phi.name]
-        tprod = _product_cached(rel.cods)
+        tprod = memo.product(rel.cods)
         rel_mono = memo.relations.kept(
             phi.name, lambda: tprod.pair(rel.legs, dom=rel.dom))
         terms = tprod.pair(
@@ -704,7 +708,7 @@ def _build_mono(
     if isinstance(phi, (Forall, Exists)):
         inner_ctx = ctx.extend(phi.var, env.objects[phi.sort])
         objs = inner_ctx.objects
-        inner_prod = _product_cached(objs)
+        inner_prod = memo.product(objs)
         body = _compile_mono(inner_ctx, phi.body, env, inner_prod, trace)
         # The inner carriers fix both context products (the outer context is
         # the inner one less its last variable), hence the projection that
@@ -728,13 +732,16 @@ def compile_formula(ctx: Context, phi: Formula, env: Env) -> CompilationResult:
     """Compile a checked formula to a relation on the context carriers.
 
     The trace lists, in postorder, which construction realized each node.
+    The relation is kept under the context's carriers and the mono, which
+    fix its legs; the apex would not: a label ``(a,u)`` spells a pair.
     """
     check_formula(ctx, phi, env)
-    cprod = _product_cached(ctx.objects)
+    objs = ctx.objects
+    cprod = env._memo.product(objs)
     trace: list[str] = []
     mono = _compile_mono(ctx, phi, env, cprod, trace)
-    legs = tuple(compose(p, mono) for p in cprod.projections)
-    rel = Relation(dom=mono.dom, legs=legs)
+    rel = env._memo.results.kept((objs, mono.dom, mono.table), lambda: Relation(
+        dom=mono.dom, legs=tuple(compose(p, mono) for p in cprod.projections)))
     return CompilationResult(rel, tuple(trace))
 
 
@@ -748,41 +755,39 @@ def _eval_term(t: Term, env: Env, assignment: Mapping[str, str]) -> str:
     return env.morphisms[t.fn](_eval_term(t.arg, env, assignment))
 
 
-def _eval(phi: Formula, env: Env, assignment: dict[str, str]) -> bool:
-    if isinstance(phi, Top):
-        return True
-    if isinstance(phi, Bot):
-        return False
-    if isinstance(phi, Atom):
-        row = tuple(_eval_term(a, env, assignment) for a in phi.args)
-        return env.relations[phi.name].member(row)
-    if isinstance(phi, Eq):
-        return _eval_term(phi.lhs, env, assignment) == _eval_term(phi.rhs, env, assignment)
-    if isinstance(phi, And):
-        return _eval(phi.lhs, env, assignment) and _eval(phi.rhs, env, assignment)
-    if isinstance(phi, Or):
-        return _eval(phi.lhs, env, assignment) or _eval(phi.rhs, env, assignment)
-    if isinstance(phi, Implies):
-        return (not _eval(phi.lhs, env, assignment)) or _eval(phi.rhs, env, assignment)
-    if isinstance(phi, Forall):
-        sort = env.objects[phi.sort]
-        for lbl in sort.labels:
-            assignment[phi.var] = lbl
-            ok = _eval(phi.body, env, assignment)
-            del assignment[phi.var]
-            if not ok:
-                return False
-        return True
-    if isinstance(phi, Exists):
-        sort = env.objects[phi.sort]
-        for lbl in sort.labels:
-            assignment[phi.var] = lbl
-            ok = _eval(phi.body, env, assignment)
-            del assignment[phi.var]
-            if ok:
-                return True
-        return False
-    raise FormulaError(f"unsupported formula node {phi!r}")
+# The oracle's evaluator for each node type, called with the node, the env
+# and the labels assigned to the variables in scope.
+def _eval_quantifier(phi: Forall | Exists, env: Env, assignment: dict[str, str],
+                     stop: bool) -> bool:
+    """Whether some label of the sort gives the body the value ``stop``.
+
+    The variable stays bound afterwards: no context variable can share its
+    name, and any other occurrence of it lies under a binder that rebinds it.
+    """
+    body, var = phi.body, phi.var
+    evaluate = _EVAL[type(body)]
+    for lbl in env.objects[phi.sort].labels:
+        assignment[var] = lbl
+        if evaluate(body, env, assignment) == stop:
+            return True
+    return False
+
+
+_EVAL = {
+    Top: lambda phi, env, a: True,
+    Bot: lambda phi, env, a: False,
+    Atom: lambda phi, env, a: env.relations[phi.name].member(
+        tuple(_eval_term(t, env, a) for t in phi.args)),
+    Eq: lambda phi, env, a: _eval_term(phi.lhs, env, a) == _eval_term(phi.rhs, env, a),
+    And: lambda phi, env, a: (_EVAL[type(phi.lhs)](phi.lhs, env, a)
+                              and _EVAL[type(phi.rhs)](phi.rhs, env, a)),
+    Or: lambda phi, env, a: (_EVAL[type(phi.lhs)](phi.lhs, env, a)
+                             or _EVAL[type(phi.rhs)](phi.rhs, env, a)),
+    Implies: lambda phi, env, a: (not _EVAL[type(phi.lhs)](phi.lhs, env, a)
+                                  or _EVAL[type(phi.rhs)](phi.rhs, env, a)),
+    Forall: lambda phi, env, a: not _eval_quantifier(phi, env, a, False),
+    Exists: lambda phi, env, a: _eval_quantifier(phi, env, a, True),
+}
 
 
 def oracle(ctx: Context, phi: Formula, env: Env, row: Sequence[str]) -> bool:
@@ -794,7 +799,7 @@ def oracle(ctx: Context, phi: Formula, env: Env, row: Sequence[str]) -> bool:
     for lbl, obj in zip(row, ctx.objects):
         if lbl not in obj.index:
             raise ShapeError(f"{lbl!r} is not a label of {obj}")
-    return _eval(phi, env, dict(zip(ctx.names, row)))
+    return _EVAL[type(phi)](phi, env, dict(zip(ctx.names, row)))
 
 
 def verify(ctx: Context, phi: Formula, env: Env, item: str | None = None) -> Report:

@@ -38,17 +38,21 @@ class _Label:
             value = obj.__dict__["_item"] = value()
         return value
 
-    def __set__(self, obj, value: str | Callable[[], str]) -> None:
-        obj.__dict__["_item"] = value
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Report:
     item: str = _Label()
     verdict: str
     witness: Mapping | None
     instances_checked: int
     elapsed: float | None = None
+
+    def __init__(self, item: str | Callable[[], str], verdict: str, witness: Mapping | None,
+                 instances_checked: int, elapsed: float | None = None) -> None:
+        # One update, not a frozen dataclass's object.__setattr__ per field:
+        # the checkers build a Report per instance on some paths.
+        self.__dict__.update(_item=item, verdict=verdict, witness=witness,
+                             instances_checked=instances_checked, elapsed=elapsed)
 
     @property
     def passed(self) -> bool:
@@ -107,13 +111,7 @@ def from_dict(data: Mapping) -> Report:
         isinstance(elapsed, bool) or not isinstance(elapsed, (int, float))
     ):
         raise ReportError(f"elapsed of {item!r} must be a number or null")
-    return Report(
-        item=item,
-        verdict=verdict,
-        witness=witness,
-        instances_checked=instances,
-        elapsed=elapsed,
-    )
+    return Report(item, verdict, witness, instances, elapsed)
 
 
 def render_text(reports: Iterable[Report], include_timing: bool = False) -> str:

@@ -7,12 +7,15 @@ m = {(x0,y0),(x0,y1),(x2,y0)}, f = x0,x1 -> y0, x2 -> y1).
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cetcs import logic
-from cetcs.errors import FormulaError
+from cetcs.errors import FormulaError, ShapeError
 from cetcs.finset import (
     FinMor,
     FinObj,
@@ -20,6 +23,7 @@ from cetcs.finset import (
     equalizer,
     image_factorization,
     pi_object,
+    product_n,
     pullback,
 )
 from cetcs.logic import (
@@ -301,6 +305,22 @@ def test_oracle_matches_hand_memberships(ctx, env):
     assert not oracle(ctx, phi, env, ("x0",))
     assert oracle(ctx, phi, env, ("x1",))
     assert oracle(ctx, phi, env, ("x2",))
+    assert oracle(ctx, phi, env, ["x1"])
+
+
+@pytest.mark.parametrize("text,row,error,message", [
+    (r"r(x) => s(x)", ("x0", "x1"), ShapeError, "expected 1 components, got 2"),
+    (r"r(x) => s(x)", (), ShapeError, "expected 1 components, got 0"),
+    (r"r(x) => s(x)", ("y0",), ShapeError, "'y0' is not a label of {x0, x1, x2}"),
+    # the formula is checked before the row
+    ("m(x, x)", ("y0", "y1"), FormulaError,
+     "argument of 'm' has sort {x0, x1, x2}, expected {y0, y1} (at offset 0)"),
+    ("forall y:Y. q(y)", ("x0",), FormulaError, "unknown relation 'q' (at offset 12)"),
+])
+def test_oracle_rejects_with_pinned_messages(ctx, env, text, row, error, message):
+    with pytest.raises(error) as err:
+        oracle(ctx, parse(text), env, row)
+    assert type(err.value) is error and str(err.value) == message
 
 
 @pytest.mark.parametrize("text,_", CASES)
@@ -455,6 +475,7 @@ def test_memoized_compile_equals_a_fresh_compile(data):
     for env in (warm, fresh):
         assert len(env._memo.compiled) <= _MEMO_SIZE
         assert len(env._memo.built) <= _MEMO_SIZE
+        assert len(env._memo.results) <= _MEMO_SIZE
 
 
 def test_compile_memo_keeps_at_most_its_size(env, ctx):
@@ -492,6 +513,44 @@ def test_verify_rejects_a_poisoned_construction_memo(env, ctx):
     rep = verify(other, parse(r"r(y) /\ s(y)"), env)
     assert rep.failed
     assert rep.witness["row"] == ["x0"]
+
+
+def test_verify_rejects_a_poisoned_result_memo(env, ctx):
+    phi = parse(r"r(x) /\ s(x)")
+    r_relation = compile_formula(ctx, parse("r(x)"), env).relation
+    want = compile_formula(ctx, phi, env)
+    (key,) = [k for k, rel in env._memo.results.items() if rel == want.relation]
+    env._memo.results[key] = r_relation
+    rep = verify(ctx, phi, env)
+    assert rep.failed
+    assert rep.witness == {"row": ["x0"], "compiled": True, "oracle": False,
+                           "formula": render(phi), "trace": list(want.trace)}
+
+
+def test_result_memo_tells_apart_contexts_with_equal_products():
+    # The one label of P spells the pair (a,u): the context p:P has the same
+    # product apex as x:A, y:U, and so the same mono for true, but one leg.
+    from cetcs.modelfile import parse_model
+
+    model = parse_model("object A = {a}\nobject U = {u}\nobject P = {(a,u)}\n")
+    env = model.env()
+    one = parse_context("p:P", env.objects)
+    two = parse_context("x:A, y:U", env.objects)
+    assert product_n(one.objects).apex == product_n(two.objects).apex
+    for ctx in (one, two, one):
+        assert compile_formula(ctx, Top(), env) == compile_formula(ctx, Top(), model.env())
+        assert verify(ctx, Top(), env).passed
+
+
+def test_context_products_do_not_outlive_their_env(std_model):
+    env = std_model.env()
+    ctx = parse_context("x:X, y:Y", env.objects)
+    assert verify(ctx, parse("forall z:X. m(x,y) => r(z)"), env).passed
+    kept = [weakref.ref(p) for p in env._memo.products.values()]
+    assert len(kept) == 3  # the context's, the body's and m's
+    del env
+    gc.collect()
+    assert [ref() for ref in kept] == [None] * 3
 
 
 # ---------------------------------------------------------------------------
