@@ -954,18 +954,22 @@ def _thm_function_graphs(spec: CheckSpec):
 
 
 def _eq10_counts(p1: FinMor, p2: FinMor, f: FinMor, g: FinMor) -> bool:
-    hits: dict[tuple[str, str], int] = {}
-    for p in p1.dom.labels:
-        key = (p1(p), p2(p))
-        hits[key] = hits.get(key, 0) + 1
-    total = 0
-    for x in f.dom.labels:
-        for y in g.dom.labels:
-            if f(x) == g(y):
-                total += 1
-                if hits.get((x, y), 0) != 1:
-                    return False
-    return total == len(p1.dom)
+    """Whether (p1, p2) pairs the points of P one-to-one with the pairs (x, y)
+    of f's and g's domains with f(x) = g(y).
+
+    It does when its rows (p1(p), p2(p)) are distinct, each is such a pair,
+    and they are as many as those pairs: the sum, over f's table, of the
+    number of points g sends to each value.
+    """
+    rows = set(zip(p1.table, p2.table))
+    if len(rows) != len(p1.table):
+        return False
+    at_f = dict(zip(f.dom.labels, f.table))
+    at_g = dict(zip(g.dom.labels, g.table))
+    if not all(x in at_f and y in at_g and at_f[x] == at_g[y] for x, y in rows):
+        return False
+    over = Counter(g.table)
+    return len(rows) == sum(over[c] for c in f.table)
 
 
 def _pullback_feet(square, f: FinMor, g: FinMor) -> bool:

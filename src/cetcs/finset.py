@@ -547,15 +547,10 @@ def exponential(x_obj: FinObj, y_obj: FinObj):
 
 
 def characteristic(r) -> FinMor:
-    """The map to 1+1 sending members of the subcarrier to the second point."""
-    if isinstance(r, FinMor):
-        leg = r
-        if not leg.is_injective():
-            raise ShapeError("characteristic needs a monic leg")
-    else:
-        if len(r.legs) != 1:
-            raise ShapeError("characteristic needs an arity-1 relation")
-        leg = r.legs[0]
+    """The map to 1+1 sending members of the arity-1 relation r to the second point."""
+    if len(r.legs) != 1:
+        raise ShapeError("characteristic needs an arity-1 relation")
+    (leg,) = r.legs
     two = bool_object()
     false_lbl, true_lbl = two.apex.labels
     members = set(leg.table)

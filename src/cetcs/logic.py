@@ -26,22 +26,20 @@ touching none of the constructions above, and ``verify`` sweeps every
 context tuple comparing the two routes.
 
 An ``Env`` holds read-only snapshots of its carriers, relations and maps,
-and keeps six bounded memos.  The first maps (context, node) to the node's
+and keeps two bounded memos.  The first maps (context, node) to the node's
 mono, so a subtree repeated within a formula, or shared with one compiled
-just before, is built once; a memoized node replays its trace steps, so the
-trace reads the same either way.  The second maps a connective and its
-input monos (the two children's for ``/\\``, ``\\/`` and ``=>``; the body's
-and the extended context's carriers for a quantifier) to the mono the
-connective builds from them, so different formulas whose children reduce
-to the same subobjects share one construction.  The third, the result
-memo, keeps the relation ``compile_formula`` returns, by the context's
-carriers and the formula's mono.  Three more keep each relation's mono, by
-name, each quantifier's projection onto the context less its last
-variable, and each product of carriers, by the carriers.  The type checker
-skips a subtree already in the first memo: it was checked in that same
-context before it was compiled.  The env also remembers the last
-formula it type-checked, so the oracle's per-row check costs nothing; the
-oracle itself still evaluates every row without any memo.
+just before, is built once; the type checker skips a subtree found there,
+since it was checked in that same context before it was compiled.  The
+second keeps everything built from inputs, under a key tagged with its
+kind: each connective's mono by its input monos, so different formulas
+whose children reduce to the same subobjects share one construction; the
+relation ``compile_formula`` returns, by the context's carriers and the
+formula's mono; each relation's mono, by name; each quantifier's
+projection, by the extended context's carriers; and each product of
+carriers.  The env also remembers the last formula it type-checked, so
+the oracle's per-row check costs nothing; the oracle itself still
+evaluates every row without any memo.  The trace is read off the syntax
+tree, on demand.
 """
 
 from __future__ import annotations
@@ -273,67 +271,59 @@ class Context:
         return len(self.vars)
 
 
-# Entries kept by each of an Env's memos.  Each entry keeps a compiled
-# subobject alive, so size costs memory.  perfbench formula-shared at seed 7
+# Entries kept by an Env's memos.  Each entry keeps a compiled subobject
+# alive, so size costs memory.  perfbench formula-shared at seed 7
 # (reference seconds, one run each): the (context, node) memo alone at 64
 # entries ran in 8.24 s at a 37.9 MB peak, and alone at 256 entries in
 # 6.80 s at 40.4 MB (+6.5 %, against the benchmark's 10 % bound); both
-# memos at 64 entries ran in 6.72 s at 38.0 MB.
+# memos at 64 entries ran in 6.72 s at 38.0 MB.  The memo of built values
+# holds five kinds of entry, so it gets room for 64 of each: at 64 entries
+# in all, formula-deep ran 11 % slower (3.90 s against 3.54 s at 320).
 _MEMO_SIZE = 64
+_BUILT_SIZE = 5 * _MEMO_SIZE
 
 
 class _LRU(OrderedDict):
-    """A map that keeps its ``_MEMO_SIZE`` most recently used entries."""
+    """A map that keeps its ``size`` most recently used entries."""
 
-    def hit(self, key):
-        """The value under key, now most recently used; None if absent."""
+    def __init__(self, size: int) -> None:
+        super().__init__()
+        self.size = size
+
+    def kept(self, key, build, *args):
+        """The value under key, now most recently used; ``build(*args)`` kept if absent."""
         value = self.get(key)
         if value is not None:
             self.move_to_end(key)
-        return value
-
-    def keep(self, key, value) -> None:
-        self[key] = value
-        if len(self) > _MEMO_SIZE:
+            return value
+        value = self[key] = build(*args)
+        if len(self) > self.size:
             self.popitem(last=False)
-
-    def kept(self, key, build):
-        """The value under key, now most recently used; built and kept if absent."""
-        value = self.hit(key)
-        if value is None:
-            value = build()
-            self.keep(key, value)
         return value
 
 
 class _Memo:
     """What an Env remembers between calls.
 
-    ``compiled`` maps (context, node) to the node's mono and the trace steps
-    that built it; ``built`` maps (connective, input monos) to the mono the
-    connective builds from them; ``results`` maps a context's carriers and a
-    mono into their product to the relation it compiles to; ``relations``
-    maps a relation's name to its mono into the product of its carriers,
-    ``projections`` an extended context's carriers to its projection onto
-    the context less its last variable, and ``products`` carriers to their
-    product; ``checked`` is the last (context, formula) that
-    ``check_formula`` accepted.
+    ``compiled`` maps (context, node) to the node's mono; ``built`` maps a
+    key tagged with its kind to what was built from it: ``(connective,
+    inputs)`` to the connective's mono, ``("result", carriers, dom, table)``
+    to the relation a mono compiles to, ``("relation", name)`` to the
+    relation's mono into the product of its carriers, ``("drop", carriers)``
+    to the projection of an extended context onto the context less its last
+    variable, and ``("product", carriers)`` to their product; ``checked`` is
+    the last (context, formula) that ``check_formula`` accepted.
     """
 
-    __slots__ = ("compiled", "built", "results", "relations", "projections", "products",
-                 "checked")
+    __slots__ = ("compiled", "built", "checked")
 
     def __init__(self) -> None:
-        self.compiled = _LRU()
-        self.built = _LRU()
-        self.results = _LRU()
-        self.relations = _LRU()
-        self.projections = _LRU()
-        self.products = _LRU()
+        self.compiled = _LRU(_MEMO_SIZE)
+        self.built = _LRU(_BUILT_SIZE)
         self.checked: tuple[Context, Formula] | None = None
 
     def product(self, objs: tuple[FinObj, ...]) -> ProductDiagram:
-        return self.products.kept(objs, lambda: product_n(objs))
+        return self.built.kept(("product", objs), product_n, objs)
 
 
 @dataclass(frozen=True)
@@ -626,10 +616,33 @@ def _check(ctx: Context, phi: Formula, env: Env) -> None:
 # compilation
 
 
+# The construction that realizes each kind of node; an atom's names its relation.
+_STEP = {Top: "true:identity", Bot: "false:initial", Eq: "eq:equalizer",
+         And: "and:pullback", Or: "or:sum+image", Implies: "implies:pullback+pi",
+         Forall: "forall:product+pi", Exists: "exists:image"}
+
+
+def _steps(phi: Formula) -> list[str]:
+    """The construction that realizes each node of phi, in postorder."""
+    if isinstance(phi, (And, Or, Implies)):
+        steps = _steps(phi.lhs) + _steps(phi.rhs)
+    elif isinstance(phi, (Forall, Exists)):
+        steps = _steps(phi.body)
+    else:
+        steps = []
+    steps.append(f"atom:{phi.name}:pullback" if isinstance(phi, Atom) else _STEP[type(phi)])
+    return steps
+
+
 @dataclass(frozen=True)
 class CompilationResult:
     relation: Relation
-    trace: tuple[str, ...]
+    formula: Formula
+
+    @property
+    def trace(self) -> tuple[str, ...]:
+        """Which construction realized each node of the formula, in postorder."""
+        return tuple(_steps(self.formula))
 
 
 def _term_mor(ctx: Context, t: Term, env: Env, cprod: ProductDiagram) -> FinMor:
@@ -638,91 +651,65 @@ def _term_mor(ctx: Context, t: Term, env: Env, cprod: ProductDiagram) -> FinMor:
     return compose(env.morphisms[t.fn], _term_mor(ctx, t.arg, env, cprod))
 
 
-def _compile_mono(
-    ctx: Context, phi: Formula, env: Env, cprod: ProductDiagram, trace: list[str]
-) -> FinMor:
+def _compile_mono(ctx: Context, phi: Formula, env: Env, cprod: ProductDiagram) -> FinMor:
     """Compile to a monic map into the context product, through the memo.
 
-    A node compiled before in the same context reuses its mono and appends
-    the trace steps that first built it, so the trace is the same postorder
-    listing either way.
+    ``_build_mono`` is passed with its arguments rather than in a closure:
+    a closure's frame per level of nesting would lower the deepest formula
+    that compiles within Python's recursion limit, from 330 conjuncts to 225.
     """
-    memo = env._memo.compiled
-    key = (ctx, phi)
-    hit = memo.hit(key)
-    if hit is not None:
-        mono, steps = hit
-        trace.extend(steps)
-        return mono
-    start = len(trace)
-    mono = _build_mono(ctx, phi, env, cprod, trace)
-    memo.keep(key, (mono, tuple(trace[start:])))
-    return mono
+    return env._memo.compiled.kept((ctx, phi), _build_mono, ctx, phi, env, cprod)
 
 
-def _build_mono(
-    ctx: Context, phi: Formula, env: Env, cprod: ProductDiagram, trace: list[str]
-) -> FinMor:
+def _build_mono(ctx: Context, phi: Formula, env: Env, cprod: ProductDiagram) -> FinMor:
     memo = env._memo
+    built = memo.built.kept
     if isinstance(phi, Top):
-        trace.append("true:identity")
         return identity(cprod.apex)
     if isinstance(phi, Bot):
-        trace.append("false:initial")
         return unique_from_initial(cprod.apex)
     if isinstance(phi, Atom):
         rel = env.relations[phi.name]
         tprod = memo.product(rel.cods)
-        rel_mono = memo.relations.kept(
-            phi.name, lambda: tprod.pair(rel.legs, dom=rel.dom))
+        rel_mono = built(("relation", phi.name), lambda: tprod.pair(rel.legs, dom=rel.dom))
         terms = tprod.pair(
             tuple(_term_mor(ctx, a, env, cprod) for a in phi.args), dom=cprod.apex
         )
-        square = pullback(rel_mono, terms)
-        trace.append(f"atom:{phi.name}:pullback")
-        return square.p2
+        return pullback(rel_mono, terms).p2
     if isinstance(phi, Eq):
-        lhs = _term_mor(ctx, phi.lhs, env, cprod)
-        rhs = _term_mor(ctx, phi.rhs, env, cprod)
-        trace.append("eq:equalizer")
-        return equalizer(lhs, rhs)
+        return equalizer(_term_mor(ctx, phi.lhs, env, cprod),
+                         _term_mor(ctx, phi.rhs, env, cprod))
     # A connective's mono is built once per Env for a key naming it and the
     # inputs that fix its result.  An input mono is spelled by its domain and
     # table rather than by itself, its codomain being the context product:
     # FinMor's generated hash and equality build a tuple of its fields in
     # Python on every call, which made each lookup cost about twice as much.
-    built = memo.built.kept
     if isinstance(phi, (And, Or, Implies)):
-        a = _compile_mono(ctx, phi.lhs, env, cprod, trace)
-        b = _compile_mono(ctx, phi.rhs, env, cprod, trace)
+        a = _compile_mono(ctx, phi.lhs, env, cprod)
+        b = _compile_mono(ctx, phi.rhs, env, cprod)
         inputs = (cprod.apex, a.dom, a.table, b.dom, b.table)
         if isinstance(phi, And):
-            trace.append("and:pullback")
             return built(("and", inputs), lambda: compose(a, pullback(a, b).p1))
         if isinstance(phi, Or):
-            trace.append("or:sum+image")
             return built(("or", inputs), lambda: image_factorization(
                 coproduct(a.dom, b.dom).copair(a, b))[1])
-        trace.append("implies:pullback+pi")
         return built(("implies", inputs), lambda: pi_object(pullback(a, b).p1, a))
     if isinstance(phi, (Forall, Exists)):
         inner_ctx = ctx.extend(phi.var, env.objects[phi.sort])
         objs = inner_ctx.objects
         inner_prod = memo.product(objs)
-        body = _compile_mono(inner_ctx, phi.body, env, inner_prod, trace)
+        body = _compile_mono(inner_ctx, phi.body, env, inner_prod)
         # The inner carriers fix both context products (the outer context is
         # the inner one less its last variable), hence the projection that
         # drops the last variable, kept per Env for them.
         inputs = (objs, body.dom, body.table)
 
         def drop() -> FinMor:
-            return memo.projections.kept(objs, lambda: cprod.pair(
+            return built(("drop", objs), lambda: cprod.pair(
                 inner_prod.projections[:-1], dom=inner_prod.apex))
 
         if isinstance(phi, Forall):
-            trace.append("forall:product+pi")
             return built(("forall", inputs), lambda: pi_object(body, drop()))
-        trace.append("exists:image")
         return built(("exists", inputs), lambda: image_factorization(
             compose(drop(), body))[1])
     raise FormulaError(f"unsupported formula node {phi!r}")
@@ -731,18 +718,17 @@ def _build_mono(
 def compile_formula(ctx: Context, phi: Formula, env: Env) -> CompilationResult:
     """Compile a checked formula to a relation on the context carriers.
 
-    The trace lists, in postorder, which construction realized each node.
     The relation is kept under the context's carriers and the mono, which
     fix its legs; the apex would not: a label ``(a,u)`` spells a pair.
     """
     check_formula(ctx, phi, env)
     objs = ctx.objects
-    cprod = env._memo.product(objs)
-    trace: list[str] = []
-    mono = _compile_mono(ctx, phi, env, cprod, trace)
-    rel = env._memo.results.kept((objs, mono.dom, mono.table), lambda: Relation(
+    memo = env._memo
+    cprod = memo.product(objs)
+    mono = _compile_mono(ctx, phi, env, cprod)
+    rel = memo.built.kept(("result", objs, mono.dom, mono.table), lambda: Relation(
         dom=mono.dom, legs=tuple(compose(p, mono) for p in cprod.projections)))
-    return CompilationResult(rel, tuple(trace))
+    return CompilationResult(rel, phi)
 
 
 # ---------------------------------------------------------------------------

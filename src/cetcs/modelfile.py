@@ -10,8 +10,10 @@ The syntax is hand-writable and diff-friendly::
 
 Blank lines and ``#`` comments are ignored.  Labels are bare words; a
 balanced parenthesized group such as ``(a,u)`` also counts as a single
-label, so constructed carriers (products, sums) round-trip.  Diagnostics
-carry the one-based line number of the offending declaration.
+label, so constructed carriers (products, sums) round-trip.  No label may
+contain ``|->``, which a morphism's table puts between a label and its
+image: a rendered map from such a carrier could not be read back.
+Diagnostics carry the one-based line number of the offending declaration.
 """
 
 from __future__ import annotations
@@ -101,6 +103,9 @@ def parse_model(text: str) -> ModelFile:
             labels = tuple(_split_top(body, line))
             if len(set(labels)) != len(labels):
                 raise ModelFileError(f"object {name!r} repeats a label", line)
+            for lbl in labels:
+                if "|->" in lbl:
+                    raise ModelFileError(f"label {lbl!r} contains '|->'", line)
             objects[name] = FinObj(labels)
         elif m := _MORPHISM.match(stripped):
             name, dom_name, cod_name, body = m.groups()

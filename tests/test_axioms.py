@@ -583,6 +583,59 @@ def test_pullback_sweep_rejects_a_broken_apex(monkeypatch, mutate):
     assert {"f", "g", "q1", "q2"} == set(rep.witness)
 
 
+def _eq10_counts_by_lookup(p1: FinMor, p2: FinMor, f: FinMor, g: FinMor) -> bool:
+    # the reference: _eq10_counts by one lookup per pair of points, verbatim
+    hits: dict[tuple[str, str], int] = {}
+    for p in p1.dom.labels:
+        key = (p1(p), p2(p))
+        hits[key] = hits.get(key, 0) + 1
+    total = 0
+    for x in f.dom.labels:
+        for y in g.dom.labels:
+            if f(x) == g(y):
+                total += 1
+                if hits.get((x, y), 0) != 1:
+                    return False
+    return total == len(p1.dom)
+
+
+def with_an_incompatible_point(square, replacing: int):
+    """The square less its last ``replacing`` points plus one over a pair
+    (x, y) with f(x) != g(y); None if there is no such pair or point."""
+    f, g = square.f, square.g
+    pairs = [(x, y) for x in f.dom.labels for y in g.dom.labels if f(x) != g(y)]
+    kept = len(square.apex) - replacing
+    if not pairs or kept < 0:
+        return None
+    apex = FinObj(square.apex.labels[:kept] + ("odd",))
+    x, y = pairs[0]
+    return PullbackSquare(apex, FinMor(apex, f.dom, square.p1.table[:kept] + (x,)),
+                          FinMor(apex, g.dom, square.p2.table[:kept] + (y,)), f, g)
+
+
+def test_eq10_counts_agrees_with_the_lookup_it_replaced():
+    small = CheckSpec(item="pullback-elements", bound=2)
+    verdicts = Counter()
+    for f, g in axioms._instances(small, axioms._COSPAN):
+        for p_obj in axioms._objs(small, "p"):
+            for p1, p2 in axioms._cones(f, g, p_obj):
+                want = _eq10_counts_by_lookup(p1, p2, f, g)
+                assert axioms._eq10_counts(p1, p2, f, g) == want, (f, g, p1, p2)
+                verdicts["cone", want] += 1
+        square = pullback(f, g)
+        mutants = [square, duplicate_first_point(square),
+                   with_an_incompatible_point(square, 0), with_an_incompatible_point(square, 1)]
+        if len(square.apex):
+            mutants.append(drop_last_point(square))
+        for s in filter(None, mutants):
+            want = _eq10_counts_by_lookup(s.p1, s.p2, f, g)
+            assert axioms._eq10_counts(s.p1, s.p2, f, g) == want, (f, g, s)
+            verdicts["square", want] += 1
+    # both verdicts are reached on cones and on squares
+    assert set(verdicts) == {("cone", True), ("cone", False),
+                             ("square", True), ("square", False)}
+
+
 def test_equalizer_sweep_rejects_an_omitted_point(monkeypatch):
     def omit_last(f, g):
         kept = equalizer(f, g).table[:-1]

@@ -27,6 +27,7 @@ from cetcs.finset import (
     pullback,
 )
 from cetcs.logic import (
+    _BUILT_SIZE,
     _MEMO_SIZE,
     And,
     App,
@@ -474,17 +475,17 @@ def test_memoized_compile_equals_a_fresh_compile(data):
         assert got.trace == want.trace
     for env in (warm, fresh):
         assert len(env._memo.compiled) <= _MEMO_SIZE
-        assert len(env._memo.built) <= _MEMO_SIZE
-        assert len(env._memo.results) <= _MEMO_SIZE
+        assert len(env._memo.built) <= _BUILT_SIZE
 
 
 def test_compile_memo_keeps_at_most_its_size(env, ctx):
     phi = Top()
-    for _ in range(2 * _MEMO_SIZE):
+    # each step keeps a new conjunction and its result relation in ``built``
+    for _ in range(_BUILT_SIZE // 2 + 1):
         phi = And(phi, R_X)
         compile_formula(ctx, phi, env)
     assert len(env._memo.compiled) == _MEMO_SIZE
-    assert len(env._memo.built) == _MEMO_SIZE
+    assert len(env._memo.built) == _BUILT_SIZE
     assert set(compile_formula(ctx, phi, env).relation.tuples) == {("x0",), ("x1",)}
 
 
@@ -504,7 +505,7 @@ def test_verify_rejects_a_poisoned_construction_memo(env, ctx):
     compile_formula(ctx, parse(r"r(x) /\ s(x)"), env)
     built = env._memo.built
     (key,) = [k for k in built if k[0] == "and"]
-    r_mono, _ = env._memo.compiled[(ctx, parse("r(x)"))]
+    r_mono = env._memo.compiled[(ctx, parse("r(x)"))]
     built[key] = r_mono
     # Renaming the variable misses the (context, node) memo, but the atoms
     # compile to the same monos, so the conjunction is read from the
@@ -519,8 +520,9 @@ def test_verify_rejects_a_poisoned_result_memo(env, ctx):
     phi = parse(r"r(x) /\ s(x)")
     r_relation = compile_formula(ctx, parse("r(x)"), env).relation
     want = compile_formula(ctx, phi, env)
-    (key,) = [k for k, rel in env._memo.results.items() if rel == want.relation]
-    env._memo.results[key] = r_relation
+    built = env._memo.built
+    (key,) = [k for k, rel in built.items() if k[0] == "result" and rel == want.relation]
+    built[key] = r_relation
     rep = verify(ctx, phi, env)
     assert rep.failed
     assert rep.witness == {"row": ["x0"], "compiled": True, "oracle": False,
@@ -546,7 +548,7 @@ def test_context_products_do_not_outlive_their_env(std_model):
     env = std_model.env()
     ctx = parse_context("x:X, y:Y", env.objects)
     assert verify(ctx, parse("forall z:X. m(x,y) => r(z)"), env).passed
-    kept = [weakref.ref(p) for p in env._memo.products.values()]
+    kept = [weakref.ref(p) for k, p in env._memo.built.items() if k[0] == "product"]
     assert len(kept) == 3  # the context's, the body's and m's
     del env
     gc.collect()

@@ -109,6 +109,12 @@ def test_duplicate_object_label():
     errors_with_line("object A = {a, a}", "repeats", 1)
 
 
+@pytest.mark.parametrize("labels", ["a|->b, c", "c, (a |-> b, u)"])
+def test_label_with_a_maps_to_arrow(labels):
+    # a rendered morphism from such a carrier could not be read back
+    errors_with_line(f"object B = {{u}}\nobject X = {{{labels}}}", "'|->'", 2)
+
+
 def test_render_parse_round_trip(std_model):
     lines = [render_object(n, o) for n, o in std_model.objects.items()]
     lines += [
