@@ -21,8 +21,6 @@ equalizers and coequalizers the fork check's composites already do this).
 Cones over a cospan are grouped by the checker-side composite (the table
 of g∘q2), so each first leg visits only the second legs it commutes with;
 the grouping reads the cospan alone, never the construction under test.
-Equalizer and coequalizer counts read only the construction's table (and a
-coequalizer's codomain) and the test object, so each is made once per key.
 
 Statements about maps range over the instances of a shape: parallel pairs
 (C3, D3), cospans (``pullback-elements``, ``onto-pullback``, ``regularity``)
@@ -574,16 +572,16 @@ def _unique_maps(spec: CheckSpec, hom: Callable[[FinObj], Iterable[FinMor]]):
     return PASS, None, checked
 
 
-def _ax_products(spec: CheckSpec):
+def _ax_binary(spec: CheckSpec, legs: Callable, feet: Callable, sweep: Callable):
+    """C2 and D2: the two legs built on each pair (a, b) of carriers have
+    feet a and b, and every cone over them through a test object has exactly
+    one mediator, decided by ``sweep``."""
     checked = 0
     for a, b in _carriers(spec, "ab"):
-        d = product(a, b)
-        p, q = d.projections
-        if p.cod != a or q.cod != b:
+        p, q = legs(a, b)
+        if feet(p) != a or feet(q) != b:
             return FAIL, {"A": str(a), "B": str(b), "face": "feet"}, checked
-        visited, t, cone, n = _sweep(_objs(spec, "t"), lambda t: Counter(
-            (compose(p, h).table, compose(q, h).table) for h in all_maps(t, d.apex)
-        ), lambda t: itertools.product(all_maps(t, a), all_maps(t, b)), _tables)
+        visited, t, cone, n = sweep(_objs(spec, "t"), p, q)
         checked += visited
         if cone is not None:
             f, g = cone
@@ -594,16 +592,24 @@ def _ax_products(spec: CheckSpec):
     return PASS, None, checked
 
 
+def _pairings(tests: list[FinObj], p: FinMor, q: FinMor):
+    """``_sweep`` of the cones (f, g) from each test object into the feet of
+    p and q against the pairs (p∘h, q∘h) of the maps h into their apex."""
+    return _sweep(tests, lambda t: Counter(
+        (compose(p, h).table, compose(q, h).table) for h in all_maps(t, p.dom)
+    ), lambda t: itertools.product(all_maps(t, p.cod), all_maps(t, q.cod)), _tables)
+
+
+def _copairings(tests: list[FinObj], i: FinMor, j: FinMor):
+    """``_sweep`` of the cones (f, g) out of the feet of i and j into each
+    test object against the copairs (h∘i, h∘j) of the maps h out of their
+    apex."""
+    return _sweep(tests, lambda t: Counter(
+        (compose(h, i).table, compose(h, j).table) for h in all_maps(i.cod, t)
+    ), lambda t: itertools.product(all_maps(i.dom, t), all_maps(j.dom, t)), _tables)
+
+
 def _ax_equalizers(spec: CheckSpec):
-    # the count reads only e's table, so pairs sharing one reuse it
-    made: dict = {}
-
-    def mediators(e: FinMor, t: FinObj) -> Counter:
-        key = e.table, t
-        if key not in made:
-            made[key] = Counter(compose(e, k).table for k in all_maps(t, e.dom))
-        return made[key]
-
     return _orbit_sweep(
         spec, _PAIR, build=equalizer,
         feet=lambda e, f, g: e.cod == f.dom,
@@ -611,7 +617,7 @@ def _ax_equalizers(spec: CheckSpec):
         # e must be alpha∘e0 up to a bijection of apexes: the same rows,
         # counted with multiplicity
         same=lambda e0, e, gamma: sorted(e.table) == sorted([gamma[0][x] for x in e0.table]),
-        mediators=mediators,
+        mediators=lambda e, t: Counter(compose(e, k).table for k in all_maps(t, e.dom)),
         cones=lambda f, g, t: (h for h in all_maps(t, f.dom)
                                if compose(f, h).table == compose(g, h).table),
         key=_table,
@@ -619,48 +625,13 @@ def _ax_equalizers(spec: CheckSpec):
     )
 
 
-def _ax_sums(spec: CheckSpec):
-    checked = 0
-    for a, b in _carriers(spec, "ab"):
-        d = coproduct(a, b)
-        inl, inr = d.injections
-        if inl.dom != a or inr.dom != b:
-            return FAIL, {"A": str(a), "B": str(b), "face": "feet"}, checked
-        visited, t, cone, n = _copairings(_objs(spec, "t"), d.apex, inl, inr)
-        checked += visited
-        if cone is not None:
-            f, g = cone
-            return FAIL, {
-                "A": str(a), "B": str(b), "T": str(t),
-                "f": str(f), "g": str(g), "mediators": n,
-            }, checked
-    return PASS, None, checked
-
-
-def _copairings(tests: list[FinObj], s: FinObj, i: FinMor, j: FinMor):
-    """``_sweep`` of the cones (f, g) out of the feet of i and j into each
-    test object against the copairs (h∘i, h∘j) of the maps h out of s."""
-    return _sweep(tests, lambda t: Counter(
-        (compose(h, i).table, compose(h, j).table) for h in all_maps(s, t)
-    ), lambda t: itertools.product(all_maps(i.dom, t), all_maps(j.dom, t)), _tables)
-
-
 def _ax_coequalizers(spec: CheckSpec):
-    # unreached classes change the count, so the codomain stays in the key
-    made: dict = {}
-
-    def mediators(q: FinMor, t: FinObj) -> Counter:
-        key = q.cod, q.table, t
-        if key not in made:
-            made[key] = Counter(compose(k, q).table for k in all_maps(q.cod, t))
-        return made[key]
-
     return _orbit_sweep(
         spec, _PAIR, build=coequalizer,
         feet=lambda q, f, g: q.dom == f.cod,
         face=(lambda q, f, g: compose(q, f) == compose(q, g), {"face": "fork"}),
         same=lambda q0, q, gamma: _classes_match(q0, q, gamma[1]),
-        mediators=mediators,
+        mediators=lambda q, t: Counter(compose(k, q).table for k in all_maps(q.cod, t)),
         cones=lambda f, g, t: (h for h in all_maps(f.cod, t)
                                if compose(h, f).table == compose(h, g).table),
         key=_table,
@@ -763,8 +734,8 @@ def _separating_pool(spec: CheckSpec) -> CheckSpec:
     return CheckSpec(item=spec.item, bound=2)
 
 
-def _is_sum_diagram(spec: CheckSpec, s: FinObj, i: FinMor, j: FinMor) -> bool:
-    _, _, cone, _ = _copairings(_objs(_separating_pool(spec), "t"), s, i, j)
+def _is_sum_diagram(spec: CheckSpec, i: FinMor, j: FinMor) -> bool:
+    _, _, cone, _ = _copairings(_objs(_separating_pool(spec), "t"), i, j)
     return cone is None
 
 
@@ -784,7 +755,7 @@ def _ax_sum_disjunction(spec: CheckSpec):
         s = carrier_of_size(len(a) + len(b), "s")
         for i in all_maps(a, s):
             for j in all_maps(b, s):
-                if not _is_sum_diagram(small, s, i, j):
+                if not _is_sum_diagram(small, i, j):
                     continue
                 left = set(i.table)
                 right = set(j.table)
@@ -807,7 +778,7 @@ def _ax_nontrivial(spec: CheckSpec):
             for y in s.labels:
                 i = FinMor(one, s, (x,))
                 j = FinMor(one, s, (y,))
-                if not _is_sum_diagram(spec, s, i, j):
+                if not _is_sum_diagram(spec, i, j):
                     continue
                 checked += 1
                 if x == y:
@@ -861,11 +832,13 @@ def _ax_effective(spec: CheckSpec):
 AXIOMS: dict[str, tuple[str, Callable]] = {
     "C1": ("terminal object with unique maps into it",
            lambda spec: _unique_maps(spec, lambda a: all_maps(a, terminal()))),
-    "C2": ("binary products with unique pairing", _ax_products),
+    "C2": ("binary products with unique pairing", lambda spec: _ax_binary(
+        spec, lambda a, b: product(a, b).projections, operator.attrgetter("cod"), _pairings)),
     "C3": ("equalizers with unique factorization", _ax_equalizers),
     "D1": ("initial object with unique maps out of it",
            lambda spec: _unique_maps(spec, lambda a: all_maps(initial(), a))),
-    "D2": ("binary sums with unique copairing", _ax_sums),
+    "D2": ("binary sums with unique copairing", lambda spec: _ax_binary(
+        spec, lambda a, b: coproduct(a, b).injections, operator.attrgetter("dom"), _copairings)),
     "D3": ("coequalizers with unique factorization", _ax_coequalizers),
     "Pi": ("dependent products along every composable pair", _ax_pi),
     "G": ("onto and mono implies isomorphism", _ax_onto_mono_iso),

@@ -51,18 +51,6 @@ class FinObj:
             raise ShapeError("empty string is not a valid label")
         object.__setattr__(self, "index", index)
 
-    def __hash__(self) -> int:
-        # The generated hash, computed on first use and kept: most carriers
-        # are never hashed, and a memo key is hashed on every lookup.
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self.__dict__["_hash"] = hash((self.labels,))
-        return h
-
-    def __getstate__(self) -> dict:
-        # str hashes differ between processes, so a kept hash is not pickled
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
-
     def __len__(self) -> int:
         return len(self.labels)
 

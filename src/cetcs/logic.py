@@ -312,7 +312,8 @@ class _Memo:
     relation's mono into the product of its carriers, ``("drop", carriers)``
     to the projection of an extended context onto the context less its last
     variable, and ``("product", carriers)`` to their product; ``checked`` is
-    the last (context, formula) that ``check_formula`` accepted.
+    the last (context, formula) that ``check_formula`` accepted, matched by
+    identity: the generated equality of two long formulas walks them both.
     """
 
     __slots__ = ("compiled", "built", "checked")
@@ -320,7 +321,7 @@ class _Memo:
     def __init__(self) -> None:
         self.compiled = _LRU(_MEMO_SIZE)
         self.built = _LRU(_BUILT_SIZE)
-        self.checked: tuple[Context, Formula] | None = None
+        self.checked: tuple[Context | None, Formula | None] = None, None
 
     def product(self, objs: tuple[FinObj, ...]) -> ProductDiagram:
         return self.built.kept(("product", objs), product_n, objs)
@@ -558,13 +559,15 @@ def check_formula(ctx: Context, phi: Formula, env: Env) -> None:
     """Name-resolve and type-check; raises FormulaError on the first problem.
 
     The env remembers the last formula it accepted, so the check that
-    ``oracle`` repeats on every row of one ``verify`` returns at once.
+    ``oracle`` repeats on every row of one ``verify``, with the same
+    objects, returns at once.
     """
     memo = env._memo
-    if memo.checked == (ctx, phi):
+    last_ctx, last_phi = memo.checked
+    if last_ctx is ctx and last_phi is phi:
         return
     _check(ctx, phi, env)
-    memo.checked = (ctx, phi)
+    memo.checked = ctx, phi
 
 
 def _check(ctx: Context, phi: Formula, env: Env) -> None:

@@ -10,6 +10,7 @@ inputs produce byte-identical reports.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
@@ -109,8 +110,12 @@ def from_dict(data: Mapping) -> Report:
         )
     if elapsed is not None and (
         isinstance(elapsed, bool) or not isinstance(elapsed, (int, float))
+        or not 0 <= elapsed < math.inf
     ):
-        raise ReportError(f"elapsed of {item!r} must be a number or null")
+        raise ReportError(
+            f"elapsed of {item!r} must be a number of seconds, finite and not "
+            f"negative, or null; got {elapsed!r}"
+        )
     return Report(item, verdict, witness, instances, elapsed)
 
 

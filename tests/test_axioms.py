@@ -48,14 +48,16 @@ from cetcs.finset import (
     equalizer,
     exponential,
     identity,
+    image_factorization,
     initial,
+    nno_prefix,
     pi_diagram,
     product,
     pullback,
     quotient,
     unique_to_terminal,
 )
-from cetcs.relcalc import relation_from_tuples
+from cetcs.relcalc import leq, relation_from_tuples, unique_choice
 from cetcs.report import FAIL, PASS, Report
 
 
@@ -1131,7 +1133,8 @@ SHARED_FACES = {
         "h": "{b0, b1, b2} -> {t0, t1} [b0 |-> t0, b1 |-> t0, b2 |-> t1]",
         "mediators": 0}, 471)),
     # the first rep over a one-point A has the table of a rep over the empty
-    # A, so a count cached without the codomain would let the stray through
+    # A, so a count that read the table without the codomain would let the
+    # stray through
     "D3 unreached class": ("D3", {"coequalizer": lambda f, g: (
         with_stray_class(coequalizer(f, g)) if len(f.dom) == 1 else coequalizer(f, g)),
     }, (FAIL, {
@@ -1155,6 +1158,59 @@ SHARED_FACES = {
 def test_every_shared_sweep_face_is_pinned(monkeypatch, item, patches, want):
     for name, value in patches.items():
         monkeypatch.setattr(axioms, name, value)
+    check = check_axiom if item in AXIOMS else check_theorem
+    rep = check(CheckSpec(item=item, bound=3))
+    assert (rep.verdict, rep.witness, rep.instances_checked) == want
+
+
+def entries_swapped(m):
+    """m with its first two table entries swapped, when they differ."""
+    t = m.table
+    return FinMor(m.dom, m.cod, (t[1], t[0], *t[2:])) if len(set(t[:2])) == 2 else m
+
+
+def off_by_one(m):
+    """m followed by the step to the next codomain label, cyclically."""
+    labels = m.cod.labels
+    return FinMor(m.dom, m.cod, tuple(labels[(m.cod.index[v] + 1) % len(labels)]
+                                      for v in m.table))
+
+
+def witness_off_by_one(m, n):
+    factored, wit = leq(m, n)
+    return factored, off_by_one(wit) if factored else wit
+
+
+def prefix_one_short(bound, b, h):
+    """The prefix with its last step repeated instead of taken."""
+    seq = nno_prefix(bound - 1, b, h)
+    return [*seq, seq[-1]]
+
+
+CONSTRUCTION_MUTANTS = {
+    "image_factorization": ("Fct", lambda f: (
+        entries_swapped(image_factorization(f)[0]), image_factorization(f)[1]),
+        (FAIL, {"f": "{a0, a1} -> {b0, b1} [a0 |-> b0, a1 |-> b1]",
+                "reason": "does not compose to f"}, 13)),
+    "leq": ("inclusion-orders", witness_off_by_one, (FAIL, {
+        "m": "<| ({x0, x1}) = { (x0) }", "n": "<| ({x0, x1}) = { (x0), (x1) }",
+        "reason": "bad witness"}, 14)),
+    "unique_choice": ("function-graphs", lambda rel: off_by_one(unique_choice(rel)), (
+        FAIL, {"rows": [["x0", "y0"]], "statement": "unique choice"}, 9)),
+    "nno_prefix": ("induction", prefix_one_short, (FAIL, {
+        "h": "{a0, a1} -> {a0, a1} [a0 |-> a1, a1 |-> a0]", "base": "a0", "step": 7},
+        518)),
+    # every point merged into the first
+    "projective_cover": ("PA", lambda a: FinMor(a, a, a.labels[:1] * len(a)), (
+        FAIL, {"object": "{a0, a1}", "reason": "cover not onto"}, 7)),
+}
+
+
+@pytest.mark.parametrize("name, item, mutant, want", [
+    (name, *case) for name, case in CONSTRUCTION_MUTANTS.items()
+], ids=list(CONSTRUCTION_MUTANTS))
+def test_every_construction_mutant_is_killed(monkeypatch, name, item, mutant, want):
+    monkeypatch.setattr(axioms, name, mutant)
     check = check_axiom if item in AXIOMS else check_theorem
     rep = check(CheckSpec(item=item, bound=3))
     assert (rep.verdict, rep.witness, rep.instances_checked) == want

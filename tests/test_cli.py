@@ -488,9 +488,16 @@ def test_report_accepts_single_object(capsys, tmp_path):
      "instances_checked of 'G' must be a count"),
     ('[{"item": "G", "verdict": "pass", "elapsed": "soon"}]',
      "elapsed of 'G' must be a number"),
+    ('{"item": "x", "verdict": "pass", "elapsed": 1e400}',
+     "elapsed of 'x' must be a number of seconds, finite"),
+    ('{"item": "x", "verdict": "pass", "elapsed": NaN}',
+     "elapsed of 'x' must be a number of seconds, finite"),
+    ('{"item": "x", "verdict": "pass", "elapsed": -1}',
+     "elapsed of 'x' must be a number of seconds, finite and not negative"),
     ('"PASS G instances=7"', "neither a report nor a list"),
 ], ids=["malformed-json", "missing-key", "unknown-verdict", "witness-list",
-        "count-string", "elapsed-string", "not-a-list"])
+        "count-string", "elapsed-string", "elapsed-infinite", "elapsed-nan",
+        "elapsed-negative", "not-a-list"])
 def test_report_rejects_bad_input_with_exit_2(capsys, tmp_path, text, message):
     saved = tmp_path / "bad.json"
     saved.write_text(text, encoding="utf-8")

@@ -604,8 +604,9 @@ def test_unique_maps_at_the_poles():
 
 
 def test_carriers_survive_a_pickle_from_another_hash_seed():
-    # A carrier keeps its hash once computed; str hashes differ between
-    # processes, so a pickled carrier must not bring its hash along.
+    # A context keeps its hash, and str hashes differ between processes, so
+    # a pickled context must not bring its hash along; a pickled carrier
+    # must hash as a fresh one does.
     src = str(Path(cetcs.__file__).resolve().parents[1])
     code = (
         "import pickle, sys\n"

@@ -489,6 +489,16 @@ def test_compile_memo_keeps_at_most_its_size(env, ctx):
     assert set(compile_formula(ctx, phi, env).relation.tuples) == {("x0",), ("x1",)}
 
 
+def test_a_long_conjunction_chain_compiles_step_by_step(env, ctx):
+    # Each step is new to the type checker's memo of the last formula, which
+    # must tell the two chains apart without walking down either.
+    phi = Top()
+    for _ in range(400):
+        phi = And(phi, R_X)
+        result = compile_formula(ctx, phi, env)
+    assert set(result.relation.tuples) == {("x0",), ("x1",)}
+
+
 def test_quantifiers_over_one_context_keep_a_projection_per_sort(std_model):
     # Both binders extend x:X, by Y and by X: each needs its own projection.
     env = std_model.env()
