@@ -51,6 +51,14 @@ instances a sweep of every instance would.  A mismatch fails with face
 ``equivariance``.  Pi stays on ``_instances``: its check of one pair costs
 less than the relabellings of a rep's orbit.
 
+Every item of ``AXIOMS`` and ``THEOREMS`` is a generator function of the
+spec, with one protocol: ``yield n`` adds n decided instances, ``return
+witness`` fails with that witness, and falling off the end, a ``None``
+witness, passes.  Composed items run their parts with ``yield from`` and
+stop at the first witness that is not ``None``; an empty witness is still
+a failure.  ``_run`` is the one place that sums the counts and picks the
+verdict.
+
 Sampling mode (past the exhaustive threshold) draws each leg from a seeded
 reservoir of its hom-set (``_maps``), and the subsets of cells and pairs of
 subobjects by seeded index (``_draw``), so those cost the draw, not 2^n.
@@ -343,18 +351,18 @@ def _in_orbit(gamma: tuple, shape: tuple, rep: tuple, legs: tuple) -> bool:
 def _orbit_sweep(spec: CheckSpec, shape: tuple, *, build: Callable, feet: Callable,
                  face: tuple[Callable, dict], same: Callable, mediators: Callable,
                  cones: Callable, key: Callable, name: Callable):
-    """Check a construction on every instance (f, g) of the shape over the
-    pools, sweeping its cones once per orbit.
+    """The item body that checks a construction on every instance (f, g)
+    of the shape over the pools, sweeping its cones once per orbit.
 
-    ``c = build(f, g)`` fails with face ``feet`` unless ``feet(c, f, g)``;
-    the instance then counts once and, for ``face = (holds, fault)``, fails
-    with ``fault`` unless ``holds(c, f, g)``.  A rep's c is swept over the
-    test objects with ``mediators(c, t)``, ``cones(f, g, t)`` and ``key``,
-    and a failing cone is named by ``name(cone, count)``.  Any other
-    instance must pass ``same(c0, c, gamma)`` against its rep's c0, and is
-    credited with the rep's visits.
+    ``c = build(f, g)`` must satisfy ``feet(c, f, g)``, or the witness names
+    face ``feet``; the instance then yields 1, and for ``face = (holds,
+    fault)`` the witness is ``fault`` unless ``holds(c, f, g)``.  A rep's c
+    is swept over the test objects with ``mediators(c, t)``, ``cones(f, g,
+    t)`` and ``key``, and yields the cones visited, a failing one's
+    included, before the witness ``name(cone, count)`` names that cone.  Any
+    other instance must pass ``same(c0, c, gamma)`` against its rep's c0,
+    and yields the rep's visits.
     """
-    checked = 0
     tests = _objs(spec, "t")
     holds, fault = face
     for objs in _carriers(spec, shape[0]):
@@ -362,23 +370,22 @@ def _orbit_sweep(spec: CheckSpec, shape: tuple, *, build: Callable, feet: Callab
         for (f, g), gamma, rep in _orbits(objs, shape):
             c = build(f, g)
             if not feet(c, f, g):
-                return FAIL, {"f": str(f), "g": str(g), "face": "feet"}, checked
-            checked += 1
+                return {"f": str(f), "g": str(g), "face": "feet"}
+            yield 1
             if not holds(c, f, g):
-                return FAIL, {"f": str(f), "g": str(g), **fault}, checked
+                return {"f": str(f), "g": str(g), **fault}
             if gamma is not None:
                 c0, visits = swept[rep]
                 if not (_in_orbit(gamma, shape, rep, (f, g)) and same(c0, c, gamma)):
-                    return FAIL, {"f": str(f), "g": str(g), "face": "equivariance"}, checked
-                checked += visits
+                    return {"f": str(f), "g": str(g), "face": "equivariance"}
+                yield visits
                 continue
             visits, _, cone, n = _sweep(tests, lambda t: mediators(c, t),
                                         lambda t: cones(f, g, t), key)
+            yield visits
             if cone is not None:
-                return FAIL, {"f": str(f), "g": str(g), **name(cone, n)}, checked + visits
+                return {"f": str(f), "g": str(g), **name(cone, n)}
             swept[rep] = c, visits
-            checked += visits
-    return PASS, None, checked
 
 
 # ---------------------------------------------------------------------------
@@ -562,34 +569,33 @@ def _competitors(g: FinMor, f: FinMor, size_cap: int) -> Iterator[PiDiagram]:
 
 
 def _unique_maps(spec: CheckSpec, hom: Callable[[FinObj], Iterable[FinMor]]):
-    """Every carrier a of the pool has exactly one map in ``hom(a)``."""
-    checked = 0
+    """The item body of C1 and D1: every carrier a of the pool, counted
+    once, has exactly one map in ``hom(a)``, or the witness names it."""
     for a in _objs(spec, "a"):
-        checked += 1
+        yield 1
         maps = list(hom(a))
         if len(maps) != 1:
-            return FAIL, {"object": str(a), "maps": len(maps)}, checked
-    return PASS, None, checked
+            return {"object": str(a), "maps": len(maps)}
 
 
 def _ax_binary(spec: CheckSpec, legs: Callable, feet: Callable, sweep: Callable):
-    """C2 and D2: the two legs built on each pair (a, b) of carriers have
-    feet a and b, and every cone over them through a test object has exactly
-    one mediator, decided by ``sweep``."""
-    checked = 0
+    """The item body of C2 and D2: the two legs built on each pair (a, b)
+    of carriers have feet a and b, and every cone over them through a test
+    object has exactly one mediator, decided by ``sweep``.  Each pair yields
+    the cones its sweep visited, a failing one's included, before the
+    witness names that cone."""
     for a, b in _carriers(spec, "ab"):
         p, q = legs(a, b)
         if feet(p) != a or feet(q) != b:
-            return FAIL, {"A": str(a), "B": str(b), "face": "feet"}, checked
+            return {"A": str(a), "B": str(b), "face": "feet"}
         visited, t, cone, n = sweep(_objs(spec, "t"), p, q)
-        checked += visited
+        yield visited
         if cone is not None:
             f, g = cone
-            return FAIL, {
+            return {
                 "A": str(a), "B": str(b), "T": str(t),
                 "f": str(f), "g": str(g), "mediators": n,
-            }, checked
-    return PASS, None, checked
+            }
 
 
 def _pairings(tests: list[FinObj], p: FinMor, q: FinMor):
@@ -655,21 +661,16 @@ def _classes_match(q0: FinMor, q: FinMor, kappa: dict[str, str]) -> bool:
 def _ax_pi(spec: CheckSpec, count_sections: bool = False):
     # pi-universality also checks each F against the section-count oracle
     # in this pass, so that no dependent product is built twice.
-    checked = 0
     for g, f in _instances(spec, _COMPOSABLE):
         d = pi_diagram(g, f)
         rep = check_pi_universal(d, g, f)
-        checked += rep.instances_checked
+        yield rep.instances_checked
         if not rep.passed:
-            witness = dict(rep.witness or {})
-            witness.update({"g": str(g), "f": str(f)})
-            return FAIL, witness, checked
+            return {**(rep.witness or {}), "g": str(g), "f": str(f)}
         if count_sections:
-            checked += 1
+            yield 1
             if len(d.F) != _section_count(g, f):
-                return FAIL, {"g": str(g), "f": str(f),
-                              "statement": "section count"}, checked
-    return PASS, None, checked
+                return {"g": str(g), "f": str(f), "statement": "section count"}
 
 
 def _first_preimages(f: FinMor, fallback: str | None = None) -> FinMor:
@@ -682,44 +683,40 @@ def _first_preimages(f: FinMor, fallback: str | None = None) -> FinMor:
 
 
 def _ax_onto_mono_iso(spec: CheckSpec):
-    checked = 0
     for f in _morphism_pool(spec):
         onto = f.is_surjective()
         mono = kernel.is_mono(f, bound=min(spec.bound, 2))
-        checked += 1
+        yield 1
         if not (onto and mono):
             continue
         if not f.is_bijective():
-            return FAIL, {"f": str(f), "reason": "not bijective"}, checked
+            return {"f": str(f), "reason": "not bijective"}
         inverse = _first_preimages(f)
         if compose(inverse, f) != identity(f.dom) or compose(f, inverse) != identity(f.cod):
-            return FAIL, {"f": str(f), "reason": "inverse fails"}, checked
-    return PASS, None, checked
+            return {"f": str(f), "reason": "inverse fails"}
 
 
 def _ax_choice_covers(spec: CheckSpec):
-    checked = 0
     for a in _objs(spec, "a"):
         cover = projective_cover(a)
-        checked += 1
+        yield 1
         if not cover.is_surjective():
-            return FAIL, {"object": str(a), "reason": "cover not onto"}, checked
+            return {"object": str(a), "reason": "cover not onto"}
         p = cover.dom
         for b in _objs(spec, "b"):
             for h in _maps(spec, b, p):
                 if not h.is_surjective():
                     continue
-                checked += 1
+                yield 1
                 if compose(h, _first_preimages(h)) != identity(p):
-                    return FAIL, {"object": str(a), "h": str(h)}, checked
-    return PASS, None, checked
+                    return {"object": str(a), "h": str(h)}
 
 
 def _ax_no_initial_elements(spec: CheckSpec):
+    yield 1
     points = kernel.elements(initial())
     if points:
-        return FAIL, {"elements": len(points)}, 1
-    return PASS, None, 1
+        return {"elements": len(points)}
 
 
 def _separating_pool(spec: CheckSpec) -> CheckSpec:
@@ -740,15 +737,14 @@ def _is_sum_diagram(spec: CheckSpec, i: FinMor, j: FinMor) -> bool:
 
 
 def _ax_sum_disjunction(spec: CheckSpec):
-    checked = 0
     for a, b in _carriers(spec, "ab"):
         d = coproduct(a, b)
         left = set(d.injections[0].table)
         right = set(d.injections[1].table)
         for z in d.apex.labels:
-            checked += 1
+            yield 1
             if z not in left and z not in right:
-                return FAIL, {"A": str(a), "B": str(b), "z": z}, checked
+                return {"A": str(a), "B": str(b), "z": z}
     cap = min(spec.bound, 2)
     small = CheckSpec(item=spec.item, bound=cap)
     for a, b in _carriers(small, "ab"):
@@ -760,18 +756,16 @@ def _ax_sum_disjunction(spec: CheckSpec):
                 left = set(i.table)
                 right = set(j.table)
                 for z in s.labels:
-                    checked += 1
+                    yield 1
                     if z not in left and z not in right:
-                        return FAIL, {"i": str(i), "j": str(j), "z": z}, checked
-    return PASS, None, checked
+                        return {"i": str(i), "j": str(j), "z": z}
 
 
 def _ax_nontrivial(spec: CheckSpec):
-    checked = 0
     two = bool_object()
-    checked += 1
+    yield 1
     if two.injections[0].table[0] == two.injections[1].table[0]:
-        return FAIL, {"diagram": "canonical 1+1"}, checked
+        return {"diagram": "canonical 1+1"}
     one = terminal()
     for s in _objs(spec, "s"):
         for x in s.labels:
@@ -780,40 +774,36 @@ def _ax_nontrivial(spec: CheckSpec):
                 j = FinMor(one, s, (y,))
                 if not _is_sum_diagram(spec, i, j):
                     continue
-                checked += 1
+                yield 1
                 if x == y:
-                    return FAIL, {"S": str(s), "x": x, "y": y}, checked
-    return PASS, None, checked
+                    return {"S": str(s), "x": x, "y": y}
 
 
 def _ax_factorization(spec: CheckSpec):
-    checked = 0
     for f in _morphism_pool(spec):
         e, i = image_factorization(f)
-        checked += 1
+        yield 1
         if compose(i, e) != f:
-            return FAIL, {"f": str(f), "reason": "does not compose to f"}, checked
+            return {"f": str(f), "reason": "does not compose to f"}
         if not i.is_injective():
-            return FAIL, {"f": str(f), "reason": "mono part not injective"}, checked
+            return {"f": str(f), "reason": "mono part not injective"}
         if not e.is_surjective():
-            return FAIL, {"f": str(f), "reason": "onto part not surjective"}, checked
-    return PASS, None, checked
+            return {"f": str(f), "reason": "onto part not surjective"}
 
 
 def _ax_effective(spec: CheckSpec):
-    checked = 0
     pools = list(_objs(spec, "x"))
     for x in pools:
         for rel in _equivalences(spec, x):
             q = quotient(rel)
             for a in x.labels:
                 for b in x.labels:
-                    checked += 1
+                    yield 1
                     if rel.member((a, b)) != (q(a) == q(b)):
-                        return FAIL, {
+                        return {
                             "X": str(x), "a": a, "b": b,
                             "related": rel.member((a, b)),
-                        }, checked
+                        }
     for rel in spec.relations:
         if rel.arity != 2 or rel.cods[0] != rel.cods[1]:
             continue
@@ -823,10 +813,9 @@ def _ax_effective(spec: CheckSpec):
             continue
         for a in rel.cods[0].labels:
             for b in rel.cods[0].labels:
-                checked += 1
+                yield 1
                 if rel.member((a, b)) != (q(a) == q(b)):
-                    return FAIL, {"relation": str(rel), "a": a, "b": b}, checked
-    return PASS, None, checked
+                    return {"relation": str(rel), "a": a, "b": b}
 
 
 AXIOMS: dict[str, tuple[str, Callable]] = {
@@ -856,48 +845,43 @@ AXIOMS: dict[str, tuple[str, Callable]] = {
 
 
 def _thm_element_equality(spec: CheckSpec):
-    checked = 0
     small = min(spec.bound, 2)
     for a, b in _carriers(spec, "ab"):
         maps = list(_maps(spec, a, b))
         for f in maps:
-            checked += 1
+            yield 1
             if kernel.is_mono(f, bound=small) != f.is_injective():
-                return FAIL, {"f": str(f), "statement": "mono vs injective"}, checked
+                return {"f": str(f), "statement": "mono vs injective"}
         for f in maps:
             for g in maps:
                 agree = all(f(x) == g(x) for x in a.labels)
-                checked += 1
+                yield 1
                 if agree != (f == g):
-                    return FAIL, {
+                    return {
                         "f": str(f), "g": str(g), "statement": "pointwise equality",
-                    }, checked
-    return PASS, None, checked
+                    }
 
 
 def _thm_inclusion_orders(spec: CheckSpec):
-    checked = 0
     for x in _objs(spec, "x"):
         monos = [sub_relation(m) for m in _mono_tables_into(x, "m")]
         # the pairs grow as (sum of |x|!/k!)^2, so they are drawn by index
         k = len(monos)
         for d in _draw(spec, x.labels, k * k):
             m, n = monos[d // k], monos[d % k]
-            checked += 1
+            yield 1
             row_incl = subseteq(m, n)
             factored, wit = leq(m, n)
             if row_incl != factored:
-                return FAIL, {
+                return {
                     "m": str(m), "n": str(n),
                     "subseteq": row_incl, "leq": factored,
-                }, checked
+                }
             if factored and compose(n.legs[0], wit) != m.legs[0]:
-                return FAIL, {"m": str(m), "n": str(n), "reason": "bad witness"}, checked
-    return PASS, None, checked
+                return {"m": str(m), "n": str(n), "reason": "bad witness"}
 
 
 def _thm_function_graphs(spec: CheckSpec):
-    checked = 0
     for x, y in _carriers(spec, "xy"):
         cells = list(itertools.product(x.labels, y.labels))
         for rows in _subsets(spec, cells):
@@ -911,19 +895,15 @@ def _thm_function_graphs(spec: CheckSpec):
                 len([y2 for (x2, y2) in row_set if x2 == xl]) == 1
                 for xl in x.labels
             )
-            checked += 1
+            yield 1
             if is_partial_function(rel) != at_most:
-                return FAIL, {"rows": sorted(map(list, row_set)),
-                              "statement": "partial"}, checked
+                return {"rows": sorted(map(list, row_set)), "statement": "partial"}
             if is_total_function(rel) != exactly:
-                return FAIL, {"rows": sorted(map(list, row_set)),
-                              "statement": "total"}, checked
+                return {"rows": sorted(map(list, row_set)), "statement": "total"}
             if exactly:
                 fn = unique_choice(rel)
                 if {(xl, fn(xl)) for xl in x.labels} != row_set:
-                    return FAIL, {"rows": sorted(map(list, row_set)),
-                                  "statement": "unique choice"}, checked
-    return PASS, None, checked
+                    return {"rows": sorted(map(list, row_set)), "statement": "unique choice"}
 
 
 def _eq10_counts(p1: FinMor, p2: FinMor, f: FinMor, g: FinMor) -> bool:
@@ -973,7 +953,7 @@ def _cones(f: FinMor, g: FinMor, t: FinObj) -> Iterator[tuple[FinMor, FinMor]]:
 
 
 def _thm_pullback_elements(spec: CheckSpec):
-    verdict, witness, checked = _orbit_sweep(
+    witness = yield from _orbit_sweep(
         spec, _COSPAN, build=pullback, feet=_pullback_feet,
         face=(lambda s, f, g: _eq10_counts(s.p1, s.p2, f, g), {"reason": "constructed"}),
         # the square must be the rep's relabelled up to a bijection of
@@ -988,100 +968,92 @@ def _thm_pullback_elements(spec: CheckSpec):
         key=_tables,
         name=lambda cone, n: {"q1": str(cone[0]), "q2": str(cone[1])},
     )
-    if verdict != PASS:
-        return verdict, witness, checked
+    if witness is not None:
+        return witness
     cap = min(spec.bound, 2)
     small = CheckSpec(item=spec.item, bound=cap)
     for f, g in _instances(small, _COSPAN):
         square = pullback(f, g)
         if not _pullback_feet(square, f, g):
-            return FAIL, {"f": str(f), "g": str(g), "face": "feet"}, checked
+            return {"f": str(f), "g": str(g), "face": "feet"}
         for p_obj in _objs(small, "p"):
             for p1, p2 in _cones(f, g, p_obj):
-                checked += 1
+                yield 1
                 criterion = _eq10_counts(p1, p2, f, g)
                 mediator = square.mediate(p1, p2)
                 is_pb = mediator.is_bijective()
                 if criterion != is_pb:
-                    return FAIL, {
+                    return {
                         "f": str(f), "g": str(g), "p1": str(p1), "p2": str(p2),
                         "criterion": criterion, "pullback": is_pb,
-                    }, checked
-    return PASS, None, checked
+                    }
 
 
 def _thm_quotients(spec: CheckSpec):
-    checked = 0
     for x in _objs(spec, "x"):
         for rel in _equivalences(spec, x):
             q = quotient(rel)
             if q.dom != x:
-                return FAIL, {"X": str(x), "face": "feet"}, checked
+                return {"X": str(x), "face": "feet"}
             rows = set(rel.tuples)
             for a in x.labels:
                 for b in x.labels:
-                    checked += 1
+                    yield 1
                     if ((a, b) in rows) != (q(a) == q(b)):
-                        return FAIL, {"X": str(x), "a": a, "b": b}, checked
+                        return {"X": str(x), "a": a, "b": b}
             visited, _, h, n = _sweep(_objs(spec, "t"), lambda t: Counter(
                 compose(k, q).table for k in all_maps(q.cod, t)
             ), lambda t: (
                 h for h in all_maps(x, t) if all(h(a) == h(b) for a, b in rows)
             ), _table)
-            checked += visited
+            yield visited
             if h is not None:
-                return FAIL, {"X": str(x), "h": str(h), "mediators": n}, checked
-    return PASS, None, checked
+                return {"X": str(x), "h": str(h), "mediators": n}
 
 
 def _thm_induction(spec: CheckSpec):
-    checked = 0
     prefix_len = 8
     universe = list(range(prefix_len + 1))
     for mask in range(1 << len(universe)):
         members = {n for n in universe if mask >> n & 1}
         base = 0 in members
         step = all(n + 1 in members for n in universe[:-1] if n in members)
-        checked += 1
+        yield 1
         if base and step and members != set(universe):
-            return FAIL, {"subset": sorted(members)}, checked
+            return {"subset": sorted(members)}
     for a in _objs(spec, "a"):
         for h in _maps(spec, a, a):
             for lbl, b in zip(a.labels, kernel.elements(a)):
                 seq = nno_prefix(prefix_len, b, h)
-                checked += 1
+                yield 1
                 if seq[0] != b:
-                    return FAIL, {"h": str(h), "base": lbl, "reason": "base"}, checked
+                    return {"h": str(h), "base": lbl, "reason": "base"}
                 for n in range(prefix_len):
                     if seq[n + 1] != compose(h, seq[n]):
-                        return FAIL, {"h": str(h), "base": lbl, "step": n}, checked
-    return PASS, None, checked
+                        return {"h": str(h), "base": lbl, "step": n}
 
 
 def _thm_exponentials(spec: CheckSpec):
-    checked = 0
     for x, y in _carriers(spec, "xy"):
         e_obj, ev_rel = exponential(x, y)
-        checked += 1
+        yield 1
         if len(e_obj) != len(y) ** len(x):
-            return FAIL, {"X": str(x), "Y": str(y), "size": len(e_obj)}, checked
+            return {"X": str(x), "Y": str(y), "size": len(e_obj)}
         d = pi_diagram(product(x, y).projections[0], unique_to_terminal(x))
         if len(d.F) != len(e_obj):
-            return FAIL, {"X": str(x), "Y": str(y), "reason": "pi route disagrees"}, checked
+            return {"X": str(x), "Y": str(y), "reason": "pi route disagrees"}
         graphs: dict[str, set[tuple[str, str]]] = {s: set() for s in e_obj.labels}
         for s, xl, yl in ev_rel.tuples:
             graphs[s].add((xl, yl))
         for f in all_maps(x, y):
             wanted = {(xl, f(xl)) for xl in x.labels}
             matching = [s for s in e_obj.labels if graphs[s] == wanted]
-            checked += 1
+            yield 1
             if len(matching) != 1:
-                return FAIL, {"f": str(f), "matching": matching}, checked
-    return PASS, None, checked
+                return {"f": str(f), "matching": matching}
 
 
 def _thm_dependent_choice(spec: CheckSpec):
-    checked = 0
     for x in _objs(spec, "x"):
         cells = list(itertools.product(x.labels, x.labels))
         for rows in map(set, _subsets(spec, cells)):
@@ -1093,27 +1065,23 @@ def _thm_dependent_choice(spec: CheckSpec):
                     cur = chain[-1]
                     nxt = next(b for b in x.labels if (cur, b) in rows)
                     chain.append(nxt)
-                checked += 1
+                yield 1
                 for a, b in zip(chain, chain[1:]):
                     if (a, b) not in rows:
-                        return FAIL, {"X": str(x), "start": start,
-                                      "chain": chain}, checked
-    return PASS, None, checked
+                        return {"X": str(x), "start": start, "chain": chain}
 
 
 def _thm_onto_pullback(spec: CheckSpec):
-    checked = 0
     for f, g in _instances(spec, _COSPAN):
         square = pullback(f, g)
         if f.is_surjective():
-            checked += 1
+            yield 1
             if not square.p2.is_surjective():
-                return FAIL, {"f": str(f), "g": str(g), "side": "p2"}, checked
+                return {"f": str(f), "g": str(g), "side": "p2"}
         if g.is_surjective():
-            checked += 1
+            yield 1
             if not square.p1.is_surjective():
-                return FAIL, {"f": str(f), "g": str(g), "side": "p1"}, checked
-    return PASS, None, checked
+                return {"f": str(f), "g": str(g), "side": "p1"}
 
 
 def _is_cover(spec: CheckSpec, f: FinMor) -> bool:
@@ -1126,57 +1094,50 @@ def _is_cover(spec: CheckSpec, f: FinMor) -> bool:
 
 
 def _thm_image_least(spec: CheckSpec):
-    checked = 0
     for f in _morphism_pool(spec):
         e, i = image_factorization(f)
-        checked += 1
+        yield 1
         if compose(i, e) != f or not i.is_injective() or not e.is_surjective():
-            return FAIL, {"f": str(f), "reason": "not a factorization"}, checked
+            return {"f": str(f), "reason": "not a factorization"}
         if not _is_cover(spec, e):
-            return FAIL, {"f": str(f), "reason": "onto part not a cover"}, checked
+            return {"f": str(f), "reason": "onto part not a cover"}
         image_rel = sub_relation(i)
         for m in _mono_tables_into(f.cod, "j"):
             if not set(f.table) <= set(m.table):
                 continue
-            checked += 1
+            yield 1
             other = sub_relation(m)
             row_incl = subseteq(image_rel, other)
             factored, wit = leq(image_rel, other)
             if not (row_incl and factored):
-                return FAIL, {"f": str(f), "m": str(m)}, checked
+                return {"f": str(f), "m": str(m)}
             if compose(m, wit) != i:
-                return FAIL, {"f": str(f), "m": str(m), "reason": "bad witness"}, checked
-    return PASS, None, checked
+                return {"f": str(f), "m": str(m), "reason": "bad witness"}
 
 
 def _thm_covers_onto(spec: CheckSpec):
-    checked = 0
     for f in _morphism_pool(spec):
-        checked += 1
+        yield 1
         if _is_cover(spec, f) != f.is_surjective():
-            return FAIL, {"f": str(f)}, checked
-    return PASS, None, checked
+            return {"f": str(f)}
 
 
 def _thm_regularity(spec: CheckSpec):
-    checked = 0
     for f, g in _instances(spec, _COSPAN):
         if not f.is_surjective():
             continue
         square = pullback(f, g)
-        checked += 1
+        yield 1
         if not _is_cover(spec, square.p2):
-            return FAIL, {"f": str(f), "g": str(g),
-                          "statement": "cover stability"}, checked
+            return {"f": str(f), "g": str(g), "statement": "cover stability"}
     for a in _objs(spec, "a"):
         h = unique_to_terminal(a)
         if not h.is_surjective():
             continue
-        checked += 1
+        yield 1
         sections = [s for s in all_maps(terminal(), a) if compose(h, s) == identity(terminal())]
         if not sections:
-            return FAIL, {"object": str(a), "statement": "terminal projective"}, checked
-    return PASS, None, checked
+            return {"object": str(a), "statement": "terminal projective"}
 
 
 def _is_epi(spec: CheckSpec, f: FinMor) -> bool:
@@ -1188,20 +1149,17 @@ def _is_epi(spec: CheckSpec, f: FinMor) -> bool:
 
 
 def _thm_epi_onto(spec: CheckSpec):
-    checked = 0
     for f in _morphism_pool(spec):
         epi = _is_epi(spec, f)
-        checked += 1
+        yield 1
         if epi != f.is_surjective():
-            return FAIL, {"f": str(f), "epi": epi}, checked
+            return {"f": str(f), "epi": epi}
         if epi and kernel.is_mono(f, bound=min(spec.bound, 2)):
             if not f.is_bijective():
-                return FAIL, {"f": str(f), "statement": "balance"}, checked
-    return PASS, None, checked
+                return {"f": str(f), "statement": "balance"}
 
 
 def _thm_classifier(spec: CheckSpec):
-    checked = 0
     two = bool_object()
     true_lbl = two.injections[1].table[0]
     for x in _objs(spec, "x"):
@@ -1210,55 +1168,47 @@ def _thm_classifier(spec: CheckSpec):
             rel = relation_from_tuples(rows, (x,))
             chi = characteristic(rel)
             members = {r[0] for r in rows}
-            checked += 1
+            yield 1
             for lbl in x.labels:
                 if (lbl in members) != (chi(lbl) == true_lbl):
-                    return FAIL, {"X": str(x), "subset": sorted(members),
-                                  "at": lbl}, checked
+                    return {"X": str(x), "subset": sorted(members), "at": lbl}
             good = [
                 h for h in all_maps(x, two.apex)
                 if all((lbl in members) == (h(lbl) == true_lbl) for lbl in x.labels)
             ]
             if len(good) != 1:
-                return FAIL, {"X": str(x), "subset": sorted(members),
-                              "classifiers": len(good)}, checked
-    return PASS, None, checked
+                return {"X": str(x), "subset": sorted(members), "classifiers": len(good)}
 
 
 def _thm_pretopos(spec: CheckSpec):
-    total = 0
     for part in (_thm_classifier, _ax_factorization, _thm_onto_pullback,
                  _thm_epi_onto, _ax_effective, _ax_sum_disjunction):
-        verdict, witness, checked = part(spec)
-        total += checked
-        if verdict != PASS:
-            return verdict, witness, total
-    return PASS, None, total
+        witness = yield from part(spec)
+        if witness is not None:
+            return witness
 
 
 def _thm_choice(spec: CheckSpec):
-    checked = 0
     for a, b in _carriers(spec, "ab"):
         for h in _maps(spec, b, a):
             if not h.is_surjective():
                 continue
-            checked += 1
+            yield 1
             if compose(h, _first_preimages(h)) != identity(a):
-                return FAIL, {"h": str(h), "statement": "split onto"}, checked
+                return {"h": str(h), "statement": "split onto"}
     for f in _morphism_pool(spec):
         if not len(f.dom):
             continue
-        checked += 1
+        yield 1
         g = _first_preimages(f, fallback=f.dom.labels[0])
         if compose(compose(f, g), f) != f:
-            return FAIL, {"f": str(f), "statement": "f∘g∘f = f"}, checked
-    return PASS, None, checked
+            return {"f": str(f), "statement": "f∘g∘f = f"}
 
 
 def _thm_pi_universality(spec: CheckSpec):
-    verdict, witness, checked = _ax_pi(spec, count_sections=True)
-    if verdict != PASS:
-        return verdict, witness, checked
+    witness = yield from _ax_pi(spec, count_sections=True)
+    if witness is not None:
+        return witness
     competitor_cap = min(spec.bound, 3)
     small = CheckSpec(item=spec.item, bound=min(spec.bound, 2))
     for g, f in _instances(small, _COMPOSABLE):
@@ -1273,14 +1223,13 @@ def _thm_pi_universality(spec: CheckSpec):
                 t = FinMor(comp.F, d.F, choice)
                 if pi_morphism_check(comp, d, t).passed:
                     good.append(t)
-            checked += 1
+            yield 1
             if len(good) != 1:
-                return FAIL, {
+                return {
                     "g": str(g), "f": str(f),
                     "competitor": str(comp.phi),
                     "morphisms": len(good),
-                }, checked
-    return PASS, None, checked
+                }
 
 
 def _thm_internal_logic(spec: CheckSpec):
@@ -1316,13 +1265,11 @@ def _thm_internal_logic(spec: CheckSpec):
         "false",
         r"true => false",
     ]
-    checked = 0
     for text in formulas:
         rep = verify(ctx, parse(text), env)
-        checked += rep.instances_checked
+        yield rep.instances_checked
         if not rep.passed:
-            return FAIL, dict(rep.witness or {}), checked
-    return PASS, None, checked
+            return dict(rep.witness or {})
 
 
 THEOREMS: dict[str, tuple[str, Callable]] = {
@@ -1413,7 +1360,13 @@ def _run(kind: str, table: dict[str, tuple[str, Callable]], spec: CheckSpec) -> 
     t0 = time.perf_counter()
     if spec.sampled and spec.item in _EXHAUSTIVE_ONLY:
         return _report(spec.item, t0, SKIP, {"reason": _SAMPLED_SKIP}, 0)
-    return _report(spec.item, t0, *table[spec.item][1](spec))
+    steps, checked = table[spec.item][1](spec), 0
+    try:
+        while True:
+            checked += next(steps)
+    except StopIteration as stop:
+        verdict = PASS if stop.value is None else FAIL
+        return _report(spec.item, t0, verdict, stop.value, checked)
 
 
 def check_axiom(spec: CheckSpec) -> Report:

@@ -104,6 +104,11 @@ def from_dict(data: Mapping) -> Report:
         )
     if witness is not None and not isinstance(witness, Mapping):
         raise ReportError(f"witness of {item!r} must be an object or null")
+    try:
+        # Python's json reads NaN and 1e400 (inf); written back they are not JSON
+        json.dumps(witness, allow_nan=False)
+    except ValueError:
+        raise ReportError(f"witness of {item!r} must hold only finite numbers") from None
     if isinstance(instances, bool) or not isinstance(instances, int) or instances < 0:
         raise ReportError(
             f"instances_checked of {item!r} must be a count, got {instances!r}"

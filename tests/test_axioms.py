@@ -553,6 +553,45 @@ def test_sweep_stops_at_the_first_cone_without_a_unique_mediator():
 
 
 # ---------------------------------------------------------------------------
+# the item protocol: an item yields the counts of the instances it decides
+# and returns its witness, and the runner alone sums and picks the verdict
+
+
+def test_the_runner_sums_the_yielded_counts_and_fails_on_any_witness(monkeypatch):
+    def failing(spec):
+        yield 2
+        yield 3
+        return {}
+
+    def passing(spec):
+        yield 4
+
+    monkeypatch.setitem(axioms.AXIOMS, "tally-fail", ("fails", failing))
+    monkeypatch.setitem(axioms.THEOREMS, "tally-pass", ("passes", passing))
+    rep = check_axiom(CheckSpec(item="tally-fail"))
+    # an empty witness is still a failure
+    assert (rep.verdict, rep.instances_checked, rep.witness) == (FAIL, 5, {})
+    rep = check_theorem(CheckSpec(item="tally-pass"))
+    assert (rep.verdict, rep.instances_checked, rep.witness) == (PASS, 4, None)
+
+
+def test_pretopos_stops_at_its_first_failing_part_with_that_count(monkeypatch):
+    def classifier(spec):
+        yield 7
+        return {"x": 1}
+
+    def later_part(spec):
+        raise AssertionError("a pretopos part ran after a failing one")
+
+    monkeypatch.setattr(axioms, "_thm_classifier", classifier)
+    for name in ("_ax_factorization", "_thm_onto_pullback", "_thm_epi_onto",
+                 "_ax_effective", "_ax_sum_disjunction"):
+        monkeypatch.setattr(axioms, name, later_part)
+    rep = check_theorem(CheckSpec(item="pretopos"))
+    assert (rep.verdict, rep.instances_checked, rep.witness) == (FAIL, 7, {"x": 1})
+
+
+# ---------------------------------------------------------------------------
 # mediator-sweep mutations: with the cheap construction-side checks defeated,
 # the grouped and reused buckets must still reject a broken construction
 
@@ -1269,8 +1308,12 @@ def test_instances_free_each_first_leg_once_past_it():
 
 def test_sampled_counts_at_bound_five_are_pinned():
     want = {"onto-pullback": 508, "regularity": 282, "function-graphs": 85,
-            "inclusion-orders": 16, "dependent-choice": 34}
-    got = {item: check_theorem(CheckSpec(item=item, bound=5, sample=3, seed=2))
+            "inclusion-orders": 16, "dependent-choice": 34,
+            "C1": 6, "D1": 6, "G": 70, "PA": 26, "I": 1, "Fct": 70, "Eff": 1594,
+            "element-equality": 256, "induction": 555, "image-factorization": 4352,
+            "covers-onto": 70, "classifier": 63, "choice": 84, "internal-logic": 48}
+    got = {item: (check_axiom if item in AXIOMS else check_theorem)(
+               CheckSpec(item=item, bound=5, sample=3, seed=2))
            for item in want}
     assert {item: (r.verdict, r.instances_checked) for item, r in got.items()} == {
         item: (PASS, n) for item, n in want.items()}

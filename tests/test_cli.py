@@ -495,9 +495,13 @@ def test_report_accepts_single_object(capsys, tmp_path):
     ('{"item": "x", "verdict": "pass", "elapsed": -1}',
      "elapsed of 'x' must be a number of seconds, finite and not negative"),
     ('"PASS G instances=7"', "neither a report nor a list"),
+    ('{"item": "x", "verdict": "fail", "witness": {"n": NaN}, "instances_checked": 1}',
+     "witness of 'x' must hold only finite numbers"),
+    ('{"item": "x", "verdict": "fail", "witness": {"n": [1e400]}, "instances_checked": 1}',
+     "witness of 'x' must hold only finite numbers"),
 ], ids=["malformed-json", "missing-key", "unknown-verdict", "witness-list",
         "count-string", "elapsed-string", "elapsed-infinite", "elapsed-nan",
-        "elapsed-negative", "not-a-list"])
+        "elapsed-negative", "not-a-list", "witness-nan", "witness-infinite"])
 def test_report_rejects_bad_input_with_exit_2(capsys, tmp_path, text, message):
     saved = tmp_path / "bad.json"
     saved.write_text(text, encoding="utf-8")
