@@ -7,13 +7,17 @@ mediating maps, and one helper, ``_sweep``, decides every "exactly one
 mediator per cone" statement over a list of test objects: for each test
 object t the site counts how many candidates through t induce each cone,
 and lists the cones over t; the sweep visits them in order, t by t, and
-stops at the first cone whose count is not 1.  Existence and uniqueness are
-read off those counts, never assumed from the construction that produced
-the diagram.  Epimorphisms are decided by right cancellation against test
-objects rather than by ontoness, so the statements that relate the two
-notions stay non-circular.
+stops at the first cone whose count is not 1.  There are two sites, one
+per variance: ``_limit_sweep`` counts each h: t -> apex under its cone
+(leg∘h for leg in legs), ``_colimit_sweep`` each h: apex -> t under (h∘leg
+for leg in legs); C1 and D1 are the empty diagram, one empty cone per t.
+Existence and uniqueness are read off those counts, never assumed from the
+construction that produced the diagram, whose own mediator is never called.
+Epimorphisms are decided by right cancellation against test objects rather
+than by ontoness, so the statements that relate the two notions stay
+non-circular.
 
-Counts are keyed by the tables of a cone's legs: all cones of one sweep
+Counts are keyed by the tables of a cone's maps: all cones of one sweep
 share their feet, so tables tell them apart exactly as the morphisms
 would.  A table carries no feet, so before a sweep the legs of the
 construction are compared with the feet the statement names (for
@@ -34,8 +38,8 @@ one skeleton, ``_orbit_sweep``, which sweeps once per relabelling orbit
 (symmetry reduction as in Ip & Dill, "Better verification through symmetry",
 1996).  Each item hands it only its shape, its construction, its feet and
 its own face (the fork, or the point count), an equivariance test, and its
-sweep's mediators and cones; how an instance is credited is decided there
-alone.  ``_orbits`` walks the instances over one tuple of carriers in
+sweep of the construction's legs; how an instance is credited is decided
+there alone.  ``_orbits`` walks the instances over one tuple of carriers in
 ``_instances`` order, each hom-set listed whole; at the first instance of an
 orbit, its rep, it applies every tuple gamma of label permutations once, so
 each later instance arrives with a gamma that moves the rep onto it.  The
@@ -68,7 +72,6 @@ instead of pretending a sampled uniqueness sweep is exhaustive.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 import random
@@ -78,7 +81,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import kernel
-from .errors import EquivalenceError
+from .errors import CompositionError, EquivalenceError
 from .finset import (
     FinMor,
     FinObj,
@@ -290,9 +293,34 @@ def _sweep(tests: Iterable[FinObj], mediators: Callable, cones: Callable,
 _table = operator.attrgetter("table")
 
 
-def _tables(cone: tuple[FinMor, FinMor]) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    first, second = cone
-    return first.table, second.table
+def _tables(cone: tuple[FinMor, ...]) -> tuple[tuple[str, ...], ...]:
+    return tuple(map(_table, cone))
+
+
+def _limit_sweep(tests: Iterable[FinObj], apex: FinObj, legs: Sequence[FinMor],
+                 cones: Callable) -> tuple[int, FinObj | None, object, int]:
+    """``_sweep`` of the cones ``cones(t)``, tuples of maps from each test
+    object t to the feet of the legs, against the maps h: t -> apex, each
+    counted under its cone (leg∘h for leg in legs), read off the tables."""
+    if any(leg.dom != apex for leg in legs):
+        raise CompositionError(f"a leg does not start at the apex {apex}")
+    images = [dict(zip(apex.labels, leg.table)) for leg in legs]
+    return _sweep(tests, lambda t: Counter([
+        tuple([tuple([image[x] for x in h.table]) for image in images])
+        for h in all_maps(t, apex)]), cones, _tables)
+
+
+def _colimit_sweep(tests: Iterable[FinObj], apex: FinObj, legs: Sequence[FinMor],
+                   cones: Callable) -> tuple[int, FinObj | None, object, int]:
+    """``_sweep`` of the cones ``cones(t)``, tuples of maps from the feet of
+    the legs to each test object t, against the maps h: apex -> t, each
+    counted under its cone (h∘leg for leg in legs)."""
+    if any(leg.cod != apex for leg in legs):
+        raise CompositionError(f"a leg does not end at the apex {apex}")
+    places = [[apex.index[y] for y in leg.table] for leg in legs]
+    return _sweep(tests, lambda t: Counter([
+        tuple([tuple([h.table[i] for i in place]) for place in places])
+        for h in all_maps(apex, t)]), cones, _tables)
 
 
 # ---------------------------------------------------------------------------
@@ -349,19 +377,19 @@ def _in_orbit(gamma: tuple, shape: tuple, rep: tuple, legs: tuple) -> bool:
 
 
 def _orbit_sweep(spec: CheckSpec, shape: tuple, *, build: Callable, feet: Callable,
-                 face: tuple[Callable, dict], same: Callable, mediators: Callable,
-                 cones: Callable, key: Callable, name: Callable):
+                 face: tuple[Callable, dict], same: Callable, sweep: Callable,
+                 name: Callable):
     """The item body that checks a construction on every instance (f, g)
     of the shape over the pools, sweeping its cones once per orbit.
 
     ``c = build(f, g)`` must satisfy ``feet(c, f, g)``, or the witness names
     face ``feet``; the instance then yields 1, and for ``face = (holds,
     fault)`` the witness is ``fault`` unless ``holds(c, f, g)``.  A rep's c
-    is swept over the test objects with ``mediators(c, t)``, ``cones(f, g,
-    t)`` and ``key``, and yields the cones visited, a failing one's
-    included, before the witness ``name(cone, count)`` names that cone.  Any
-    other instance must pass ``same(c0, c, gamma)`` against its rep's c0,
-    and yields the rep's visits.
+    is swept by ``sweep(c, f, g, tests)``, a ``_limit_sweep`` or a
+    ``_colimit_sweep`` of c's legs, and yields the cones visited, a failing
+    one's included, before the witness ``name(cone, count)`` names that
+    cone.  Any other instance must pass ``same(c0, c, gamma)`` against its
+    rep's c0, and yields the rep's visits.
     """
     tests = _objs(spec, "t")
     holds, fault = face
@@ -380,8 +408,7 @@ def _orbit_sweep(spec: CheckSpec, shape: tuple, *, build: Callable, feet: Callab
                     return {"f": str(f), "g": str(g), "face": "equivariance"}
                 yield visits
                 continue
-            visits, _, cone, n = _sweep(tests, lambda t: mediators(c, t),
-                                        lambda t: cones(f, g, t), key)
+            visits, _, cone, n = sweep(c, f, g, tests)
             yield visits
             if cone is not None:
                 return {"f": str(f), "g": str(g), **name(cone, n)}
@@ -568,51 +595,28 @@ def _competitors(g: FinMor, f: FinMor, size_cap: int) -> Iterator[PiDiagram]:
 # axiom checks
 
 
-def _unique_maps(spec: CheckSpec, hom: Callable[[FinObj], Iterable[FinMor]]):
-    """The item body of C1 and D1: every carrier a of the pool, counted
-    once, has exactly one map in ``hom(a)``, or the witness names it."""
-    for a in _objs(spec, "a"):
-        yield 1
-        maps = list(hom(a))
-        if len(maps) != 1:
-            return {"object": str(a), "maps": len(maps)}
-
-
-def _ax_binary(spec: CheckSpec, legs: Callable, feet: Callable, sweep: Callable):
-    """The item body of C2 and D2: the two legs built on each pair (a, b)
-    of carriers have feet a and b, and every cone over them through a test
-    object has exactly one mediator, decided by ``sweep``.  Each pair yields
-    the cones its sweep visited, a failing one's included, before the
-    witness names that cone."""
-    for a, b in _carriers(spec, "ab"):
-        p, q = legs(a, b)
-        if feet(p) != a or feet(q) != b:
-            return {"A": str(a), "B": str(b), "face": "feet"}
-        visited, t, cone, n = sweep(_objs(spec, "t"), p, q)
+def _ax_universal(spec: CheckSpec, feet: str, build: Callable, limit: bool):
+    """The item body of C1 and C2 (limits) and D1 and D2 (colimits): on each
+    tuple of carriers from the pools ``feet`` names, ``build`` gives an apex
+    and a leg with each carrier as its foot, and every cone of one map per
+    foot from (into) each test object, one empty cone when there are no feet,
+    has exactly one mediator.  Each tuple yields its visits before any witness."""
+    tests, sweep = _objs(spec, "t"), _limit_sweep if limit else _colimit_sweep
+    for objs in _carriers(spec, feet):
+        apex, legs = build(*objs)
+        where = dict(zip(feet.upper(), map(str, objs)))
+        if [leg.cod if limit else leg.dom for leg in legs] != list(objs):
+            return {**where, "face": "feet"}
+        visited, t, cone, n = sweep(tests, apex, legs, lambda t: itertools.product(
+            *[all_maps(t, x) if limit else all_maps(x, t) for x in objs]))
         yield visited
         if cone is not None:
-            f, g = cone
-            return {
-                "A": str(a), "B": str(b), "T": str(t),
-                "f": str(f), "g": str(g), "mediators": n,
-            }
+            return {**where, "T": str(t), **dict(zip("fg", map(str, cone))), "mediators": n}
 
 
-def _pairings(tests: list[FinObj], p: FinMor, q: FinMor):
-    """``_sweep`` of the cones (f, g) from each test object into the feet of
-    p and q against the pairs (p∘h, q∘h) of the maps h into their apex."""
-    return _sweep(tests, lambda t: Counter(
-        (compose(p, h).table, compose(q, h).table) for h in all_maps(t, p.dom)
-    ), lambda t: itertools.product(all_maps(t, p.cod), all_maps(t, q.cod)), _tables)
-
-
-def _copairings(tests: list[FinObj], i: FinMor, j: FinMor):
-    """``_sweep`` of the cones (f, g) out of the feet of i and j into each
-    test object against the copairs (h∘i, h∘j) of the maps h out of their
-    apex."""
-    return _sweep(tests, lambda t: Counter(
-        (compose(h, i).table, compose(h, j).table) for h in all_maps(i.cod, t)
-    ), lambda t: itertools.product(all_maps(i.dom, t), all_maps(j.dom, t)), _tables)
+def _coforks(f: FinMor, g: FinMor, t: FinObj) -> Iterator[tuple[FinMor]]:
+    """The cones (h,) of the maps h into t with h∘f = h∘g."""
+    return ((h,) for h in all_maps(f.cod, t) if compose(h, f).table == compose(h, g).table)
 
 
 def _ax_equalizers(spec: CheckSpec):
@@ -623,11 +627,9 @@ def _ax_equalizers(spec: CheckSpec):
         # e must be alpha∘e0 up to a bijection of apexes: the same rows,
         # counted with multiplicity
         same=lambda e0, e, gamma: sorted(e.table) == sorted([gamma[0][x] for x in e0.table]),
-        mediators=lambda e, t: Counter(compose(e, k).table for k in all_maps(t, e.dom)),
-        cones=lambda f, g, t: (h for h in all_maps(t, f.dom)
-                               if compose(f, h).table == compose(g, h).table),
-        key=_table,
-        name=lambda h, n: {"h": str(h), "mediators": n},
+        sweep=lambda e, f, g, tests: _limit_sweep(tests, e.dom, (e,), lambda t: (
+            (h,) for h in all_maps(t, f.dom) if compose(f, h).table == compose(g, h).table)),
+        name=lambda cone, n: {"h": str(cone[0]), "mediators": n},
     )
 
 
@@ -637,11 +639,9 @@ def _ax_coequalizers(spec: CheckSpec):
         feet=lambda q, f, g: q.dom == f.cod,
         face=(lambda q, f, g: compose(q, f) == compose(q, g), {"face": "fork"}),
         same=lambda q0, q, gamma: _classes_match(q0, q, gamma[1]),
-        mediators=lambda q, t: Counter(compose(k, q).table for k in all_maps(q.cod, t)),
-        cones=lambda f, g, t: (h for h in all_maps(f.cod, t)
-                               if compose(h, f).table == compose(h, g).table),
-        key=_table,
-        name=lambda h, n: {"h": str(h), "mediators": n},
+        sweep=lambda q, f, g, tests: _colimit_sweep(
+            tests, q.cod, (q,), lambda t: _coforks(f, g, t)),
+        name=lambda cone, n: {"h": str(cone[0]), "mediators": n},
     )
 
 
@@ -732,7 +732,9 @@ def _separating_pool(spec: CheckSpec) -> CheckSpec:
 
 
 def _is_sum_diagram(spec: CheckSpec, i: FinMor, j: FinMor) -> bool:
-    _, _, cone, _ = _copairings(_objs(_separating_pool(spec), "t"), i, j)
+    _, _, cone, _ = _colimit_sweep(_objs(_separating_pool(spec), "t"), i.cod, (i, j),
+                                   lambda t: itertools.product(all_maps(i.dom, t),
+                                                               all_maps(j.dom, t)))
     return cone is None
 
 
@@ -819,15 +821,17 @@ def _ax_effective(spec: CheckSpec):
 
 
 AXIOMS: dict[str, tuple[str, Callable]] = {
-    "C1": ("terminal object with unique maps into it",
-           lambda spec: _unique_maps(spec, lambda a: all_maps(a, terminal()))),
-    "C2": ("binary products with unique pairing", lambda spec: _ax_binary(
-        spec, lambda a, b: product(a, b).projections, operator.attrgetter("cod"), _pairings)),
+    "C1": ("terminal object with unique maps into it", lambda spec: _ax_universal(
+        spec, "", lambda: (terminal(), ()), limit=True)),
+    "C2": ("binary products with unique pairing", lambda spec: _ax_universal(
+        spec, "ab", lambda a, b: operator.attrgetter("apex", "projections")(product(a, b)),
+        limit=True)),
     "C3": ("equalizers with unique factorization", _ax_equalizers),
-    "D1": ("initial object with unique maps out of it",
-           lambda spec: _unique_maps(spec, lambda a: all_maps(initial(), a))),
-    "D2": ("binary sums with unique copairing", lambda spec: _ax_binary(
-        spec, lambda a, b: coproduct(a, b).injections, operator.attrgetter("dom"), _copairings)),
+    "D1": ("initial object with unique maps out of it", lambda spec: _ax_universal(
+        spec, "", lambda: (initial(), ()), limit=False)),
+    "D2": ("binary sums with unique copairing", lambda spec: _ax_universal(
+        spec, "ab", lambda a, b: operator.attrgetter("apex", "injections")(coproduct(a, b)),
+        limit=False)),
     "D3": ("coequalizers with unique factorization", _ax_coequalizers),
     "Pi": ("dependent products along every composable pair", _ax_pi),
     "G": ("onto and mono implies isomorphism", _ax_onto_mono_iso),
@@ -961,11 +965,8 @@ def _thm_pullback_elements(spec: CheckSpec):
         same=lambda s0, s, gamma: sorted(zip(s.p1.table, s.p2.table)) == sorted(
             [(gamma[1][x], gamma[2][y]) for x, y in zip(s0.p1.table, s0.p2.table)]
         ),
-        mediators=lambda s, t: Counter(
-            (compose(s.p1, h).table, compose(s.p2, h).table) for h in all_maps(t, s.apex)
-        ),
-        cones=_cones,
-        key=_tables,
+        sweep=lambda s, f, g, tests: _limit_sweep(
+            tests, s.apex, (s.p1, s.p2), lambda t: _cones(f, g, t)),
         name=lambda cone, n: {"q1": str(cone[0]), "q2": str(cone[1])},
     )
     if witness is not None:
@@ -1001,14 +1002,11 @@ def _thm_quotients(spec: CheckSpec):
                     yield 1
                     if ((a, b) in rows) != (q(a) == q(b)):
                         return {"X": str(x), "a": a, "b": b}
-            visited, _, h, n = _sweep(_objs(spec, "t"), lambda t: Counter(
-                compose(k, q).table for k in all_maps(q.cod, t)
-            ), lambda t: (
-                h for h in all_maps(x, t) if all(h(a) == h(b) for a, b in rows)
-            ), _table)
+            visited, _, cone, n = _colimit_sweep(_objs(spec, "t"), q.cod, (q,),
+                                                 lambda t: _coforks(*rel.legs, t))
             yield visited
-            if h is not None:
-                return {"X": str(x), "h": str(h), "mediators": n}
+            if cone is not None:
+                return {"X": str(x), "h": str(cone[0]), "mediators": n}
 
 
 def _thm_induction(spec: CheckSpec):
@@ -1142,9 +1140,8 @@ def _thm_regularity(spec: CheckSpec):
 
 def _is_epi(spec: CheckSpec, f: FinMor) -> bool:
     """Right cancellation: each composite h∘f has h as its only mediator."""
-    composites = functools.cache(lambda t: [compose(h, f) for h in all_maps(f.cod, t)])
-    _, _, cone, _ = _sweep(_objs(_separating_pool(spec), "t"),
-                           lambda t: Counter(map(_table, composites(t))), composites, _table)
+    _, _, cone, _ = _colimit_sweep(_objs(_separating_pool(spec), "t"), f.cod, (f,),
+                                   lambda t: ((compose(h, f),) for h in all_maps(f.cod, t)))
     return cone is None
 
 

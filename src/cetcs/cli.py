@@ -364,7 +364,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated morphism names")
     p.add_argument("--relation", default=None, metavar="r",
                    help="relation name (for quotient)")
-    _add_common(p)
+    # construct prints no reports, so it takes no --timings
+    p.add_argument("--format", choices=("text", "json"), default="text",
+                   help="output format (default text)")
     p.add_argument("model", help="declaration file")
 
     p = sub.add_parser("compile", help="compile a formula to its subobject")

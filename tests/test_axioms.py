@@ -1138,6 +1138,12 @@ def with_stray_point(d):
 
 
 SHARED_FACES = {
+    # C1 and D1 are the empty diagram: one empty cone per test object, whose
+    # mediators are all its maps into the terminal (out of the initial) object
+    "C1 sweep": ("C1", {"terminal": lambda: carrier_of_size(2, "u")}, (FAIL, {
+        "T": "{t0}", "mediators": 2}, 2)),
+    "D1 sweep": ("D1", {"initial": lambda: carrier_of_size(1, "u")}, (FAIL, {
+        "T": "{}", "mediators": 0}, 1)),
     "C3 fork": ("C3", {"equalizer": lambda f, g: identity(f.dom)}, (FAIL, {
         "f": "{a0} -> {b0, b1} [a0 |-> b0]", "g": "{a0} -> {b0, b1} [a0 |-> b1]",
         "face": "fork"}, 19)),

@@ -128,6 +128,14 @@ def test_check_runs_every_repeated_item_in_the_order_given(capsys, model_path):
     assert (code, out) == (2, "") and "unknown axiom 'Q7'" in err
 
 
+def test_construct_takes_no_timings_flag(capsys, model_path):
+    # construct prints declarations, not reports, so there is nothing to time
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "--op", "product", "--objects", "X,Y", "--timings", model_path])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --timings" in capsys.readouterr().err
+
+
 def test_missing_model_file_exits_2(capsys):
     code, _, err = run(capsys, "check", "--axiom", "C1", "/no/such/file")
     assert code == 2 and "error" in err

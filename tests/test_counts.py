@@ -1,0 +1,42 @@
+"""The closed-form counts of ``counts.py`` against the checker's own."""
+
+from __future__ import annotations
+
+import pytest
+
+from cetcs.axioms import AXIOMS, CheckSpec, check_axiom, check_theorem
+from counts import COUNTS, main
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3])
+@pytest.mark.parametrize("item", list(COUNTS))
+def test_the_formulas_count_what_the_checker_sweeps(item, bound):
+    check = check_axiom if item in AXIOMS else check_theorem
+    rep = check(CheckSpec(item=item, bound=bound))
+    assert rep.passed and rep.instances_checked == COUNTS[item](bound)
+
+
+def test_the_formulas_give_the_pinned_and_predicted_counts():
+    # bound 4 is pinned in CI's bound-4 step; bound 5 is out of the
+    # checker's reach and stands as a prediction
+    assert {item: count(4) for item, count in COUNTS.items()} == {
+        "C1": 5, "C2": 136_341, "C3": 1_371_506, "D1": 5, "D2": 131_909,
+        "pullback-elements": 76_712_443,
+    }
+    assert {item: count(5) for item, count in COUNTS.items()} == {
+        "C1": 6, "C2": 20_592_977, "C3": 545_129_643, "D1": 6, "D2": 17_256_563,
+        "pullback-elements": 183_929_262_026,
+    }
+    # the C2 runs at bounds 1-3, as an independent spot check of the formula
+    assert [COUNTS["C2"](n) for n in (1, 2, 3)] == [5, 43, 1_544]
+
+
+def test_the_script_prints_check_lines_and_rejects_a_bad_bound(capsys):
+    assert main(["2"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS C1 instances=3", "PASS C2 instances=43", "PASS C3 instances=102",
+        "PASS D1 instances=3", "PASS D2 instances=59",
+        "PASS pullback-elements instances=557",
+    ]
+    for argv in ([], ["0"], ["four"], ["4", "5"]):
+        assert main(argv) == 2
