@@ -13,9 +13,13 @@ per variance: ``_limit_sweep`` counts each h: t -> apex under its cone
 for leg in legs); C1 and D1 are the empty diagram, one empty cone per t.
 Existence and uniqueness are read off those counts, never assumed from the
 construction that produced the diagram, whose own mediator is never called.
-Epimorphisms are decided by right cancellation against test objects rather
-than by ontoness, so the statements that relate the two notions stay
-non-circular.
+``pullback-elements`` decides its small cones the same way, by a limit
+sweep.  Epimorphisms and covers are recognized by their definitions, not by
+ontoness, so the statements relating the notions stay non-circular:
+``_is_epi`` counts the distinct composites h∘f in one pass over each
+hom-set, and ``_is_cover`` tries each proper subobject once, as a
+subcarrier, since f factors through a mono exactly when its image lies in
+the mono's image.
 
 Counts are keyed by the tables of a cone's maps: all cones of one sweep
 share their feet, so tables tell them apart exactly as the morphisms
@@ -971,18 +975,18 @@ def _thm_pullback_elements(spec: CheckSpec):
     )
     if witness is not None:
         return witness
-    cap = min(spec.bound, 2)
-    small = CheckSpec(item=spec.item, bound=cap)
+    # then Eq. (10) against the definition, a limit sweep of each small
+    # cone; the small objects serve as both apexes and test objects
+    small = CheckSpec(item=spec.item, bound=min(spec.bound, 2))
+    objs = _objs(small, "p")
     for f, g in _instances(small, _COSPAN):
-        square = pullback(f, g)
-        if not _pullback_feet(square, f, g):
-            return {"f": str(f), "g": str(g), "face": "feet"}
-        for p_obj in _objs(small, "p"):
-            for p1, p2 in _cones(f, g, p_obj):
+        over = {p_obj: list(_cones(f, g, p_obj)) for p_obj in objs}
+        for p_obj, cones in over.items():
+            for p1, p2 in cones:
                 yield 1
                 criterion = _eq10_counts(p1, p2, f, g)
-                mediator = square.mediate(p1, p2)
-                is_pb = mediator.is_bijective()
+                _, _, cone, _ = _limit_sweep(objs, p_obj, (p1, p2), over.__getitem__)
+                is_pb = cone is None
                 if criterion != is_pb:
                     return {
                         "f": str(f), "g": str(g), "p1": str(p1), "p2": str(p2),
@@ -1082,13 +1086,14 @@ def _thm_onto_pullback(spec: CheckSpec):
                 return {"f": str(f), "g": str(g), "side": "p1"}
 
 
-def _is_cover(spec: CheckSpec, f: FinMor) -> bool:
-    """No proper subcarrier of the codomain lets f factor through it."""
+def _is_cover(f: FinMor) -> bool:
+    """f factors through no proper subobject of its codomain; it factors
+    through a mono exactly when its image lies in the mono's image, so each
+    proper subobject is tried once, as a subcarrier."""
     image = set(f.table)
-    for m in _mono_tables_into(f.cod, "j"):
-        if image <= set(m.table) and not m.is_surjective():
-            return False
-    return True
+    labels = f.cod.labels
+    return not any(image.issubset(sub) for k in range(len(labels))
+                   for sub in itertools.combinations(labels, k))
 
 
 def _thm_image_least(spec: CheckSpec):
@@ -1097,7 +1102,7 @@ def _thm_image_least(spec: CheckSpec):
         yield 1
         if compose(i, e) != f or not i.is_injective() or not e.is_surjective():
             return {"f": str(f), "reason": "not a factorization"}
-        if not _is_cover(spec, e):
+        if not _is_cover(e):
             return {"f": str(f), "reason": "onto part not a cover"}
         image_rel = sub_relation(i)
         for m in _mono_tables_into(f.cod, "j"):
@@ -1116,7 +1121,7 @@ def _thm_image_least(spec: CheckSpec):
 def _thm_covers_onto(spec: CheckSpec):
     for f in _morphism_pool(spec):
         yield 1
-        if _is_cover(spec, f) != f.is_surjective():
+        if _is_cover(f) != f.is_surjective():
             return {"f": str(f)}
 
 
@@ -1126,7 +1131,7 @@ def _thm_regularity(spec: CheckSpec):
             continue
         square = pullback(f, g)
         yield 1
-        if not _is_cover(spec, square.p2):
+        if not _is_cover(square.p2):
             return {"f": str(f), "g": str(g), "statement": "cover stability"}
     for a in _objs(spec, "a"):
         h = unique_to_terminal(a)
@@ -1139,10 +1144,10 @@ def _thm_regularity(spec: CheckSpec):
 
 
 def _is_epi(spec: CheckSpec, f: FinMor) -> bool:
-    """Right cancellation: each composite h∘f has h as its only mediator."""
-    _, _, cone, _ = _colimit_sweep(_objs(_separating_pool(spec), "t"), f.cod, (f,),
-                                   lambda t: ((compose(h, f),) for h in all_maps(f.cod, t)))
-    return cone is None
+    """Right cancellation: the maps h out of cod f into each test object t
+    have pairwise distinct composites h∘f, |t|^|cod f| of them."""
+    return all(len({compose(h, f).table for h in all_maps(f.cod, t)}) == len(t) ** len(f.cod)
+               for t in _objs(_separating_pool(spec), "t"))
 
 
 def _thm_epi_onto(spec: CheckSpec):

@@ -309,26 +309,11 @@ def coequalizer(f: FinMor, g: FinMor) -> FinMor:
 
 @dataclass(frozen=True)
 class PullbackSquare:
-    """A chosen pullback of the cospan f: A -> C <- B : g."""
+    """A chosen pullback of a cospan f: A -> C <- B : g, as its apex and legs."""
 
     apex: FinObj
     p1: FinMor
     p2: FinMor
-    f: FinMor
-    g: FinMor
-
-    @cached_property
-    def _locator(self) -> dict[tuple[str, str], str]:
-        return dict(zip(zip(self.p1.table, self.p2.table), self.apex.labels))
-
-    def mediate(self, q1: FinMor, q2: FinMor) -> FinMor:
-        """The unique map into the apex induced by a commuting cone (q1, q2)."""
-        if q1.dom != q2.dom:
-            raise ShapeError("cone legs must share a domain")
-        if compose(self.f, q1) != compose(self.g, q2):
-            raise ShapeError("cone does not commute with the cospan")
-        table = tuple([self._locator[pair] for pair in zip(q1.table, q2.table)])
-        return FinMor(q1.dom, self.apex, table)
 
 
 def _fibers(m: FinMor) -> dict[str, list[str]]:
@@ -359,7 +344,7 @@ def pullback(f: FinMor, g: FinMor) -> PullbackSquare:
     apex = FinObj(tuple([f"({x},{y})" for x, y in pairs]))
     p1 = FinMor(apex, f.dom, tuple([x for x, _ in pairs]))
     p2 = FinMor(apex, g.dom, tuple([y for _, y in pairs]))
-    return PullbackSquare(apex, p1, p2, f, g)
+    return PullbackSquare(apex, p1, p2)
 
 
 # ---------------------------------------------------------------------------

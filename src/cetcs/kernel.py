@@ -5,9 +5,14 @@ enumerate its hom-sets with ``all_maps`` and compose with ``compose``
 directly: ``elements`` (the points of an object, as maps from the terminal
 one) and ``is_mono`` (left cancellation).  Monicity is thereby decided by
 honest quantification over test objects and hom-sets, never by peeking at
-a mapping table: the table-level shortcut, ``FinMor.is_injective``, lives in
-``finset``, and the agreement of the two routes is itself one of the
-checked statements.
+a mapping table: f is mono when, for each test object u, the maps h from u
+into dom f have pairwise distinct composites f∘h.  The table-level
+shortcut, ``FinMor.is_injective``, lives in ``finset``, and the agreement
+of the two routes is itself one of the checked statements.  Up to
+isomorphism a mono is fixed by its image, and a map f factors through a
+mono exactly when f's image lies in the mono's image: that lemma lets the
+checker try each subobject of a carrier once, as a subcarrier
+(``axioms._is_cover``).
 
 Quantification over "all" objects is necessarily bounded; ``bound`` caps the
 size of test carriers.  In finite sets a bound of 1 already decides
@@ -28,14 +33,9 @@ def elements(a: FinObj) -> list[FinMor]:
 def is_mono(f: FinMor, bound: int = 2) -> bool:
     """Left-cancellability against all test objects of size <= bound.
 
-    Parallel pairs into dom(f) are grouped by their composite with f; a
-    group with two members is a cancellation failure.
+    The maps h from each test object u into dom(f) must have pairwise
+    distinct composites f∘h, |dom f|^|u| of them: two maps with one
+    composite are a cancellation failure.
     """
-    for u in [carrier_of_size(n) for n in range(bound + 1)]:
-        seen: dict = {}
-        for h in all_maps(u, f.dom):
-            key = compose(f, h)
-            if key in seen and seen[key] != h:
-                return False
-            seen[key] = h
-    return True
+    return all(len({compose(f, h).table for h in all_maps(u, f.dom)}) == len(f.dom) ** len(u)
+               for u in map(carrier_of_size, range(bound + 1)))

@@ -1,10 +1,11 @@
-"""Closed-form instance counts of the universal-property items.
+"""Closed-form instance counts of the check items.
 
 An exhaustive check at bound n walks carriers of every size 0..n, so the
 number of instances a passing item decides is a sum over those sizes.  The
-formulas here count the cones a correct construction must have, from the
-sizes alone; they share no code with ``cetcs``, so agreeing with the
-checker's own count is evidence that the checker swept every cone once.
+formulas here count those instances, among them the cones a correct
+construction must have, from the sizes alone; they share no code with
+``cetcs``, so agreeing with the checker's own count is evidence that the
+checker decided every instance, and swept every cone, once.
 
     python tests/counts.py 4
 
@@ -84,9 +85,69 @@ def pullback_elements(n: int) -> int:
             + sum(m * sum(p ** s for s in small) for m, p in _cospans(min(n, 2))))
 
 
+def _stirling(n: int, k: int) -> int:
+    """The partitions of an n-set into k blocks (second kind)."""
+    if n == 0 or k == 0:
+        return int(n == k)
+    return k * _stirling(n - 1, k) + _stirling(n - 1, k - 1)
+
+
+def _onto(b: int, a: int) -> int:
+    """The maps from a b-set onto an a-set."""
+    return factorial(a) * _stirling(b, a)
+
+
+def pa(n: int) -> int:
+    """Each object a counts itself, then the maps from each b onto its
+    projective cover, which has a's size."""
+    sizes = range(n + 1)
+    return sum(1 + sum(_onto(b, a) for b in sizes) for a in sizes)
+
+
+def fct(n: int) -> int:
+    """One instance per map a -> b."""
+    sizes = range(n + 1)
+    return sum(b ** a for a in sizes for b in sizes)
+
+
+def eff(n: int) -> int:
+    """Each equivalence on x, one per partition into k blocks, counts the
+    x^2 pairs it is compared on."""
+    sizes = range(n + 1)
+    return sum(_stirling(x, k) * x * x for x in sizes for k in range(x + 1))
+
+
+def quotients(n: int) -> int:
+    """Each equivalence on x with k classes counts its x^2 pairs, then the
+    coforks from x into each t, the maps constant on classes: t^k."""
+    sizes = range(n + 1)
+    return sum(_stirling(x, k) * (x * x + sum(t ** k for t in sizes))
+               for x in sizes for k in range(x + 1))
+
+
+def image_factorization(n: int) -> int:
+    """Each map a -> b with an r-point image, C(b, r) * onto(a, r) of them,
+    counts itself, then the injective tables into b from each k >= r that
+    contain the image: C(b - r, k - r) point sets, k! orders each."""
+    sizes = range(n + 1)
+    return sum(
+        comb(b, r) * _onto(a, r)
+        * (1 + sum(comb(b - r, k - r) * factorial(k) for k in range(r, b + 1)))
+        for a in sizes for b in sizes for r in range(b + 1)
+    )
+
+
+def choice(n: int) -> int:
+    """Each map from b onto a, split; then each map a -> b with a not empty."""
+    sizes = range(n + 1)
+    return (sum(_onto(b, a) for a in sizes for b in sizes)
+            + sum(b ** a for a in sizes if a for b in sizes))
+
+
 COUNTS = {
-    "C1": c1, "C2": c2, "C3": c3, "D1": d1, "D2": d2,
-    "pullback-elements": pullback_elements,
+    "C1": c1, "C2": c2, "C3": c3, "D1": d1, "D2": d2, "PA": pa, "Fct": fct,
+    "Eff": eff, "pullback-elements": pullback_elements, "quotients": quotients,
+    "image-factorization": image_factorization, "choice": choice,
 }
 
 

@@ -603,7 +603,7 @@ def reapex(square, points):
     def leg(p):
         return FinMor(apex, p.cod, tuple(p(src) for _, src in points))
 
-    return PullbackSquare(apex, leg(square.p1), leg(square.p2), square.f, square.g)
+    return PullbackSquare(apex, leg(square.p1), leg(square.p2))
 
 
 def drop_last_point(square):
@@ -640,10 +640,10 @@ def _eq10_counts_by_lookup(p1: FinMor, p2: FinMor, f: FinMor, g: FinMor) -> bool
     return total == len(p1.dom)
 
 
-def with_an_incompatible_point(square, replacing: int):
-    """The square less its last ``replacing`` points plus one over a pair
-    (x, y) with f(x) != g(y); None if there is no such pair or point."""
-    f, g = square.f, square.g
+def with_an_incompatible_point(square, f, g, replacing: int):
+    """The square over (f, g) less its last ``replacing`` points plus one
+    over a pair (x, y) with f(x) != g(y); None if there is no such pair or
+    point."""
     pairs = [(x, y) for x in f.dom.labels for y in g.dom.labels if f(x) != g(y)]
     kept = len(square.apex) - replacing
     if not pairs or kept < 0:
@@ -651,7 +651,7 @@ def with_an_incompatible_point(square, replacing: int):
     apex = FinObj(square.apex.labels[:kept] + ("odd",))
     x, y = pairs[0]
     return PullbackSquare(apex, FinMor(apex, f.dom, square.p1.table[:kept] + (x,)),
-                          FinMor(apex, g.dom, square.p2.table[:kept] + (y,)), f, g)
+                          FinMor(apex, g.dom, square.p2.table[:kept] + (y,)))
 
 
 def test_eq10_counts_agrees_with_the_lookup_it_replaced():
@@ -665,7 +665,8 @@ def test_eq10_counts_agrees_with_the_lookup_it_replaced():
                 verdicts["cone", want] += 1
         square = pullback(f, g)
         mutants = [square, duplicate_first_point(square),
-                   with_an_incompatible_point(square, 0), with_an_incompatible_point(square, 1)]
+                   with_an_incompatible_point(square, f, g, 0),
+                   with_an_incompatible_point(square, f, g, 1)]
         if len(square.apex):
             mutants.append(drop_last_point(square))
         for s in filter(None, mutants):
@@ -675,6 +676,58 @@ def test_eq10_counts_agrees_with_the_lookup_it_replaced():
     # both verdicts are reached on cones and on squares
     assert set(verdicts) == {("cone", True), ("cone", False),
                              ("square", True), ("square", False)}
+
+
+def _eq10_counts_without_distinct_rows(p1, p2, f, g):
+    # _eq10_counts less its first test, so two points of P on one row pass
+    rows = set(zip(p1.table, p2.table))
+    at_f = dict(zip(f.dom.labels, f.table))
+    at_g = dict(zip(g.dom.labels, g.table))
+    if not all(x in at_f and y in at_g and at_f[x] == at_g[y] for x, y in rows):
+        return False
+    over = Counter(g.table)
+    return len(rows) == sum(over[c] for c in f.table)
+
+
+def test_pullback_elements_decides_small_squares_by_the_limit_sweep(monkeypatch):
+    # With the criterion blind to repeated rows, the constructed squares
+    # still pass, and the first small cone that repeats a row is caught by
+    # its two mediators from the point.
+    monkeypatch.setattr(axioms, "_eq10_counts", _eq10_counts_without_distinct_rows)
+    rep = check_theorem(CheckSpec(item="pullback-elements", bound=3))
+    assert (rep.verdict, rep.instances_checked) == (FAIL, 75_962)
+    assert rep.witness == {
+        "f": "{a0} -> {c0} [a0 |-> c0]", "g": "{b0} -> {c0} [b0 |-> c0]",
+        "p1": "{p0, p1} -> {a0} [p0 |-> a0, p1 |-> a0]",
+        "p2": "{p0, p1} -> {b0} [p0 |-> b0, p1 |-> b0]",
+        "criterion": True, "pullback": False,
+    }
+
+
+def test_covers_onto_never_reads_the_surjectivity_shortcut(monkeypatch):
+    # _is_cover tries the proper subobjects itself, so a shortcut that calls
+    # every map onto is caught at the first map that is not a cover.
+    monkeypatch.setattr(FinMor, "is_surjective", lambda self: True)
+    rep = check_theorem(CheckSpec(item="covers-onto", bound=3))
+    assert (rep.verdict, rep.instances_checked, rep.witness) == (
+        FAIL, 2, {"f": "{} -> {b0} []"})
+
+
+def test_epi_never_reads_the_surjectivity_shortcut(monkeypatch):
+    # Right cancellation needs only hom-sets and composition: with the table
+    # shortcut made to raise, _is_epi still agrees with surjectivity, read
+    # off before the patch, on every map between carriers of size <= 2.
+    maps = [f for na in range(3) for nb in range(3)
+            for f in all_maps(carrier_of_size(na, "a"), carrier_of_size(nb, "b"))]
+    onto = [f.is_surjective() for f in maps]
+    assert len(maps) == 11 and onto.count(True) == 5
+
+    def shortcut(self):
+        raise AssertionError("_is_epi read FinMor.is_surjective")
+
+    monkeypatch.setattr(FinMor, "is_surjective", shortcut)
+    spec = CheckSpec(item="epi-onto", bound=2)
+    assert [axioms._is_epi(spec, f) for f in maps] == onto
 
 
 def test_equalizer_sweep_rejects_an_omitted_point(monkeypatch):
@@ -835,7 +888,7 @@ def test_pullback_sweep_rejects_a_leg_into_the_wrong_object(monkeypatch):
     def widened(f, g):
         s = pullback(f, g)
         p1 = FinMor(s.apex, with_junk(s.p1.cod), s.p1.table)
-        return PullbackSquare(s.apex, p1, s.p2, s.f, s.g)
+        return PullbackSquare(s.apex, p1, s.p2)
 
     monkeypatch.setattr(axioms, "pullback", widened)
     rep = check_theorem(CheckSpec(item="pullback-elements", bound=2))

@@ -21,11 +21,14 @@ def test_the_formulas_give_the_pinned_and_predicted_counts():
     # checker's reach and stands as a prediction
     assert {item: count(4) for item, count in COUNTS.items()} == {
         "C1": 5, "C2": 136_341, "C3": 1_371_506, "D1": 5, "D2": 131_909,
-        "pullback-elements": 76_712_443,
+        "PA": 98, "Fct": 499, "Eff": 294, "pullback-elements": 76_712_443,
+        "quotients": 1_723, "image-factorization": 12_988, "choice": 587,
     }
+    # image-factorization's bound-5 value is also the count of a bound-5 run
     assert {item: count(5) for item, count in COUNTS.items()} == {
         "C1": 6, "C2": 20_592_977, "C3": 545_129_643, "D1": 6, "D2": 17_256_563,
-        "pullback-elements": 183_929_262_026,
+        "PA": 640, "Fct": 5_705, "Eff": 1_594, "pullback-elements": 183_929_262_026,
+        "quotients": 25_499, "image-factorization": 706_361, "choice": 6_333,
     }
     # the C2 runs at bounds 1-3, as an independent spot check of the formula
     assert [COUNTS["C2"](n) for n in (1, 2, 3)] == [5, 43, 1_544]
@@ -35,8 +38,10 @@ def test_the_script_prints_check_lines_and_rejects_a_bad_bound(capsys):
     assert main(["2"]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "PASS C1 instances=3", "PASS C2 instances=43", "PASS C3 instances=102",
-        "PASS D1 instances=3", "PASS D2 instances=59",
-        "PASS pullback-elements instances=557",
+        "PASS D1 instances=3", "PASS D2 instances=59", "PASS PA instances=8",
+        "PASS Fct instances=11", "PASS Eff instances=9",
+        "PASS pullback-elements instances=557", "PASS quotients instances=23",
+        "PASS image-factorization instances=37", "PASS choice instances=13",
     ]
     for argv in ([], ["0"], ["four"], ["4", "5"]):
         assert main(argv) == 2

@@ -576,7 +576,7 @@ def _without_last_point(m):
 def _dropping_pullback(f, g):
     s = pullback(f, g)
     p1, p2 = _without_last_point(s.p1), _without_last_point(s.p2)
-    return PullbackSquare(p1.dom, p1, p2, f, g)
+    return PullbackSquare(p1.dom, p1, p2)
 
 
 def _dropping_equalizer(f, g):
