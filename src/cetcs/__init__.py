@@ -16,7 +16,6 @@ from .axioms import (
     check_axiom,
     check_pi_universal,
     check_theorem,
-    pi_morphism_check,
 )
 from .errors import (
     CetcsError,

@@ -14,12 +14,15 @@ for leg in legs); C1 and D1 are the empty diagram, one empty cone per t.
 Existence and uniqueness are read off those counts, never assumed from the
 construction that produced the diagram, whose own mediator is never called.
 ``pullback-elements`` decides its small cones the same way, by a limit
-sweep.  Epimorphisms and covers are recognized by their definitions, not by
-ontoness, so the statements relating the notions stay non-circular:
-``_is_epi`` counts the distinct composites h∘f in one pass over each
-hom-set, and ``_is_cover`` tries each proper subobject once, as a
-subcarrier, since f factors through a mono exactly when its image lies in
-the mono's image.
+sweep.  ``pi-universality`` hands ``_sweep`` the competitors of a dependent
+product over each small apex W as its cones, and counts every map h: W -> F
+under the competitor it induces: phi∘h, with ev read at (h(w), x) for each
+point (w, x) over it.  Epimorphisms and covers are recognized by their
+definitions, not by ontoness, so the statements relating the notions stay
+non-circular: ``_is_epi`` counts the distinct composites h∘f in one pass
+over each hom-set, and ``_is_cover`` tries each proper subobject once, as
+a subcarrier, since f factors through a mono exactly when its image lies
+in the mono's image.
 
 Counts are keyed by the tables of a cone's maps: all cones of one sweep
 share their feet, so tables tell them apart exactly as the morphisms
@@ -429,6 +432,14 @@ def _report(item: str, t0: float, verdict: str, witness: dict | None, checked: i
                   instances_checked=checked, elapsed=time.perf_counter() - t0)
 
 
+def _fibers(m: FinMor) -> dict[str, list[str]]:
+    """Each point of m's codomain, mapped to its preimage in domain order."""
+    fibers: dict[str, list[str]] = {c: [] for c in m.cod.labels}
+    for x, c in zip(m.dom.labels, m.table):
+        fibers[c].append(x)
+    return fibers
+
+
 def check_pi_universal(d: PiDiagram, g: FinMor, f: FinMor) -> Report:
     """Decide whether d is a universal dependent product of g along f.
 
@@ -486,9 +497,7 @@ def check_pi_universal(d: PiDiagram, g: FinMor, f: FinMor) -> Report:
     # The square is a pullback.  It commutes, so every point of P lies over
     # one of the compatible (v, x), and "exactly one point each" says that
     # the points have distinct (v, x) and number as many as those pairs.
-    fiber_f: dict[str, list[str]] = {i: [] for i in i_obj.labels}
-    for x, i in zip(f.dom.labels, f_table):
-        fiber_f[i].append(x)
+    fiber_f = _fibers(f)
     compatible = 0
     for i in phi_table:
         compatible += len(fiber_f[i])
@@ -523,9 +532,7 @@ def check_pi_universal(d: PiDiagram, g: FinMor, f: FinMor) -> Report:
     for v, i in zip(F.labels, phi_table):
         psi = frozenset([(x, at[v, x]) for x in fiber_f[i]])
         points_over[i].setdefault(psi, []).append(v)
-    fiber_g: dict[str, list[str]] = {x: [] for x in x_obj.labels}
-    for y, x in zip(y_obj.labels, g_table):
-        fiber_g[x].append(y)
+    fiber_g = _fibers(g)
     for i in i_obj.labels:
         xs, index = fiber_f[i], points_over[i]
         for choice in itertools.product(*[fiber_g[x] for x in xs]):
@@ -538,36 +545,6 @@ def check_pi_universal(d: PiDiagram, g: FinMor, f: FinMor) -> Report:
     return _report(item, t0, PASS, None, checked)
 
 
-def pi_morphism_check(source: PiDiagram, target: PiDiagram, t: FinMor) -> Report:
-    """Is t: F(source) -> F(target) a morphism of dependent-product diagrams?
-
-    Requires phi∘t = phi', and that the induced map on the pullback apexes
-    commutes with evaluation.
-    """
-    t0, item = time.perf_counter(), "pi-morphism"
-    checked = 1
-    if t.dom != source.F or t.cod != target.F:
-        return _report(item, t0, FAIL, {"face": "t feet"}, checked)
-    checked += 1
-    if compose(target.phi, t) != source.phi:
-        return _report(item, t0, FAIL, {"face": "phi∘t = phi-source"}, checked)
-    locate: dict[tuple[str, str], str] = {
-        (target.pi1(p), target.pi2(p)): p for p in target.P.labels
-    }
-    table = []
-    for p in source.P.labels:
-        key = (t(source.pi1(p)), source.pi2(p))
-        if key not in locate:
-            return _report(item, t0, FAIL, {"face": "induced map on apexes", "point": p}, checked)
-        table.append(locate[key])
-    induced = FinMor(source.P, target.P, tuple(table))
-    for p in source.P.labels:
-        checked += 1
-        if target.ev(induced(p)) != source.ev(p):
-            return _report(item, t0, FAIL, {"face": "evaluation", "point": p}, checked)
-    return _report(item, t0, PASS, None, checked)
-
-
 def _section_count(g: FinMor, f: FinMor) -> int:
     """Independent size oracle: sum over i of the product of g-fiber sizes."""
     fiber_g = Counter(g.table)
@@ -575,24 +552,6 @@ def _section_count(g: FinMor, f: FinMor) -> int:
     for x, i in zip(f.dom.labels, f.table):
         sections[i] *= fiber_g[x]
     return sum(sections.values())
-
-
-def _competitors(g: FinMor, f: FinMor, size_cap: int) -> Iterator[PiDiagram]:
-    """All dependent-product shaped diagrams over (g, f) with small apex."""
-    for n in range(size_cap + 1):
-        apex = carrier_of_size(n, "w")
-        for phi2 in all_maps(apex, f.cod):
-            square = pullback(phi2, f)
-            fibers = [
-                [y for y in g.dom.labels if g(y) == square.p2(p)]
-                for p in square.apex.labels
-            ]
-            for choice in itertools.product(*fibers):
-                ev2 = FinMor(square.apex, g.dom, tuple(choice))
-                yield PiDiagram(
-                    P=square.apex, F=apex, pi1=square.p1, pi2=square.p2,
-                    phi=phi2, ev=ev2,
-                )
 
 
 # ---------------------------------------------------------------------------
@@ -1058,19 +1017,20 @@ def _thm_exponentials(spec: CheckSpec):
 def _thm_dependent_choice(spec: CheckSpec):
     for x in _objs(spec, "x"):
         cells = list(itertools.product(x.labels, x.labels))
+        points = list(zip(x.labels, kernel.elements(x)))
         for rows in map(set, _subsets(spec, cells)):
-            if not all(any((a, b) in rows for b in x.labels) for a in x.labels):
+            firsts = [next((b for b in x.labels if (a, b) in rows), None) for a in x.labels]
+            if None in firsts:
                 continue
-            for start in x.labels:
-                chain = [start]
-                for _ in range(8):
-                    cur = chain[-1]
-                    nxt = next(b for b in x.labels if (cur, b) in rows)
-                    chain.append(nxt)
+            # the chain from each start follows the first successor, unrolled
+            # by the library's recursion
+            h = FinMor(x, x, tuple(firsts))
+            for start, b in points:
+                chain = [p.table[0] for p in nno_prefix(8, b, h)]
                 yield 1
-                for a, b in zip(chain, chain[1:]):
-                    if (a, b) not in rows:
-                        return {"X": str(x), "start": start, "chain": chain}
+                if (len(chain) != 9 or chain[0] != start
+                        or not rows.issuperset(zip(chain, chain[1:]))):
+                    return {"X": str(x), "start": start, "chain": chain}
 
 
 def _thm_onto_pullback(spec: CheckSpec):
@@ -1207,31 +1167,45 @@ def _thm_choice(spec: CheckSpec):
             return {"f": str(f), "statement": "f∘g∘f = f"}
 
 
+def _competitor_key(phi_row: tuple[str, ...], ev_row: tuple) -> tuple:
+    """The key under which pi-universality counts a competitor (phi2, ev2),
+    both as a cone and as the competitor a map into the product induces:
+    the tables of its two faces."""
+    return phi_row, ev_row
+
+
 def _thm_pi_universality(spec: CheckSpec):
     witness = yield from _ax_pi(spec, count_sections=True)
     if witness is not None:
         return witness
-    competitor_cap = min(spec.bound, 3)
+    # A competitor (phi2, ev2) over W chooses a point of g's fiber over x for
+    # each point (w, x) of the pullback of phi2 along f, in ``pullback``'s
+    # order; a map into F whose (h(w), x) the product's P lacks reads None.
+    apexes = [carrier_of_size(n, "w") for n in range(min(spec.bound, 3) + 1)]
     small = CheckSpec(item=spec.item, bound=min(spec.bound, 2))
     for g, f in _instances(small, _COMPOSABLE):
         d = pi_diagram(g, f)
-        fiber_allowed = {
-            il: [v for v in d.F.labels if d.phi(v) == il] for il in f.cod.labels
-        }
-        for comp in _competitors(g, f, competitor_cap):
-            allowed = [fiber_allowed[comp.phi(v2)] for v2 in comp.F.labels]
-            good = []
-            for choice in itertools.product(*allowed):
-                t = FinMor(comp.F, d.F, choice)
-                if pi_morphism_check(comp, d, t).passed:
-                    good.append(t)
-            yield 1
-            if len(good) != 1:
-                return {
-                    "g": str(g), "f": str(f),
-                    "competitor": str(comp.phi),
-                    "morphisms": len(good),
-                }
+        phi = dict(zip(d.F.labels, d.phi.table))
+        at = dict(zip(zip(d.pi1.table, d.pi2.table), d.ev.table))
+        fiber_f, fiber_g = _fibers(f), _fibers(g)
+
+        def induced(h: FinMor) -> tuple:
+            over = tuple([phi[v] for v in h.table])
+            return _competitor_key(over, tuple(
+                [at.get((v, x)) for v, i in zip(h.table, over) for x in fiber_f[i]]))
+
+        def competitors(w: FinObj) -> Iterator[tuple[FinMor, tuple[str, ...]]]:
+            for phi2 in all_maps(w, f.cod):
+                for ev2 in itertools.product(
+                        *[fiber_g[x] for i in phi2.table for x in fiber_f[i]]):
+                    yield phi2, ev2
+
+        visited, _, cone, n = _sweep(
+            apexes, lambda w: Counter(map(induced, all_maps(w, d.F))), competitors,
+            lambda cone: _competitor_key(cone[0].table, cone[1]))
+        yield visited
+        if cone is not None:
+            return {"g": str(g), "f": str(f), "competitor": str(cone[0]), "morphisms": n}
 
 
 def _thm_internal_logic(spec: CheckSpec):

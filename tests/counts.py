@@ -15,6 +15,7 @@ prints one line per item, in the form ``cetcs check`` prints a PASS.
 from __future__ import annotations
 
 import sys
+from itertools import product
 from math import comb, factorial, prod
 
 
@@ -144,10 +145,37 @@ def choice(n: int) -> int:
             + sum(b ** a for a in sizes if a for b in sizes))
 
 
+def dependent_choice(n: int) -> int:
+    """Each total relation on x, one nonempty set of successors per point,
+    counts one chain from each of its x starts."""
+    return sum(x * (2 ** x - 1) ** x for x in range(n + 1))
+
+
+def pi_competitors(n: int) -> int:
+    """The competitors pi-universality sweeps after its Pi pass: over each
+    composable pair y -g-> x -f-> i with carriers of size up to min(n, 2),
+    one per map from each apex of size up to min(n, 3) into the product F,
+    where |F| sums over i the product of g's fiber sizes over f's fiber.
+    Pi's own count has no closed form yet, so this is not an item of
+    ``COUNTS``."""
+    sizes = range(min(n, 2) + 1)
+    total = 0
+    for y in sizes:
+        for x in sizes:
+            for i in sizes:
+                for g in product(range(x), repeat=y):
+                    for f in product(range(i), repeat=x):
+                        F = sum(prod(g.count(p) for p in range(x) if f[p] == c)
+                                for c in range(i))
+                        total += sum(F ** k for k in range(min(n, 3) + 1))
+    return total
+
+
 COUNTS = {
     "C1": c1, "C2": c2, "C3": c3, "D1": d1, "D2": d2, "PA": pa, "Fct": fct,
     "Eff": eff, "pullback-elements": pullback_elements, "quotients": quotients,
     "image-factorization": image_factorization, "choice": choice,
+    "dependent-choice": dependent_choice,
 }
 
 

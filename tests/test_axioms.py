@@ -28,7 +28,6 @@ from cetcs.axioms import (
     check_axiom,
     check_pi_universal,
     check_theorem,
-    pi_morphism_check,
     set_partitions,
 )
 from cetcs.finset import (
@@ -178,32 +177,10 @@ def test_pi_universal_rejects_wrong_feet():
     assert rep.failed
 
 
-def test_pi_morphism_check_identity_and_garbage():
-    d, g, f = base_diagram()
-    ident = FinMor(d.F, d.F, d.F.labels)
-    assert pi_morphism_check(d, d, ident).passed
-    if len(d.F) >= 2:
-        swapped = FinMor(d.F, d.F, (d.F.labels[1], d.F.labels[0]))
-        assert pi_morphism_check(d, d, swapped).failed
-
-
-def blind_to(face):
-    """A pi_morphism_check that lets t through when its only failure is ``face``."""
-    real = axioms.pi_morphism_check
-
-    def check(source, target, t):
-        rep = real(source, target, t)
-        if rep.failed and rep.witness["face"] == face:
-            return dataclasses.replace(rep, verdict=PASS, witness=None)
-        return rep
-
-    return check
-
-
 def test_pi_universality_kills_a_morphism_check_blind_to_evaluation(monkeypatch):
     # Over g: {y0,y1} -> {x0} along x0 |-> i0 both maps from the one-point
     # competitor commute with phi, and only evaluation tells them apart.
-    monkeypatch.setattr(axioms, "pi_morphism_check", blind_to("evaluation"))
+    monkeypatch.setattr(axioms, "_competitor_key", lambda phi_row, ev_row: phi_row)
     assert check_theorem(CheckSpec(item="pi-universality", bound=1)).passed
     rep = check_theorem(CheckSpec(item="pi-universality", bound=2))
     assert (rep.verdict, rep.instances_checked) == (FAIL, 500)
@@ -215,29 +192,39 @@ def test_pi_universality_kills_a_morphism_check_blind_to_evaluation(monkeypatch)
     }
 
 
-def test_pi_universality_offers_only_maps_over_the_index(monkeypatch):
-    """Why a pi_morphism_check blind to any face but evaluation survives.
+def test_pi_universality_kills_a_morphism_check_blind_to_phi(monkeypatch):
+    # Every map W -> F is offered, not only those over the competitor's phi.
+    # Along f: {} -> {i0, i1} both points of F carry the empty section, so
+    # only phi tells the two maps from {w0} apart.
+    monkeypatch.setattr(axioms, "_competitor_key", lambda phi_row, ev_row: ev_row)
+    assert check_theorem(CheckSpec(item="pi-universality", bound=1)).passed
+    rep = check_theorem(CheckSpec(item="pi-universality", bound=2))
+    assert (rep.verdict, rep.instances_checked) == (FAIL, 434)
+    assert rep.witness == {
+        "g": "{} -> {} []",
+        "f": "{} -> {i0, i1} []",
+        "competitor": "{w0} -> {i0, i1} [w0 |-> i0]",
+        "morphisms": 2,
+    }
 
-    pi-universality draws each candidate t from the points of F over
-    phi-source(v2), so t has the right feet and phi∘t = phi-source holds by
-    construction.  Then for each point (v2, x) of the competitor's apex,
-    phi(t(v2)) = f(x), and the real pullback P holds (t(v2), x): the induced
-    map on apexes exists.  A check blind to "t feet", "phi∘t = phi-source"
-    or "induced map on apexes" therefore returns what the real one does on
-    every t offered, and those mutants are equivalent.  This test pins the
-    premise: no offered t fails any face but evaluation.
-    """
-    real = axioms.pi_morphism_check
-    faces = Counter()
 
-    def spy(source, target, t):
-        rep = real(source, target, t)
-        faces[rep.witness["face"] if rep.failed else None] += 1
-        return rep
-
-    monkeypatch.setattr(axioms, "pi_morphism_check", spy)
-    assert check_theorem(CheckSpec(item="pi-universality", bound=2)).passed
-    assert set(faces) == {None, "evaluation"}
+def test_pi_universality_fails_a_product_whose_p_lacks_a_point(monkeypatch):
+    # With the face checker judging the real construction, only the
+    # competitor sweep sees the dropped point: the map onto its v reads no
+    # ev there, so the competitor carrying v's section has no morphism.
+    plain, checker = axioms.pi_diagram, axioms.check_pi_universal
+    monkeypatch.setattr(axioms, "check_pi_universal",
+                        lambda d, g, f: checker(plain(g, f), g, f))
+    monkeypatch.setattr(axioms, "pi_diagram", lambda g, f: rebuilt(
+        plain(g, f), g, f, lambda F, P: P and P.pop()))
+    rep = check_theorem(CheckSpec(item="pi-universality", bound=2))
+    assert (rep.verdict, rep.instances_checked) == (FAIL, 457)
+    assert rep.witness == {
+        "g": "{y0} -> {x0} [y0 |-> x0]",
+        "f": "{x0} -> {i0} [x0 |-> i0]",
+        "competitor": "{w0} -> {i0} [w0 |-> i0]",
+        "morphisms": 0,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -1298,6 +1285,14 @@ CONSTRUCTION_MUTANTS = {
     "nno_prefix": ("induction", prefix_one_short, (FAIL, {
         "h": "{a0, a1} -> {a0, a1} [a0 |-> a1, a1 |-> a0]", "base": "a0", "step": 7},
         518)),
+    # dependent-choice takes its chains from nno_prefix: a prefix one step
+    # short, and one that steps by h∘h
+    "nno_prefix:dependent-choice-short": (
+        "dependent-choice", lambda bound, b, h: nno_prefix(bound - 1, b, h), (FAIL, {
+            "X": "{x0}", "start": "x0", "chain": ["x0"] * 8}, 1)),
+    "nno_prefix:dependent-choice-twice": (
+        "dependent-choice", lambda bound, b, h: nno_prefix(bound, b, compose(h, h)), (FAIL, {
+            "X": "{x0, x1}", "start": "x0", "chain": ["x0"] * 9}, 4)),
     # every point merged into the first
     "projective_cover": ("PA", lambda a: FinMor(a, a, a.labels[:1] * len(a)), (
         FAIL, {"object": "{a0, a1}", "reason": "cover not onto"}, 7)),
@@ -1308,7 +1303,8 @@ CONSTRUCTION_MUTANTS = {
     (name, *case) for name, case in CONSTRUCTION_MUTANTS.items()
 ], ids=list(CONSTRUCTION_MUTANTS))
 def test_every_construction_mutant_is_killed(monkeypatch, name, item, mutant, want):
-    monkeypatch.setattr(axioms, name, mutant)
+    # an id names the construction, then after a colon the case
+    monkeypatch.setattr(axioms, name.partition(":")[0], mutant)
     check = check_axiom if item in AXIOMS else check_theorem
     rep = check(CheckSpec(item=item, bound=3))
     assert (rep.verdict, rep.witness, rep.instances_checked) == want

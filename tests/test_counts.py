@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from cetcs.axioms import AXIOMS, CheckSpec, check_axiom, check_theorem
-from counts import COUNTS, main
+from counts import COUNTS, main, pi_competitors
 
 
 @pytest.mark.parametrize("bound", [1, 2, 3])
@@ -23,15 +23,40 @@ def test_the_formulas_give_the_pinned_and_predicted_counts():
         "C1": 5, "C2": 136_341, "C3": 1_371_506, "D1": 5, "D2": 131_909,
         "PA": 98, "Fct": 499, "Eff": 294, "pullback-elements": 76_712_443,
         "quotients": 1_723, "image-factorization": 12_988, "choice": 587,
+        "dependent-choice": 203_548,
     }
     # image-factorization's bound-5 value is also the count of a bound-5 run
     assert {item: count(5) for item, count in COUNTS.items()} == {
         "C1": 6, "C2": 20_592_977, "C3": 545_129_643, "D1": 6, "D2": 17_256_563,
         "PA": 640, "Fct": 5_705, "Eff": 1_594, "pullback-elements": 183_929_262_026,
         "quotients": 25_499, "image-factorization": 706_361, "choice": 6_333,
+        "dependent-choice": 143_349_303,
     }
     # the C2 runs at bounds 1-3, as an independent spot check of the formula
     assert [COUNTS["C2"](n) for n in (1, 2, 3)] == [5, 43, 1_544]
+
+
+def composable_pairs(n: int) -> int:
+    """The pairs y -g-> x -f-> i over sizes up to n: x^y * i^x maps."""
+    return sum(x ** y * i ** x for y in range(n + 1) for x in range(n + 1)
+               for i in range(n + 1))
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3])
+def test_pi_universality_sweeps_the_counted_competitors(bound):
+    # past Pi's own count and one section count per pair
+    pi = check_axiom(CheckSpec(item="Pi", bound=bound))
+    rep = check_theorem(CheckSpec(item="pi-universality", bound=bound))
+    assert pi.passed and rep.passed
+    swept = rep.instances_checked - pi.instances_checked - composable_pairs(bound)
+    assert swept == pi_competitors(bound) == [6, 207, 409][bound - 1]
+
+
+def test_the_competitor_count_closes_ci_pi_pins_at_bound_four():
+    # CI pins Pi at 1,588,518 and pi-universality at 1,722,726 at bound 4,
+    # over the 133,799 pairs of the pi-b4 workload
+    assert composable_pairs(4) == 133_799
+    assert pi_competitors(4) == 1_722_726 - 1_588_518 - 133_799 == 409
 
 
 def test_the_script_prints_check_lines_and_rejects_a_bad_bound(capsys):
@@ -42,6 +67,7 @@ def test_the_script_prints_check_lines_and_rejects_a_bad_bound(capsys):
         "PASS Fct instances=11", "PASS Eff instances=9",
         "PASS pullback-elements instances=557", "PASS quotients instances=23",
         "PASS image-factorization instances=37", "PASS choice instances=13",
+        "PASS dependent-choice instances=19",
     ]
     for argv in ([], ["0"], ["four"], ["4", "5"]):
         assert main(argv) == 2
