@@ -70,6 +70,15 @@ stop at the first witness that is not ``None``; an empty witness is still
 a failure.  ``_run`` is the one place that sums the counts and picks the
 verdict.
 
+Items and the parts of composed items run through ``_part``.  Inside a
+``shared_parts`` block, which one ``cetcs check`` opens around all its
+items, ``_part`` keeps each body's total and witness under the body and
+the spec with its item blanked, and a body that already ran yields that
+total once and returns that witness instead of running again: ``pretopos``
+credits its six parts, and ``pi-universality`` the Pi axiom, with the
+counts and verdicts a run would give.  Outside a block, as in a library
+call of ``check_axiom`` or ``check_theorem``, every part runs.
+
 Sampling mode (past the exhaustive threshold) draws each leg from a seeded
 reservoir of its hom-set (``_maps``), and the subsets of cells and pairs of
 subobjects by seeded index (``_draw``), so those cost the draw, not 2^n.
@@ -79,12 +88,14 @@ instead of pretending a sampled uniqueness sweep is exhaustive.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import itertools
 import operator
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import kernel
@@ -108,6 +119,7 @@ from .finset import (
     initial,
     nno_prefix,
     pi_diagram,
+    pi_object,
     product,
     projective_cover,
     pullback,
@@ -621,19 +633,12 @@ def _classes_match(q0: FinMor, q: FinMor, kappa: dict[str, str]) -> bool:
     return len(set(psi.values())) == len(psi) and len(q0.cod) == len(q.cod)
 
 
-def _ax_pi(spec: CheckSpec, count_sections: bool = False):
-    # pi-universality also checks each F against the section-count oracle
-    # in this pass, so that no dependent product is built twice.
+def _ax_pi(spec: CheckSpec):
     for g, f in _instances(spec, _COMPOSABLE):
-        d = pi_diagram(g, f)
-        rep = check_pi_universal(d, g, f)
+        rep = check_pi_universal(pi_diagram(g, f), g, f)
         yield rep.instances_checked
         if not rep.passed:
             return {**(rep.witness or {}), "g": str(g), "f": str(f)}
-        if count_sections:
-            yield 1
-            if len(d.F) != _section_count(g, f):
-                return {"g": str(g), "f": str(f), "statement": "section count"}
 
 
 def _first_preimages(f: FinMor, fallback: str | None = None) -> FinMor:
@@ -1145,7 +1150,7 @@ def _thm_classifier(spec: CheckSpec):
 def _thm_pretopos(spec: CheckSpec):
     for part in (_thm_classifier, _ax_factorization, _thm_onto_pullback,
                  _thm_epi_onto, _ax_effective, _ax_sum_disjunction):
-        witness = yield from part(spec)
+        witness = yield from _part(part, spec)
         if witness is not None:
             return witness
 
@@ -1175,9 +1180,15 @@ def _competitor_key(phi_row: tuple[str, ...], ev_row: tuple) -> tuple:
 
 
 def _thm_pi_universality(spec: CheckSpec):
-    witness = yield from _ax_pi(spec, count_sections=True)
+    witness = yield from _part(_ax_pi, spec)
     if witness is not None:
         return witness
+    # Pi ties each F to the sections it carries; this ties the size of the
+    # product the internal logic reads to the independent oracle.
+    for g, f in _instances(spec, _COMPOSABLE):
+        yield 1
+        if len(pi_object(g, f).dom) != _section_count(g, f):
+            return {"g": str(g), "f": str(f), "statement": "section count"}
     # A competitor (phi2, ev2) over W chooses a point of g's fiber over x for
     # each point (w, x) of the pullback of phi2 along f, in ``pullback``'s
     # order; a map into F whose (h(w), x) the product's P lacks reads None.
@@ -1328,6 +1339,46 @@ THEOREMS: dict[str, tuple[str, Callable]] = {
 # entry points
 
 
+# The part results of the current ``shared_parts`` block, by (body, spec with
+# its item blanked); None outside one, so library calls run every part.
+_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar("parts", default=None)
+
+
+@contextlib.contextmanager
+def shared_parts() -> Iterator[None]:
+    """Within the block, a check item or composed part that already ran on
+    the same spec, its item aside, is credited with its result instead of
+    run again.  Each block starts empty, so no result outlives it."""
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
+def _part(body: Callable, spec: CheckSpec):
+    """Run ``body(spec)`` under the item protocol.  Inside ``shared_parts`` a
+    body that ran on this spec before yields its total once and returns its
+    witness; one that did not runs, and its total and witness are kept."""
+    memo = _MEMO.get()
+    if memo is None:
+        return (yield from body(spec))
+    key = body, replace(spec, item="")
+    if key in memo:
+        total, witness = memo[key]
+        yield total
+        return witness
+    total, steps = 0, body(spec)
+    while True:
+        try:
+            n = next(steps)
+        except StopIteration as stop:
+            memo[key] = total, stop.value
+            return stop.value
+        total += n
+        yield n
+
+
 def _run(kind: str, table: dict[str, tuple[str, Callable]], spec: CheckSpec) -> Report:
     if spec.item not in table:
         raise ValueError(
@@ -1336,7 +1387,7 @@ def _run(kind: str, table: dict[str, tuple[str, Callable]], spec: CheckSpec) -> 
     t0 = time.perf_counter()
     if spec.sampled and spec.item in _EXHAUSTIVE_ONLY:
         return _report(spec.item, t0, SKIP, {"reason": _SAMPLED_SKIP}, 0)
-    steps, checked = table[spec.item][1](spec), 0
+    steps, checked = _part(table[spec.item][1], spec), 0
     try:
         while True:
             checked += next(steps)

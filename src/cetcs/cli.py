@@ -25,6 +25,7 @@ from .axioms import (
     check_axiom,
     check_pi_universal,
     check_theorem,
+    shared_parts,
 )
 from .errors import CetcsError, ReportError
 from .finset import (
@@ -138,8 +139,10 @@ def _run_check(ns: argparse.Namespace) -> int:
         sample=ns.sample,
         seed=ns.seed,
     )
-    reports = [check_axiom(CheckSpec(item=item, **shared)) for item in axiom_items]
-    reports += [check_theorem(CheckSpec(item=item, **shared)) for item in theorem_items]
+    # one invocation decides each part once; a composed item credits its parts
+    with shared_parts():
+        reports = [check_axiom(CheckSpec(item=item, **shared)) for item in axiom_items]
+        reports += [check_theorem(CheckSpec(item=item, **shared)) for item in theorem_items]
     return _emit_reports(reports, ns)
 
 

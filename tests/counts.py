@@ -111,6 +111,37 @@ def fct(n: int) -> int:
     return sum(b ** a for a in sizes for b in sizes)
 
 
+def classifier(n: int) -> int:
+    """One instance per subset of each x."""
+    return 2 ** (n + 1) - 1
+
+
+epi_onto = covers_onto = fct
+
+
+def onto_pullback(n: int) -> int:
+    """Each cospan f: a -> c <- b :g counts once if f is onto and once if g
+    is."""
+    sizes = range(n + 1)
+    return sum(_onto(a, c) * c ** b + c ** a * _onto(b, c)
+               for c in sizes for a in sizes for b in sizes)
+
+
+def dp(n: int) -> int:
+    """Each point of each canonical sum a + b; then, over sizes up to
+    min(n, 2), each point of s under each pair i: a -> s <- b :j that is a
+    sum diagram, the (a + b)! pairs that are jointly bijective."""
+    return (sum(a + b for a in range(n + 1) for b in range(n + 1))
+            + sum(factorial(a + b) * (a + b)
+                  for a in range(min(n, 2) + 1) for b in range(min(n, 2) + 1)))
+
+
+def pretopos(n: int) -> int:
+    """Its six parts in turn, each counting what it counts alone, whether it
+    runs inside pretopos or is credited from an earlier run of the part."""
+    return classifier(n) + fct(n) + onto_pullback(n) + epi_onto(n) + eff(n) + dp(n)
+
+
 def eff(n: int) -> int:
     """Each equivalence on x, one per partition into k blocks, counts the
     x^2 pairs it is compared on."""
@@ -175,7 +206,9 @@ COUNTS = {
     "C1": c1, "C2": c2, "C3": c3, "D1": d1, "D2": d2, "PA": pa, "Fct": fct,
     "Eff": eff, "pullback-elements": pullback_elements, "quotients": quotients,
     "image-factorization": image_factorization, "choice": choice,
-    "dependent-choice": dependent_choice,
+    "dependent-choice": dependent_choice, "DP": dp, "onto-pullback": onto_pullback,
+    "covers-onto": covers_onto, "epi-onto": epi_onto, "classifier": classifier,
+    "pretopos": pretopos,
 }
 
 

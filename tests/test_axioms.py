@@ -51,6 +51,7 @@ from cetcs.finset import (
     initial,
     nno_prefix,
     pi_diagram,
+    pi_object,
     product,
     pullback,
     quotient,
@@ -225,6 +226,18 @@ def test_pi_universality_fails_a_product_whose_p_lacks_a_point(monkeypatch):
         "competitor": "{w0} -> {i0} [w0 |-> i0]",
         "morphisms": 0,
     }
+
+
+def test_pi_universality_kills_a_pi_object_that_drops_a_section(monkeypatch):
+    # Pi never calls pi_object; the section-count pass after it does, and the
+    # first pair with a point in F, over the empty section, fails.
+    monkeypatch.setattr(axioms, "pi_object", lambda g, f: (lambda m: FinMor(
+        FinObj(m.dom.labels[:-1]), m.cod, m.table[:-1]))(pi_object(g, f)))
+    assert check_axiom(CheckSpec(item="Pi", bound=2)).instances_checked == 381
+    rep = check_theorem(CheckSpec(item="pi-universality", bound=2))
+    assert (rep.verdict, rep.instances_checked) == (FAIL, 381 + 2)
+    assert rep.witness == {"g": "{} -> {} []", "f": "{} -> {i0} []",
+                           "statement": "section count"}
 
 
 # ---------------------------------------------------------------------------
@@ -576,6 +589,33 @@ def test_pretopos_stops_at_its_first_failing_part_with_that_count(monkeypatch):
         monkeypatch.setattr(axioms, name, later_part)
     rep = check_theorem(CheckSpec(item="pretopos"))
     assert (rep.verdict, rep.instances_checked, rep.witness) == (FAIL, 7, {"x": 1})
+
+
+def test_library_calls_run_every_part_and_see_a_patch_between_them(monkeypatch):
+    # Outside a shared_parts block nothing is kept, so a construction patched
+    # between two calls is judged by the second.
+    assert check_theorem(CheckSpec(item="pretopos", bound=2)).passed
+    monkeypatch.setattr(axioms, "image_factorization", lambda f: (
+        entries_swapped(image_factorization(f)[0]), image_factorization(f)[1]))
+    rep = check_theorem(CheckSpec(item="pretopos", bound=2))
+    assert (rep.verdict, rep.instances_checked, rep.witness) == (FAIL, 7 + 9, {
+        "f": "{a0, a1} -> {b0, b1} [a0 |-> b0, a1 |-> b1]",
+        "reason": "does not compose to f"})
+
+
+@pytest.mark.parametrize("other", [
+    dict(bound=3), dict(sample=2), dict(seed=1, sample=1),
+    dict(morphisms=(FinMor(carrier_of_size(1, "m"), carrier_of_size(1, "n"), ("n0",)),)),
+], ids=["bound", "sample", "seed", "model"])
+def test_specs_that_differ_beyond_the_item_share_no_part(other):
+    base = dict(bound=2, sample=1) if "seed" in other else dict(bound=2)
+    specs = [CheckSpec(item="Fct", **base), CheckSpec(item="Fct", **{**base, **other})]
+    alone = [check_axiom(spec).instances_checked for spec in specs]
+    with axioms.shared_parts():
+        together = [check_axiom(spec).instances_checked for spec in specs]
+        assert len(axioms._MEMO.get()) == 2
+    assert together == alone
+    assert axioms._MEMO.get() is None
 
 
 # ---------------------------------------------------------------------------
@@ -1117,7 +1157,8 @@ def test_pi_rejects_a_dependent_product_broken_off_the_reps(monkeypatch, item):
     monkeypatch.setattr(axioms, "pi_diagram", break_once)
     check = check_axiom if item in AXIOMS else check_theorem
     rep = check(CheckSpec(item=item, bound=2))
-    assert rep.failed
+    # pi-universality fails in its Pi pass, with Pi's own count
+    assert (rep.verdict, rep.instances_checked) == (FAIL, 41)
     assert rep.witness == {"i": "i0", "psi": [], "matching": ["(i0|)", "dup"],
                            "g": str(g0), "f": str(f0)}
 

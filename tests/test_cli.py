@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
-from cetcs import cli
-from cetcs.axioms import AXIOMS, THEOREMS
+from cetcs import axioms, cli
+from cetcs.axioms import AXIOMS, THEOREMS, CheckSpec, check_axiom, check_theorem
 from cetcs.cli import main
+from cetcs.finset import FinMor, image_factorization
 from conftest import STANDARD_MODEL
 
 
@@ -69,6 +71,67 @@ def test_check_routes_every_item_through_the_entry_points(capsys, model_path,
     lines = [line.split() for line in out.splitlines()]
     assert [item for _, item, _ in lines] == routed["axiom"] + routed["theorem"]
     assert all(verdict == "PASS" for verdict, _, _ in lines)
+
+
+def one_argument(check):
+    """check behind a wrapper of one argument, as the benchmark's worker
+    installs it."""
+    def inner(spec):
+        return check(spec)
+    return inner
+
+
+def standalone(item, bound):
+    check = check_axiom if item in AXIOMS else check_theorem
+    return check(CheckSpec(item=item, bound=bound))
+
+
+def test_one_check_decides_each_part_once(capsys, monkeypatch):
+    built = Counter()
+
+    def counted(name):
+        real = getattr(axioms, name)
+
+        def inner(*args):
+            built[name] += 1
+            return real(*args)
+        return inner
+
+    for name in ("image_factorization", "pullback", "pi_diagram"):
+        monkeypatch.setattr(axioms, name, counted(name))
+    monkeypatch.setattr(cli, "check_axiom", one_argument(cli.check_axiom))
+    monkeypatch.setattr(cli, "check_theorem", one_argument(cli.check_theorem))
+    code, out, _ = run(capsys, "check", "--bound", "2")
+    assert code == 0
+    # pretopos credits Fct and onto-pullback, and pi-universality Pi.  So
+    # Fct and image-factorization factor their 11 maps once each; the 59
+    # cospans get one pullback in pullback-elements and one in onto-pullback,
+    # and regularity builds the 21 with f onto; Pi builds its 47 products,
+    # pi-universality's competitor sweep 47 more, and exponentials 9.
+    assert built == {"image_factorization": 11 + 11, "pullback": 59 + 59 + 21,
+                     "pi_diagram": 47 + 47 + 9}
+    assert out.splitlines() == [standalone(item, 2).text_line()
+                                for item in [*AXIOMS, *THEOREMS]]
+
+
+def swapped_factorization(f):
+    """f's factorization with the first two entries of its onto part
+    swapped, when they differ."""
+    e, i = image_factorization(f)
+    t = e.table
+    return (FinMor(e.dom, e.cod, (t[1], t[0], *t[2:])) if len(set(t[:2])) == 2 else e), i
+
+
+def test_a_credited_part_fails_its_composite_as_a_run_would(capsys, monkeypatch):
+    monkeypatch.setattr(axioms, "image_factorization", swapped_factorization)
+    code, out, _ = run(capsys, "check", "--bound", "2", "--format", "json")
+    assert code == 1
+    reports = {r["item"]: r for r in json.loads(out)}
+    assert [item for item, r in reports.items() if r["verdict"] == "fail"] == [
+        "Fct", "image-factorization", "pretopos"]
+    alone = standalone("pretopos", 2)
+    assert (reports["pretopos"]["witness"], reports["pretopos"]["instances_checked"]) == (
+        alone.witness, alone.instances_checked) == (reports["Fct"]["witness"], 7 + 9)
 
 
 def test_check_without_model_file(capsys):

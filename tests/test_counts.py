@@ -23,14 +23,17 @@ def test_the_formulas_give_the_pinned_and_predicted_counts():
         "C1": 5, "C2": 136_341, "C3": 1_371_506, "D1": 5, "D2": 131_909,
         "PA": 98, "Fct": 499, "Eff": 294, "pullback-elements": 76_712_443,
         "quotients": 1_723, "image-factorization": 12_988, "choice": 587,
-        "dependent-choice": 203_548,
+        "dependent-choice": 203_548, "DP": 246, "onto-pullback": 27_938,
+        "covers-onto": 499, "epi-onto": 499, "classifier": 31, "pretopos": 29_507,
     }
     # image-factorization's bound-5 value is also the count of a bound-5 run
     assert {item: count(5) for item, count in COUNTS.items()} == {
         "C1": 6, "C2": 20_592_977, "C3": 545_129_643, "D1": 6, "D2": 17_256_563,
         "PA": 640, "Fct": 5_705, "Eff": 1_594, "pullback-elements": 183_929_262_026,
         "quotients": 25_499, "image-factorization": 706_361, "choice": 6_333,
-        "dependent-choice": 143_349_303,
+        "dependent-choice": 143_349_303, "DP": 326, "onto-pullback": 1_804_550,
+        "covers-onto": 5_705, "epi-onto": 5_705, "classifier": 63,
+        "pretopos": 1_817_943,
     }
     # the C2 runs at bounds 1-3, as an independent spot check of the formula
     assert [COUNTS["C2"](n) for n in (1, 2, 3)] == [5, 43, 1_544]
@@ -67,7 +70,10 @@ def test_the_script_prints_check_lines_and_rejects_a_bad_bound(capsys):
         "PASS Fct instances=11", "PASS Eff instances=9",
         "PASS pullback-elements instances=557", "PASS quotients instances=23",
         "PASS image-factorization instances=37", "PASS choice instances=13",
-        "PASS dependent-choice instances=19",
+        "PASS dependent-choice instances=19", "PASS DP instances=164",
+        "PASS onto-pullback instances=42", "PASS covers-onto instances=11",
+        "PASS epi-onto instances=11", "PASS classifier instances=7",
+        "PASS pretopos instances=244",
     ]
     for argv in ([], ["0"], ["four"], ["4", "5"]):
         assert main(argv) == 2
