@@ -62,21 +62,19 @@ instances a sweep of every instance would.  A mismatch fails with face
 ``equivariance``.  Pi stays on ``_instances``: its check of one pair costs
 less than the relabellings of a rep's orbit.
 
-Every item of ``AXIOMS`` and ``THEOREMS`` is a generator function of the
-spec, with one protocol: ``yield n`` adds n decided instances, ``return
-witness`` fails with that witness, and falling off the end, a ``None``
-witness, passes.  Composed items run their parts with ``yield from`` and
-stop at the first witness that is not ``None``; an empty witness is still
-a failure.  ``_run`` is the one place that sums the counts and picks the
-verdict.
-
-Items and the parts of composed items run through ``_part``.  Inside a
-``shared_parts`` block, which one ``cetcs check`` opens around all its
-items, ``_part`` keeps each body's total and witness under the body and
-the spec with its item blanked, and a body that already ran yields that
-total once and returns that witness instead of running again: ``pretopos``
-credits its six parts, and ``pi-universality`` the Pi axiom, with the
-counts and verdicts a run would give.  Outside a block, as in a library
+Every entry of ``AXIOMS`` and ``THEOREMS`` is ``(description, *parts)``,
+each part a generator function of the spec with one protocol: ``yield n``
+adds n decided instances, ``return witness`` fails with that witness (an
+empty one too), and falling off the end passes.  ``_run`` alone composes
+them: it runs the parts in order through ``_part``, sums the counts and
+stops at the first witness.  A derived statement lists the parts it rests
+on (``pretopos`` those of six items, ``image-factorization`` Fct's,
+``pi-universality`` Pi's, ``quotients`` Eff's kernel pairs), so no
+statement is checked by two bodies.  Inside a ``shared_parts`` block,
+which one ``cetcs check`` opens around all its items, ``_part`` keeps each
+part's total and witness under the part and the spec with its item
+blanked, and a part that already ran yields that total once and returns
+that witness instead of running again.  Outside a block, as in a library
 call of ``check_axiom`` or ``check_theorem``, every part runs.
 
 Sampling mode (past the exhaustive threshold) draws each leg from a seeded
@@ -761,19 +759,30 @@ def _ax_factorization(spec: CheckSpec):
             return {"f": str(f), "reason": "onto part not surjective"}
 
 
-def _ax_effective(spec: CheckSpec):
-    pools = list(_objs(spec, "x"))
-    for x in pools:
+def _kernel_pair(rel: Relation, q: FinMor, where: dict):
+    """The equivalence rel on x is the kernel pair of its quotient q: q
+    starts at x (else face ``feet``), and each pair (a, b) of points of x
+    yields 1 and has q(a) = q(b) exactly when rel relates it."""
+    x = rel.cods[0]
+    if q.dom != x:
+        return {**where, "face": "feet"}
+    for a in x.labels:
+        for b in x.labels:
+            yield 1
+            related = rel.member((a, b))
+            if related != (q(a) == q(b)):
+                return {**where, "a": a, "b": b, "related": related}
+
+
+def _kernel_pairs(spec: CheckSpec):
+    for x in _objs(spec, "x"):
         for rel in _equivalences(spec, x):
-            q = quotient(rel)
-            for a in x.labels:
-                for b in x.labels:
-                    yield 1
-                    if rel.member((a, b)) != (q(a) == q(b)):
-                        return {
-                            "X": str(x), "a": a, "b": b,
-                            "related": rel.member((a, b)),
-                        }
+            witness = yield from _kernel_pair(rel, quotient(rel), {"X": str(x)})
+            if witness is not None:
+                return witness
+
+
+def _model_kernel_pairs(spec: CheckSpec):
     for rel in spec.relations:
         if rel.arity != 2 or rel.cods[0] != rel.cods[1]:
             continue
@@ -781,14 +790,12 @@ def _ax_effective(spec: CheckSpec):
             q = quotient(rel)
         except EquivalenceError:
             continue
-        for a in rel.cods[0].labels:
-            for b in rel.cods[0].labels:
-                yield 1
-                if rel.member((a, b)) != (q(a) == q(b)):
-                    return {"relation": str(rel), "a": a, "b": b}
+        witness = yield from _kernel_pair(rel, q, {"relation": str(rel)})
+        if witness is not None:
+            return witness
 
 
-AXIOMS: dict[str, tuple[str, Callable]] = {
+AXIOMS: dict[str, tuple] = {
     "C1": ("terminal object with unique maps into it", lambda spec: _ax_universal(
         spec, "", lambda: (terminal(), ()), limit=True)),
     "C2": ("binary products with unique pairing", lambda spec: _ax_universal(
@@ -808,7 +815,8 @@ AXIOMS: dict[str, tuple[str, Callable]] = {
     "DP": ("every sum element comes from one of the injections", _ax_sum_disjunction),
     "NT": ("the two points of 1+1 differ in any sum diagram", _ax_nontrivial),
     "Fct": ("every map factors as onto followed by mono", _ax_factorization),
-    "Eff": ("equivalence relations are kernel pairs of their quotients", _ax_effective),
+    "Eff": ("equivalence relations are kernel pairs of their quotients",
+            _kernel_pairs, _model_kernel_pairs),
 }
 
 
@@ -859,14 +867,9 @@ def _thm_function_graphs(spec: CheckSpec):
         for rows in _subsets(spec, cells):
             rel = relation_from_tuples(rows, (x, y))
             row_set = set(rows)
-            at_most = all(
-                len([y2 for (x2, y2) in row_set if x2 == xl]) <= 1
-                for xl in x.labels
-            )
-            exactly = all(
-                len([y2 for (x2, y2) in row_set if x2 == xl]) == 1
-                for xl in x.labels
-            )
+            firsts = Counter([xl for xl, _ in row_set])
+            at_most = all(n <= 1 for n in firsts.values())
+            exactly = at_most and len(firsts) == len(x)
             yield 1
             if is_partial_function(rel) != at_most:
                 return {"rows": sorted(map(list, row_set)), "statement": "partial"}
@@ -924,8 +927,8 @@ def _cones(f: FinMor, g: FinMor, t: FinObj) -> Iterator[tuple[FinMor, FinMor]]:
             yield q1, q2
 
 
-def _thm_pullback_elements(spec: CheckSpec):
-    witness = yield from _orbit_sweep(
+def _pullback_sweeps(spec: CheckSpec):
+    return _orbit_sweep(
         spec, _COSPAN, build=pullback, feet=_pullback_feet,
         face=(lambda s, f, g: _eq10_counts(s.p1, s.p2, f, g), {"reason": "constructed"}),
         # the square must be the rep's relabelled up to a bijection of
@@ -937,10 +940,11 @@ def _thm_pullback_elements(spec: CheckSpec):
             tests, s.apex, (s.p1, s.p2), lambda t: _cones(f, g, t)),
         name=lambda cone, n: {"q1": str(cone[0]), "q2": str(cone[1])},
     )
-    if witness is not None:
-        return witness
-    # then Eq. (10) against the definition, a limit sweep of each small
-    # cone; the small objects serve as both apexes and test objects
+
+
+def _small_squares(spec: CheckSpec):
+    """Eq. (10) against the definition, a limit sweep of each small cone;
+    the small objects serve as both apexes and test objects."""
     small = CheckSpec(item=spec.item, bound=min(spec.bound, 2))
     objs = _objs(small, "p")
     for f, g in _instances(small, _COSPAN):
@@ -958,18 +962,11 @@ def _thm_pullback_elements(spec: CheckSpec):
                     }
 
 
-def _thm_quotients(spec: CheckSpec):
+def _quotient_sweeps(spec: CheckSpec):
+    """Each quotient is universal among the maps coequalizing its relation."""
     for x in _objs(spec, "x"):
         for rel in _equivalences(spec, x):
             q = quotient(rel)
-            if q.dom != x:
-                return {"X": str(x), "face": "feet"}
-            rows = set(rel.tuples)
-            for a in x.labels:
-                for b in x.labels:
-                    yield 1
-                    if ((a, b) in rows) != (q(a) == q(b)):
-                        return {"X": str(x), "a": a, "b": b}
             visited, _, cone, n = _colimit_sweep(_objs(spec, "t"), q.cod, (q,),
                                                  lambda t: _coforks(*rel.legs, t))
             yield visited
@@ -1061,12 +1058,11 @@ def _is_cover(f: FinMor) -> bool:
                    for sub in itertools.combinations(labels, k))
 
 
-def _thm_image_least(spec: CheckSpec):
+def _image_least(spec: CheckSpec):
+    """After Fct, which counts each f: the onto part is a cover, and the
+    image lies below every subobject f factors through."""
     for f in _morphism_pool(spec):
         e, i = image_factorization(f)
-        yield 1
-        if compose(i, e) != f or not i.is_injective() or not e.is_surjective():
-            return {"f": str(f), "reason": "not a factorization"}
         if not _is_cover(e):
             return {"f": str(f), "reason": "onto part not a cover"}
         image_rel = sub_relation(i)
@@ -1147,14 +1143,6 @@ def _thm_classifier(spec: CheckSpec):
                 return {"X": str(x), "subset": sorted(members), "classifiers": len(good)}
 
 
-def _thm_pretopos(spec: CheckSpec):
-    for part in (_thm_classifier, _ax_factorization, _thm_onto_pullback,
-                 _thm_epi_onto, _ax_effective, _ax_sum_disjunction):
-        witness = yield from _part(part, spec)
-        if witness is not None:
-            return witness
-
-
 def _thm_choice(spec: CheckSpec):
     for a, b in _carriers(spec, "ab"):
         for h in _maps(spec, b, a):
@@ -1179,16 +1167,15 @@ def _competitor_key(phi_row: tuple[str, ...], ev_row: tuple) -> tuple:
     return phi_row, ev_row
 
 
-def _thm_pi_universality(spec: CheckSpec):
-    witness = yield from _part(_ax_pi, spec)
-    if witness is not None:
-        return witness
-    # Pi ties each F to the sections it carries; this ties the size of the
-    # product the internal logic reads to the independent oracle.
+def _pi_sections(spec: CheckSpec):
+    """After Pi: the product the internal logic reads has the oracle's size."""
     for g, f in _instances(spec, _COMPOSABLE):
         yield 1
         if len(pi_object(g, f).dom) != _section_count(g, f):
             return {"g": str(g), "f": str(f), "statement": "section count"}
+
+
+def _pi_competitors(spec: CheckSpec):
     # A competitor (phi2, ev2) over W chooses a point of g's fiber over x for
     # each point (w, x) of the pullback of phi2 along f, in ``pullback``'s
     # order; a map into F whose (h(w), x) the product's P lacks reads None.
@@ -1259,7 +1246,7 @@ def _thm_internal_logic(spec: CheckSpec):
             return dict(rep.witness or {})
 
 
-THEOREMS: dict[str, tuple[str, Callable]] = {
+THEOREMS: dict[str, tuple] = {
     "element-equality": (
         "parallel maps agreeing on points are equal; mono equals injective",
         _thm_element_equality,
@@ -1274,11 +1261,11 @@ THEOREMS: dict[str, tuple[str, Callable]] = {
     ),
     "pullback-elements": (
         "a square is a pullback exactly when points pair uniquely",
-        _thm_pullback_elements,
+        _pullback_sweeps, _small_squares,
     ),
     "quotients": (
         "quotients identify exactly the related points and are universal",
-        _thm_quotients,
+        _kernel_pairs, _quotient_sweeps,
     ),
     "induction": (
         "prefix induction and the unrolled recursion equations",
@@ -1298,7 +1285,7 @@ THEOREMS: dict[str, tuple[str, Callable]] = {
     ),
     "image-factorization": (
         "the image is the least subobject a map factors through",
-        _thm_image_least,
+        _ax_factorization, _image_least,
     ),
     "covers-onto": (
         "covers and onto maps coincide",
@@ -1318,7 +1305,8 @@ THEOREMS: dict[str, tuple[str, Callable]] = {
     ),
     "pretopos": (
         "classifier, factorization, stability, balance, effectivity, disjoint sums",
-        _thm_pretopos,
+        _thm_classifier, _ax_factorization, _thm_onto_pullback, _thm_epi_onto,
+        _kernel_pairs, _model_kernel_pairs, _ax_sum_disjunction,
     ),
     "choice": (
         "every onto splits, and f∘g∘f = f has a solution when the domain is inhabited",
@@ -1326,7 +1314,7 @@ THEOREMS: dict[str, tuple[str, Callable]] = {
     ),
     "pi-universality": (
         "constructed dependent products are universal; competitors map in uniquely",
-        _thm_pi_universality,
+        _ax_pi, _pi_sections, _pi_competitors,
     ),
     "internal-logic": (
         "compiled connectives and quantifiers agree with truth-table evaluation",
@@ -1346,9 +1334,9 @@ _MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar("parts", def
 
 @contextlib.contextmanager
 def shared_parts() -> Iterator[None]:
-    """Within the block, a check item or composed part that already ran on
-    the same spec, its item aside, is credited with its result instead of
-    run again.  Each block starts empty, so no result outlives it."""
+    """Within the block, a part that already ran on the same spec, its item
+    aside, is credited with its result instead of run again.  Each block
+    starts empty, so no result outlives it."""
     token = _MEMO.set({})
     try:
         yield
@@ -1379,21 +1367,23 @@ def _part(body: Callable, spec: CheckSpec):
         yield n
 
 
-def _run(kind: str, table: dict[str, tuple[str, Callable]], spec: CheckSpec) -> Report:
+def _run(kind: str, table: dict[str, tuple], spec: CheckSpec) -> Report:
     if spec.item not in table:
         raise ValueError(
             f"unknown {kind} {spec.item!r}; known: {', '.join(sorted(table))}"
         )
-    t0 = time.perf_counter()
+    t0, checked = time.perf_counter(), 0
     if spec.sampled and spec.item in _EXHAUSTIVE_ONLY:
         return _report(spec.item, t0, SKIP, {"reason": _SAMPLED_SKIP}, 0)
-    steps, checked = _part(table[spec.item][1], spec), 0
-    try:
-        while True:
-            checked += next(steps)
-    except StopIteration as stop:
-        verdict = PASS if stop.value is None else FAIL
-        return _report(spec.item, t0, verdict, stop.value, checked)
+    for body in table[spec.item][1:]:
+        steps = _part(body, spec)
+        try:
+            while True:
+                checked += next(steps)
+        except StopIteration as stop:
+            if stop.value is not None:
+                return _report(spec.item, t0, FAIL, stop.value, checked)
+    return _report(spec.item, t0, PASS, None, checked)
 
 
 def check_axiom(spec: CheckSpec) -> Report:

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cetcs
-from cetcs import axioms
+from cetcs import axioms, cli
 from cetcs.axioms import (
     AXIOMS,
     THEOREMS,
@@ -583,10 +583,9 @@ def test_pretopos_stops_at_its_first_failing_part_with_that_count(monkeypatch):
     def later_part(spec):
         raise AssertionError("a pretopos part ran after a failing one")
 
-    monkeypatch.setattr(axioms, "_thm_classifier", classifier)
-    for name in ("_ax_factorization", "_thm_onto_pullback", "_thm_epi_onto",
-                 "_ax_effective", "_ax_sum_disjunction"):
-        monkeypatch.setattr(axioms, name, later_part)
+    description, _, *parts = axioms.THEOREMS["pretopos"]
+    monkeypatch.setitem(axioms.THEOREMS, "pretopos",
+                        (description, classifier, *[later_part for _ in parts]))
     rep = check_theorem(CheckSpec(item="pretopos"))
     assert (rep.verdict, rep.instances_checked, rep.witness) == (FAIL, 7, {"x": 1})
 
@@ -818,6 +817,26 @@ def test_quotient_sweep_rejects_an_unreachable_class(monkeypatch):
     rep = check_theorem(CheckSpec(item="quotients", bound=2))
     assert rep.failed
     assert rep.witness["mediators"] != 1
+
+
+def test_kernel_pairs_reject_a_quotient_that_drops_a_point(monkeypatch, capsys):
+    # Eff and quotients share the kernel-pair part, which compares the
+    # quotient's domain with the relation's carrier before reading it.  A
+    # one-point carrier keeps its point, so {x0, x1} is the first to fail.
+    def dropped_last(rel):
+        q = quotient(rel)
+        if len(q.dom) < 2:
+            return q
+        return FinMor(FinObj(q.dom.labels[:-1]), q.cod, q.table[:-1])
+
+    monkeypatch.setattr(axioms, "quotient", dropped_last)
+    feet = {"X": "{x0, x1}", "face": "feet"}
+    for item, checked in (("Eff", 1), ("quotients", 1), ("pretopos", 882)):
+        check = check_axiom if item in AXIOMS else check_theorem
+        rep = check(CheckSpec(item=item, bound=3))
+        assert (rep.verdict, rep.witness, rep.instances_checked) == (FAIL, feet, checked)
+    assert cli.main(["check", "--axiom", "Eff", "--bound", "2"]) == 1
+    assert capsys.readouterr().out.startswith("FAIL Eff instances=1 ")
 
 
 def test_exponentials_reject_a_dropped_function(monkeypatch):
@@ -1276,7 +1295,7 @@ SHARED_FACES = {
     "quotients sweep": ("quotients", {"quotient": lambda rel: (
         with_stray_class(quotient(rel)) if len(rel.cods[0]) else quotient(rel)),
     }, (FAIL, {
-        "X": "{x0}", "h": "{x0} -> {t0, t1} [x0 |-> t0]", "mediators": 2}, 7)),
+        "X": "{x0}", "h": "{x0} -> {t0, t1} [x0 |-> t0]", "mediators": 2}, 60)),
 }
 
 
