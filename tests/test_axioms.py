@@ -1448,7 +1448,9 @@ def test_sampled_pretopos_skips_before_running_any_part(monkeypatch):
     def no_part(spec):
         raise AssertionError("a pretopos part ran under sampling")
 
-    monkeypatch.setattr(axioms, "_thm_classifier", no_part)
+    description, *parts = axioms.THEOREMS["pretopos"]
+    monkeypatch.setitem(axioms.THEOREMS, "pretopos",
+                        (description, *[no_part for _ in parts]))
     rep = check_theorem(CheckSpec(item="pretopos", bound=5, sample=5))
     assert rep.verdict == "skip" and rep.instances_checked == 0
     assert "exhaustive" in rep.witness["reason"]
