@@ -66,16 +66,17 @@ Every entry of ``AXIOMS`` and ``THEOREMS`` is ``(description, *parts)``,
 each part a generator function of the spec with one protocol: ``yield n``
 adds n decided instances, ``return witness`` fails with that witness (an
 empty one too), and falling off the end passes.  ``_run`` alone composes
-them: it runs the parts in order through ``_part``, sums the counts and
-stops at the first witness.  A derived statement lists the parts it rests
-on (``pretopos`` those of six items, ``image-factorization`` Fct's,
+them: it runs the parts in order, sums each part's counts into its total
+and stops at the first witness.  A derived statement lists the parts it
+rests on (``pretopos`` those of six items, ``image-factorization`` Fct's,
 ``pi-universality`` Pi's, ``quotients`` Eff's kernel pairs), so no
 statement is checked by two bodies.  Inside a ``shared_parts`` block,
-which one ``cetcs check`` opens around all its items, ``_part`` keeps each
+which one ``cetcs check`` opens around all its items, ``_run`` keeps each
 part's total and witness under the part and the spec with its item
-blanked, and a part that already ran yields that total once and returns
-that witness instead of running again.  Outside a block, as in a library
-call of ``check_axiom`` or ``check_theorem``, every part runs.
+blanked, once the part has run to its end, and credits a part that
+already ran with that total and witness instead of running it again.
+Outside a block, as in a library call of ``check_axiom`` or
+``check_theorem``, every part runs.
 
 Sampling mode (past the exhaustive threshold) draws each leg from a seeded
 reservoir of its hom-set (``_maps``), and the subsets of cells and pairs of
@@ -1328,7 +1329,7 @@ THEOREMS: dict[str, tuple] = {
 
 
 # The part results of the current ``shared_parts`` block, by (body, spec with
-# its item blanked); None outside one, so library calls run every part.
+# its item blanked); None outside one, where each ``_run`` keeps its own.
 _MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar("parts", default=None)
 
 
@@ -1344,29 +1345,6 @@ def shared_parts() -> Iterator[None]:
         _MEMO.reset(token)
 
 
-def _part(body: Callable, spec: CheckSpec):
-    """Run ``body(spec)`` under the item protocol.  Inside ``shared_parts`` a
-    body that ran on this spec before yields its total once and returns its
-    witness; one that did not runs, and its total and witness are kept."""
-    memo = _MEMO.get()
-    if memo is None:
-        return (yield from body(spec))
-    key = body, replace(spec, item="")
-    if key in memo:
-        total, witness = memo[key]
-        yield total
-        return witness
-    total, steps = 0, body(spec)
-    while True:
-        try:
-            n = next(steps)
-        except StopIteration as stop:
-            memo[key] = total, stop.value
-            return stop.value
-        total += n
-        yield n
-
-
 def _run(kind: str, table: dict[str, tuple], spec: CheckSpec) -> Report:
     if spec.item not in table:
         raise ValueError(
@@ -1375,14 +1353,20 @@ def _run(kind: str, table: dict[str, tuple], spec: CheckSpec) -> Report:
     t0, checked = time.perf_counter(), 0
     if spec.sampled and spec.item in _EXHAUSTIVE_ONLY:
         return _report(spec.item, t0, SKIP, {"reason": _SAMPLED_SKIP}, 0)
+    memo = _MEMO.get({})
     for body in table[spec.item][1:]:
-        steps = _part(body, spec)
-        try:
-            while True:
-                checked += next(steps)
-        except StopIteration as stop:
-            if stop.value is not None:
-                return _report(spec.item, t0, FAIL, stop.value, checked)
+        key = body, replace(spec, item="")
+        if key not in memo:
+            total, steps = 0, body(spec)
+            try:
+                while True:
+                    total += next(steps)
+            except StopIteration as stop:
+                memo[key] = total, stop.value
+        total, witness = memo[key]
+        checked += total
+        if witness is not None:
+            return _report(spec.item, t0, FAIL, witness, checked)
     return _report(spec.item, t0, PASS, None, checked)
 
 

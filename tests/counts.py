@@ -182,6 +182,65 @@ def dependent_choice(n: int) -> int:
     return sum(x * (2 ** x - 1) ** x for x in range(n + 1))
 
 
+g = fct
+
+
+def element_equality(n: int) -> int:
+    """Each map a -> b is tested for mono, then each pair of them compared
+    pointwise: b^a + (b^a)^2."""
+    sizes = range(n + 1)
+    return sum(b ** a + b ** (2 * a) for a in sizes for b in sizes)
+
+
+def inclusion_orders(n: int) -> int:
+    """Each pair of subobjects of x, one per injective table from each
+    k <= |x| into x: (sum over k of x!/(x - k)!)^2 pairs."""
+    return sum(sum(factorial(x) // factorial(x - k) for k in range(x + 1)) ** 2
+               for x in range(n + 1))
+
+
+def function_graphs(n: int) -> int:
+    """One instance per relation R in x * y, a subset of its x*y cells."""
+    sizes = range(n + 1)
+    return sum(2 ** (x * y) for x in sizes for y in sizes)
+
+
+def induction(n: int) -> int:
+    """Each subset of the 9-point prefix {0..8}, then each endomap h of a
+    with each point of a as the base: a^a * a."""
+    return 2 ** 9 + sum(a ** (a + 1) for a in range(n + 1))
+
+
+def exponentials(n: int) -> int:
+    """Each pair x, y counts its function space, then each map x -> y."""
+    sizes = range(n + 1)
+    return sum(1 + y ** x for x in sizes for y in sizes)
+
+
+def regularity(n: int) -> int:
+    """Each cospan f: a -> c <- b :g with f onto, then each nonempty a, whose
+    map to the terminal object is onto."""
+    sizes = range(n + 1)
+    return sum(_onto(a, c) * c ** b for a in sizes for b in sizes for c in sizes) + n
+
+
+def initial(n: int) -> int:
+    """I: the initial carrier, once."""
+    return 1
+
+
+def nt(n: int) -> int:
+    """1+1 itself, then each of the two sum diagrams 1 -> s <- 1 with s of
+    size 2, which exist once the bound reaches 2."""
+    return 3 if n >= 2 else 1
+
+
+def internal_logic(n: int) -> int:
+    """The 16 fixed formulas over a context of one 3-point carrier, one row
+    per point."""
+    return 16 * 3
+
+
 def pi_competitors(n: int) -> int:
     """The competitors pi-universality sweeps after its Pi pass: over each
     composable pair y -g-> x -f-> i with carriers of size up to min(n, 2),
@@ -208,7 +267,11 @@ COUNTS = {
     "image-factorization": image_factorization, "choice": choice,
     "dependent-choice": dependent_choice, "DP": dp, "onto-pullback": onto_pullback,
     "covers-onto": covers_onto, "epi-onto": epi_onto, "classifier": classifier,
-    "pretopos": pretopos,
+    "pretopos": pretopos, "G": g, "I": initial, "NT": nt,
+    "element-equality": element_equality, "inclusion-orders": inclusion_orders,
+    "function-graphs": function_graphs, "induction": induction,
+    "exponentials": exponentials, "regularity": regularity,
+    "internal-logic": internal_logic,
 }
 
 

@@ -617,6 +617,30 @@ def test_specs_that_differ_beyond_the_item_share_no_part(other):
     assert axioms._MEMO.get() is None
 
 
+def test_a_part_interrupted_by_an_exception_is_run_again(monkeypatch):
+    # only a part that ran to its end is kept, so the second item that lists
+    # it runs it anew instead of being credited with the partial count
+    runs = []
+
+    def flaky(spec):
+        runs.append(spec.item)
+        yield 3
+        if len(runs) == 1:
+            raise RuntimeError("interrupted")
+        yield 2
+
+    monkeypatch.setitem(axioms.THEOREMS, "first", ("lists flaky", flaky))
+    monkeypatch.setitem(axioms.THEOREMS, "second", ("lists flaky", flaky))
+    with axioms.shared_parts():
+        with pytest.raises(RuntimeError, match="interrupted"):
+            check_theorem(CheckSpec(item="first"))
+        assert axioms._MEMO.get() == {}
+        rep = check_theorem(CheckSpec(item="second"))
+        assert (rep.verdict, rep.instances_checked) == (PASS, 5)
+        assert check_theorem(CheckSpec(item="first")).instances_checked == 5
+    assert runs == ["first", "second"]
+
+
 # ---------------------------------------------------------------------------
 # mediator-sweep mutations: with the cheap construction-side checks defeated,
 # the grouped and reused buckets must still reject a broken construction

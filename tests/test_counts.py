@@ -8,6 +8,7 @@ from cetcs.axioms import AXIOMS, CheckSpec, check_axiom, check_theorem
 from counts import COUNTS, main, pi_competitors
 
 
+# bound 1 matters for NT, whose two sum diagrams need a carrier of size 2
 @pytest.mark.parametrize("bound", [1, 2, 3])
 @pytest.mark.parametrize("item", list(COUNTS))
 def test_the_formulas_count_what_the_checker_sweeps(item, bound):
@@ -25,15 +26,22 @@ def test_the_formulas_give_the_pinned_and_predicted_counts():
         "quotients": 1_723, "image-factorization": 12_988, "choice": 587,
         "dependent-choice": 203_548, "DP": 246, "onto-pullback": 27_938,
         "covers-onto": 499, "epi-onto": 499, "classifier": 31, "pretopos": 29_507,
+        "G": 499, "I": 1, "NT": 3, "element-equality": 78_132,
+        "inclusion-orders": 4_511, "function-graphs": 74_963, "induction": 1_626,
+        "exponentials": 524, "regularity": 13_973, "internal-logic": 48,
     }
-    # image-factorization's bound-5 value is also the count of a bound-5 run
+    # image-factorization's, element-equality's and regularity's bound-5
+    # values are also the counts of bound-5 runs
     assert {item: count(5) for item, count in COUNTS.items()} == {
         "C1": 6, "C2": 20_592_977, "C3": 545_129_643, "D1": 6, "D2": 17_256_563,
         "PA": 640, "Fct": 5_705, "Eff": 1_594, "pullback-elements": 183_929_262_026,
         "quotients": 25_499, "image-factorization": 706_361, "choice": 6_333,
         "dependent-choice": 143_349_303, "DP": 326, "onto-pullback": 1_804_550,
         "covers-onto": 5_705, "epi-onto": 5_705, "classifier": 63,
-        "pretopos": 1_817_943,
+        "pretopos": 1_817_943, "G": 5_705, "I": 1, "NT": 3,
+        "element-equality": 11_364_514, "inclusion-orders": 110_787,
+        "function-graphs": 35_794_197, "induction": 17_251, "exponentials": 5_741,
+        "regularity": 902_280, "internal-logic": 48,
     }
     # the C2 runs at bounds 1-3, as an independent spot check of the formula
     assert [COUNTS["C2"](n) for n in (1, 2, 3)] == [5, 43, 1_544]
@@ -73,7 +81,11 @@ def test_the_script_prints_check_lines_and_rejects_a_bad_bound(capsys):
         "PASS dependent-choice instances=19", "PASS DP instances=164",
         "PASS onto-pullback instances=42", "PASS covers-onto instances=11",
         "PASS epi-onto instances=11", "PASS classifier instances=7",
-        "PASS pretopos instances=244",
+        "PASS pretopos instances=244", "PASS G instances=11", "PASS I instances=1",
+        "PASS NT instances=3", "PASS element-equality instances=36",
+        "PASS inclusion-orders instances=30", "PASS function-graphs instances=31",
+        "PASS induction instances=521", "PASS exponentials instances=20",
+        "PASS regularity instances=23", "PASS internal-logic instances=48",
     ]
     for argv in ([], ["0"], ["four"], ["4", "5"]):
         assert main(argv) == 2
