@@ -5,33 +5,49 @@ bound (plus instances contributed by a loaded model) and verifies the
 statement literally.  Universal properties quantify over all candidate
 mediating maps, and one helper, ``_sweep``, decides every "exactly one
 mediator per cone" statement over a list of test objects: for each test
-object t the site counts how many candidates through t induce each cone,
-and lists the cones over t; the sweep visits them in order, t by t, and
-stops at the first cone whose count is not 1.  There are two sites, one
-per variance: ``_limit_sweep`` counts each h: t -> apex under its cone
-(leg∘h for leg in legs), ``_colimit_sweep`` each h: apex -> t under (h∘leg
-for leg in legs); C1 and D1 are the empty diagram, one empty cone per t.
+object t the site counts how many candidates through t induce a cone of each
+class, and lists the classes of cones over t with their sizes; the sweep
+visits them in order, t by t, and stops at the first class whose count is
+not its size.  There are two sites, one per variance, and each decides the
+statement on orbits of relabelling t, since in finite sets it is invariant
+under Aut(t) = S_|t| (Kerber, *Applied Finite Group Actions*, 1999):
+
+- ``_limit_sweep`` takes the cone points, tuples with one point per foot: a
+  cone from t is a map from t to them, and a map h: t -> apex induces the
+  cone of its rows (leg(h(x)) for leg in legs).  An orbit of maps out of t
+  is a multiset of |t| points, of size |t|!/∏ mult!;
+- ``_colimit_sweep`` takes pairs of points of the feet that every cone
+  merges: a cone into t is a map from the feet to t, and h: apex -> t
+  induces h∘leg on each foot.  An orbit of maps into t is a partition into
+  at most |t| blocks, of size |t|!/(|t| - blocks)!.
+
+h -> legs∘h (or h∘legs) commutes with relabelling t, so every cone has
+exactly one mediator exactly when, for each orbit C of cones, the sizes of
+the orbits of maps h whose cones lie in C sum to |C|.  An orbit of cones
+counts |C| visits, so the counts are those of a sweep of every cone; a
+failing one names its first member in label order, and its mediators per
+cone, the sum over |C|.  The checker computes the cone points from the
+statement alone: the product of the feet's labels (C1, C2), the points a
+with f(a) = g(a) (C3), the pairs (a, b) with f(a) = g(b)
+(``pullback-elements``); the coequalizer's cones (D3, ``quotients``) merge
+f(a) with g(a), and the cones of sums (D1, D2, sum recognition in DP and NT)
+merge nothing.  C1 and D1 are the empty diagram, one empty cone per t.
 Existence and uniqueness are read off those counts, never assumed from the
 construction that produced the diagram, whose own mediator is never called.
 ``pullback-elements`` decides its small cones the same way, by a limit
 sweep.  ``pi-universality`` hands ``_sweep`` the competitors of a dependent
-product over each small apex W as its cones, and counts every map h: W -> F
-under the competitor it induces: phi∘h, with ev read at (h(w), x) for each
-point (w, x) over it.  Epimorphisms and covers are recognized by their
-definitions, not by ontoness, so the statements relating the notions stay
-non-circular: ``_is_epi`` counts the distinct composites h∘f in one pass
-over each hom-set, and ``_is_cover`` tries each proper subobject once, as
-a subcarrier, since f factors through a mono exactly when its image lies
+product over each small apex W, each its own class, and counts every map
+h: W -> F under the competitor it induces: phi∘h, with ev read at (h(w), x)
+for each point (w, x) over it.  Epimorphisms and covers are recognized by
+their definitions, not by ontoness, so the statements relating the notions
+stay non-circular: ``_is_epi`` counts the distinct composites h∘f in one
+pass over each hom-set, and ``_is_cover`` tries each proper subobject once,
+as a subcarrier, since f factors through a mono exactly when its image lies
 in the mono's image.
 
-Counts are keyed by the tables of a cone's maps: all cones of one sweep
-share their feet, so tables tell them apart exactly as the morphisms
-would.  A table carries no feet, so before a sweep the legs of the
-construction are compared with the feet the statement names (for
-equalizers and coequalizers the fork check's composites already do this).
-Cones over a cospan are grouped by the checker-side composite (the table
-of g∘q2), so each first leg visits only the second legs it commutes with;
-the grouping reads the cospan alone, never the construction under test.
+Cone points carry no feet, so before a sweep the legs of the construction
+are compared with the feet the statement names (for equalizers and
+coequalizers the fork check's composites already do this).
 
 Statements about maps range over the instances of a shape: parallel pairs
 (C3, D3), cospans (``pullback-elements``, ``onto-pullback``, ``regularity``)
@@ -90,6 +106,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import itertools
+import math
 import operator
 import random
 import time
@@ -286,59 +303,129 @@ _SAMPLED_SKIP = (
 )
 
 
-def _sweep(tests: Iterable[FinObj], mediators: Callable, cones: Callable,
-           key: Callable) -> tuple[int, FinObj | None, object, int]:
+def _sweep(tests: Iterable[FinObj], mediators: Callable,
+           cones: Callable) -> tuple[int, FinObj | None, object, int]:
     """Visit each test object's cones until one has other than exactly one mediator.
 
-    ``mediators(t)`` counts how many candidates through the test object t
-    induce each cone key, ``cones(t)`` yields the cones over t, and ``key``
-    maps a cone to its key.  Returns the number of cones visited over all
-    test objects, then the test object, the cone and the count of the first
-    cone without a unique mediator, or ``None``, ``None`` and 1 when every
-    cone has exactly one.
+    ``cones(t)`` yields the cones over the test object t in classes, each as
+    a class, its key and the number of cones in it, and ``mediators(t)``
+    maps each key to the number of candidates through t whose cone lies in
+    that class.  A class is an orbit, on which the count per cone is
+    constant, or a single cone, so every cone of a class has exactly one
+    mediator when the two numbers agree.  Returns the number of cones visited over all
+    test objects, a failing class's included, then the test object, the
+    class and the mediators per cone of the first class that fails, or
+    ``None``, ``None`` and 1 when every cone has exactly one.
     """
     visited = 0
     for t in tests:
         counts = mediators(t)
-        for cone in cones(t):
-            visited += 1
-            n = counts[key(cone)]
-            if n != 1:
-                return visited, t, cone, n
+        for cone, key, size in cones(t):
+            visited += size
+            n = counts.get(key, 0)
+            if n != size:
+                return visited, t, cone, n // size
     return visited, None, None, 1
 
 
-_table = operator.attrgetter("table")
+def _multisets(n: int, k: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The orbits of the maps from a k-point carrier to n points under
+    relabelling the k points, in lexicographic order: each is a multiset of
+    k of the n points, as the ascending tuple of their positions, with its
+    size k!/∏ mult!."""
+    whole = math.factorial(k)
+    for ms in itertools.combinations_with_replacement(range(n), k):
+        # dividing by 1, 2, ..., m along each run of m equal positions
+        size, run = whole, 1
+        for a, b in zip(ms, ms[1:]):
+            run = run + 1 if a == b else 1
+            size //= run
+        yield ms, size
 
 
-def _tables(cone: tuple[FinMor, ...]) -> tuple[tuple[str, ...], ...]:
-    return tuple(map(_table, cone))
+def _partitions(n: int, k: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The orbits of the maps from n points to a k-point carrier under
+    relabelling the k points, in lexicographic order: each is a partition of
+    the n points into at most k blocks, as its restricted growth string (the
+    block of each point, blocks numbered by their first points), with its
+    size k!/(k-blocks)!.  Generated one at a time."""
+    def grow(prefix: tuple[int, ...], blocks: int):
+        if len(prefix) == n:
+            yield prefix, math.perm(k, blocks)
+            return
+        for b in range(min(blocks + 1, k)):
+            yield from grow((*prefix, b), max(blocks, b + 1))
+    return grow((), 0)
+
+
+def _renumbered(blocks: Iterable[int]) -> tuple[int, ...]:
+    """The restricted growth string of the partition the block numbers make."""
+    first: dict[int, int] = {}
+    return tuple([first.setdefault(b, len(first)) for b in blocks])
 
 
 def _limit_sweep(tests: Iterable[FinObj], apex: FinObj, legs: Sequence[FinMor],
-                 cones: Callable) -> tuple[int, FinObj | None, object, int]:
-    """``_sweep`` of the cones ``cones(t)``, tuples of maps from each test
-    object t to the feet of the legs, against the maps h: t -> apex, each
-    counted under its cone (leg∘h for leg in legs), read off the tables."""
+                 points: Sequence[tuple[str, ...]]) -> tuple[int, FinObj | None, object, int]:
+    """``_sweep`` of the cones from each test object t, the maps c from t to
+    the ``points`` (legs x -> c(x)[i]), by ``_multisets`` of the points,
+    against the maps h: t -> apex, by multisets of the apex points whose
+    rows (leg(p) for leg in legs) are points, each counted under the
+    multiset of its rows.  A failing class is named by its member that sends
+    the labels of t, in order, to its points in order."""
     if any(leg.dom != apex for leg in legs):
         raise CompositionError(f"a leg does not start at the apex {apex}")
-    images = [dict(zip(apex.labels, leg.table)) for leg in legs]
-    return _sweep(tests, lambda t: Counter([
-        tuple([tuple([image[x] for x in h.table]) for image in images])
-        for h in all_maps(t, apex)]), cones, _tables)
+    at = {p: n for n, p in enumerate(points)}
+    # the rows of the apex points that lie over some point, ascending, so a
+    # multiset of them maps to an ascending tuple of positions
+    rows = sorted([i for i in (at.get(tuple([leg.table[k] for leg in legs]))
+                               for k in range(len(apex))) if i is not None])
+
+    def mediators(t: FinObj) -> dict[tuple[int, ...], int]:
+        counts: dict[tuple[int, ...], int] = {}
+        for ms, size in _multisets(len(rows), len(t)):
+            key = tuple([rows[i] for i in ms])
+            counts[key] = counts.get(key, 0) + size
+        return counts
+
+    visited, t, key, n = _sweep(tests, mediators, lambda t: (
+        (ms, ms, size) for ms, size in _multisets(len(points), len(t))))
+    if key is None:
+        return visited, None, None, 1
+    return visited, t, tuple(FinMor(t, leg.cod, tuple([points[i][j] for i in key]))
+                             for j, leg in enumerate(legs)), n
 
 
 def _colimit_sweep(tests: Iterable[FinObj], apex: FinObj, legs: Sequence[FinMor],
-                   cones: Callable) -> tuple[int, FinObj | None, object, int]:
-    """``_sweep`` of the cones ``cones(t)``, tuples of maps from the feet of
-    the legs to each test object t, against the maps h: apex -> t, each
-    counted under its cone (h∘leg for leg in legs)."""
+                   merged: Sequence[tuple[int, int]]) -> tuple[int, FinObj | None, object, int]:
+    """``_sweep`` of the cones into each test object t, the maps from the
+    points of the feet (numbered foot after foot in label order) to t that
+    send both points of each ``merged`` pair to one point, by
+    ``_partitions`` of the feet, against the maps h: apex -> t, by
+    partitions of the apex, each counted under the partition of the feet it
+    pulls back along the legs.  A failing class is named by its member that
+    sends its blocks, in order, to the labels of t in order."""
     if any(leg.cod != apex for leg in legs):
         raise CompositionError(f"a leg does not end at the apex {apex}")
-    places = [[apex.index[y] for y in leg.table] for leg in legs]
-    return _sweep(tests, lambda t: Counter([
-        tuple([tuple([h.table[i] for i in place]) for place in places])
-        for h in all_maps(apex, t)]), cones, _tables)
+    places = [apex.index[y] for leg in legs for y in leg.table]
+
+    def mediators(t: FinObj) -> dict[tuple[int, ...], int]:
+        counts: dict[tuple[int, ...], int] = {}
+        for blocks, size in _partitions(len(apex), len(t)):
+            key = _renumbered([blocks[i] for i in places])
+            counts[key] = counts.get(key, 0) + size
+        return counts
+
+    def cones(t: FinObj) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
+        for blocks, size in _partitions(len(places), len(t)):
+            if all(blocks[a] == blocks[b] for a, b in merged):
+                yield blocks, blocks, size
+
+    visited, t, key, n = _sweep(tests, mediators, cones)
+    if key is None:
+        return visited, None, None, 1
+    images = iter([t.labels[b] for b in key])
+    return visited, t, tuple(FinMor(leg.dom, t, tuple(itertools.islice(images, len(leg.dom))))
+                             for leg in legs), n
 
 
 # ---------------------------------------------------------------------------
@@ -581,16 +668,20 @@ def _ax_universal(spec: CheckSpec, feet: str, build: Callable, limit: bool):
         where = dict(zip(feet.upper(), map(str, objs)))
         if [leg.cod if limit else leg.dom for leg in legs] != list(objs):
             return {**where, "face": "feet"}
-        visited, t, cone, n = sweep(tests, apex, legs, lambda t: itertools.product(
-            *[all_maps(t, x) if limit else all_maps(x, t) for x in objs]))
+        # a limit cone may land on any point of the feet's product, and a
+        # colimit cone need merge no two points
+        visited, t, cone, n = sweep(tests, apex, legs, list(itertools.product(
+            *[x.labels for x in objs])) if limit else ())
         yield visited
         if cone is not None:
             return {**where, "T": str(t), **dict(zip("fg", map(str, cone))), "mediators": n}
 
 
-def _coforks(f: FinMor, g: FinMor, t: FinObj) -> Iterator[tuple[FinMor]]:
-    """The cones (h,) of the maps h into t with h∘f = h∘g."""
-    return ((h,) for h in all_maps(f.cod, t) if compose(h, f).table == compose(h, g).table)
+def _merged(f: FinMor, g: FinMor) -> list[tuple[int, int]]:
+    """The positions of f(a) and g(a) in their codomain, for each a: a
+    coequalizer's cones merge each such pair."""
+    at = f.cod.index
+    return [(at[x], at[y]) for x, y in zip(f.table, g.table)]
 
 
 def _ax_equalizers(spec: CheckSpec):
@@ -601,8 +692,9 @@ def _ax_equalizers(spec: CheckSpec):
         # e must be alpha∘e0 up to a bijection of apexes: the same rows,
         # counted with multiplicity
         same=lambda e0, e, gamma: sorted(e.table) == sorted([gamma[0][x] for x in e0.table]),
-        sweep=lambda e, f, g, tests: _limit_sweep(tests, e.dom, (e,), lambda t: (
-            (h,) for h in all_maps(t, f.dom) if compose(f, h).table == compose(g, h).table)),
+        # the cones land on the points a with f(a) = g(a)
+        sweep=lambda e, f, g, tests: _limit_sweep(tests, e.dom, (e,), [
+            (a,) for a, x, y in zip(f.dom.labels, f.table, g.table) if x == y]),
         name=lambda cone, n: {"h": str(cone[0]), "mediators": n},
     )
 
@@ -613,8 +705,7 @@ def _ax_coequalizers(spec: CheckSpec):
         feet=lambda q, f, g: q.dom == f.cod,
         face=(lambda q, f, g: compose(q, f) == compose(q, g), {"face": "fork"}),
         same=lambda q0, q, gamma: _classes_match(q0, q, gamma[1]),
-        sweep=lambda q, f, g, tests: _colimit_sweep(
-            tests, q.cod, (q,), lambda t: _coforks(f, g, t)),
+        sweep=lambda q, f, g, tests: _colimit_sweep(tests, q.cod, (q,), _merged(f, g)),
         name=lambda cone, n: {"h": str(cone[0]), "mediators": n},
     )
 
@@ -698,10 +789,8 @@ def _separating_pool(spec: CheckSpec) -> CheckSpec:
     return CheckSpec(item=spec.item, bound=2)
 
 
-def _is_sum_diagram(spec: CheckSpec, i: FinMor, j: FinMor) -> bool:
-    _, _, cone, _ = _colimit_sweep(_objs(_separating_pool(spec), "t"), i.cod, (i, j),
-                                   lambda t: itertools.product(all_maps(i.dom, t),
-                                                               all_maps(j.dom, t)))
+def _is_sum_diagram(tests: list[FinObj], i: FinMor, j: FinMor) -> bool:
+    _, _, cone, _ = _colimit_sweep(tests, i.cod, (i, j), ())
     return cone is None
 
 
@@ -716,11 +805,12 @@ def _ax_sum_disjunction(spec: CheckSpec):
                 return {"A": str(a), "B": str(b), "z": z}
     cap = min(spec.bound, 2)
     small = CheckSpec(item=spec.item, bound=cap)
+    tests = _objs(_separating_pool(small), "t")
     for a, b in _carriers(small, "ab"):
         s = carrier_of_size(len(a) + len(b), "s")
         for i in all_maps(a, s):
             for j in all_maps(b, s):
-                if not _is_sum_diagram(small, i, j):
+                if not _is_sum_diagram(tests, i, j):
                     continue
                 left = set(i.table)
                 right = set(j.table)
@@ -735,13 +825,13 @@ def _ax_nontrivial(spec: CheckSpec):
     yield 1
     if two.injections[0].table[0] == two.injections[1].table[0]:
         return {"diagram": "canonical 1+1"}
-    one = terminal()
+    one, tests = terminal(), _objs(_separating_pool(spec), "t")
     for s in _objs(spec, "s"):
         for x in s.labels:
             for y in s.labels:
                 i = FinMor(one, s, (x,))
                 j = FinMor(one, s, (y,))
-                if not _is_sum_diagram(spec, i, j):
+                if not _is_sum_diagram(tests, i, j):
                     continue
                 yield 1
                 if x == y:
@@ -910,22 +1000,11 @@ def _pullback_feet(square, f: FinMor, g: FinMor) -> bool:
     return square.p1.cod == f.dom and square.p2.cod == g.dom
 
 
-def _cones(f: FinMor, g: FinMor, t: FinObj) -> Iterator[tuple[FinMor, FinMor]]:
-    """Every commuting cone (q1, q2) from t over the cospan (f, g).
-
-    The q2 legs are grouped once by the table of g∘q2, and each q1 visits
-    only the group under the table of f∘q1.  That yields exactly the pairs a
-    filter over all of them would keep, in the same q1-major order, and
-    reads nothing but the two cospan legs.
-    """
-    if f.cod != g.cod:
-        return
-    over: dict[tuple[str, ...], list[FinMor]] = {}
-    for q2 in all_maps(t, g.dom):
-        over.setdefault(compose(g, q2).table, []).append(q2)
-    for q1 in all_maps(t, f.dom):
-        for q2 in over.get(compose(f, q1).table, ()):
-            yield q1, q2
+def _commuting(f: FinMor, g: FinMor) -> list[tuple[str, str]]:
+    """The pairs (a, b) with f(a) = g(b), a-major: a cone over the cospan
+    (f, g) lands on them."""
+    return [(a, b) for a, x in zip(f.dom.labels, f.table)
+            for b, y in zip(g.dom.labels, g.table) if x == y]
 
 
 def _pullback_sweeps(spec: CheckSpec):
@@ -937,8 +1016,8 @@ def _pullback_sweeps(spec: CheckSpec):
         same=lambda s0, s, gamma: sorted(zip(s.p1.table, s.p2.table)) == sorted(
             [(gamma[1][x], gamma[2][y]) for x, y in zip(s0.p1.table, s0.p2.table)]
         ),
-        sweep=lambda s, f, g, tests: _limit_sweep(
-            tests, s.apex, (s.p1, s.p2), lambda t: _cones(f, g, t)),
+        sweep=lambda s, f, g, tests: _limit_sweep(tests, s.apex, (s.p1, s.p2),
+                                                  _commuting(f, g)),
         name=lambda cone, n: {"q1": str(cone[0]), "q2": str(cone[1])},
     )
 
@@ -949,12 +1028,14 @@ def _small_squares(spec: CheckSpec):
     small = CheckSpec(item=spec.item, bound=min(spec.bound, 2))
     objs = _objs(small, "p")
     for f, g in _instances(small, _COSPAN):
-        over = {p_obj: list(_cones(f, g, p_obj)) for p_obj in objs}
-        for p_obj, cones in over.items():
-            for p1, p2 in cones:
+        points = _commuting(f, g)
+        for p_obj in objs:
+            for rows in itertools.product(points, repeat=len(p_obj)):
+                p1 = FinMor(p_obj, f.dom, tuple([a for a, _ in rows]))
+                p2 = FinMor(p_obj, g.dom, tuple([b for _, b in rows]))
                 yield 1
                 criterion = _eq10_counts(p1, p2, f, g)
-                _, _, cone, _ = _limit_sweep(objs, p_obj, (p1, p2), over.__getitem__)
+                _, _, cone, _ = _limit_sweep(objs, p_obj, (p1, p2), points)
                 is_pb = cone is None
                 if criterion != is_pb:
                     return {
@@ -969,7 +1050,7 @@ def _quotient_sweeps(spec: CheckSpec):
         for rel in _equivalences(spec, x):
             q = quotient(rel)
             visited, _, cone, n = _colimit_sweep(_objs(spec, "t"), q.cod, (q,),
-                                                 lambda t: _coforks(*rel.legs, t))
+                                                 _merged(*rel.legs))
             yield visited
             if cone is not None:
                 return {"X": str(x), "h": str(cone[0]), "mediators": n}
@@ -1193,18 +1274,17 @@ def _pi_competitors(spec: CheckSpec):
             return _competitor_key(over, tuple(
                 [at.get((v, x)) for v, i in zip(h.table, over) for x in fiber_f[i]]))
 
-        def competitors(w: FinObj) -> Iterator[tuple[FinMor, tuple[str, ...]]]:
+        def competitors(w: FinObj) -> Iterator[tuple[FinMor, tuple, int]]:
             for phi2 in all_maps(w, f.cod):
                 for ev2 in itertools.product(
                         *[fiber_g[x] for i in phi2.table for x in fiber_f[i]]):
-                    yield phi2, ev2
+                    yield phi2, _competitor_key(phi2.table, ev2), 1
 
-        visited, _, cone, n = _sweep(
-            apexes, lambda w: Counter(map(induced, all_maps(w, d.F))), competitors,
-            lambda cone: _competitor_key(cone[0].table, cone[1]))
+        visited, _, phi2, n = _sweep(
+            apexes, lambda w: Counter(map(induced, all_maps(w, d.F))), competitors)
         yield visited
-        if cone is not None:
-            return {"g": str(g), "f": str(f), "competitor": str(cone[0]), "morphisms": n}
+        if phi2 is not None:
+            return {"g": str(g), "f": str(f), "competitor": str(phi2), "morphisms": n}
 
 
 def _thm_internal_logic(spec: CheckSpec):

@@ -60,6 +60,8 @@ from cetcs.finset import (
 from cetcs.relcalc import leq, relation_from_tuples, unique_choice
 from cetcs.report import FAIL, PASS, Report
 
+import literal_sweeps
+
 
 @pytest.mark.parametrize("item", sorted(AXIOMS))
 def test_axiom_passes_at_bound_two(item):
@@ -538,18 +540,50 @@ def test_the_pi_axiom_calls_the_public_checker_once_per_pair(monkeypatch):
 
 def test_sweep_stops_at_the_first_cone_without_a_unique_mediator():
     x = carrier("u", "v")
-    cones = [FinMor(x, x, table) for table in (("u", "v"), ("v", "u"), ("u", "u"))]
+    cones = [(FinMor(x, x, table), table, 1) for table in (("u", "v"), ("v", "u"), ("u", "u"))]
     mediators = Counter({("u", "v"): 1, ("v", "u"): 2})
 
     def sweep(tests, cones_over):
-        return axioms._sweep(tests, lambda t: mediators, cones_over, axioms._table)
+        return axioms._sweep(tests, lambda t: mediators, cones_over)
 
     assert sweep([x], lambda t: cones[:1]) == (1, None, None, 1)
-    assert sweep([x], lambda t: cones) == (2, x, cones[1], 2)
-    assert sweep([x], lambda t: cones[2:]) == (1, x, cones[2], 0)
+    assert sweep([x], lambda t: cones) == (2, x, cones[1][0], 2)
+    assert sweep([x], lambda t: cones[2:]) == (1, x, cones[2][0], 0)
     # the visits add up over the test objects, and the first failing one is named
     y = carrier("w")
-    assert sweep([y, x], lambda t: cones[:1] if t is y else cones) == (3, x, cones[1], 2)
+    assert sweep([y, x], lambda t: cones[:1] if t is y else cones) == (3, x, cones[1][0], 2)
+
+
+def test_sweep_reads_a_class_of_cones_by_its_size():
+    # a class of two cones passes with two mediators in all, one per cone; with
+    # four it fails with two per cone, and every cone of it counts as visited
+    mediators = Counter({"pair": 2, "twice": 4})
+    classes = [("pair", "pair", 2), ("twice", "twice", 2)]
+    assert axioms._sweep(["t"], lambda t: mediators, lambda t: classes[:1]) == (
+        2, None, None, 1)
+    assert axioms._sweep(["t"], lambda t: mediators, lambda t: classes) == (4, "t", "twice", 2)
+
+
+def test_orbits_of_maps_are_counted_by_size_and_number():
+    # Against code that shares nothing with the generators: maps from k
+    # points to n number n^k, and their multisets C(n+k-1, k); maps from n
+    # points to k number k^n, and their partitions into at most k blocks
+    # the sum of the Stirling numbers S(n, b), b <= k, by their recurrence.
+    stirling = {(0, 0): 1}
+    for n in range(1, 6):
+        for b in range(n + 1):
+            stirling[n, b] = b * stirling.get((n - 1, b), 0) + stirling.get((n - 1, b - 1), 0)
+    for n, k in itertools.product(range(6), range(6)):
+        multisets = list(axioms._multisets(n, k))
+        assert sum(size for _, size in multisets) == n ** k
+        assert len(multisets) == (math.comb(n + k - 1, k) if n + k else 1)
+        partitions = list(axioms._partitions(n, k))
+        assert sum(size for _, size in partitions) == k ** n
+        assert len(partitions) == sum(stirling.get((n, b), 0) for b in range(k + 1))
+        # each listed once, in lexicographic order
+        for orbits in (multisets, partitions):
+            keys = [key for key, _ in orbits]
+            assert keys == sorted(set(keys))
 
 
 # ---------------------------------------------------------------------------
@@ -709,7 +743,7 @@ def test_eq10_counts_agrees_with_the_lookup_it_replaced():
     verdicts = Counter()
     for f, g in axioms._instances(small, axioms._COSPAN):
         for p_obj in axioms._objs(small, "p"):
-            for p1, p2 in axioms._cones(f, g, p_obj):
+            for p1, p2 in literal_sweeps.cones(f, g, p_obj):
                 want = _eq10_counts_by_lookup(p1, p2, f, g)
                 assert axioms._eq10_counts(p1, p2, f, g) == want, (f, g, p1, p2)
                 verdicts["cone", want] += 1
@@ -1244,7 +1278,8 @@ def test_equivariance_accepts_an_isomorphic_relabelling(monkeypatch, check, item
 # the fork and point-count faces of a construction, and the first failing
 # cone of a sweep.  Where a mutant breaks only the instances over one carrier
 # size, which relabelling keeps, every orbit before it is swept or credited
-# first, so the count pins the crediting too.
+# first, so the count pins the crediting too.  A failing sweep counts every
+# cone of the failing orbit of cones, and names its first in label order.
 
 
 def omitted_last(e):
@@ -1286,7 +1321,7 @@ SHARED_FACES = {
         with_stray_point(coproduct(a, b)) if len(a) == 1 else coproduct(a, b)),
     }, (FAIL, {
         "A": "{a0}", "B": "{}", "T": "{t0, t1}", "f": "{a0} -> {t0, t1} [a0 |-> t0]",
-        "g": "{} -> {t0, t1} []", "mediators": 2}, 62)),
+        "g": "{} -> {t0, t1} []", "mediators": 2}, 63)),
     "C3 sweep": ("C3", {"equalizer": lambda f, g: (
         omitted_last(equalizer(f, g)) if len(f.dom) == 3 else equalizer(f, g)),
     }, (FAIL, {
@@ -1300,7 +1335,7 @@ SHARED_FACES = {
         "f": "{a0, a1} -> {b0, b1, b2} [a0 |-> b0, a1 |-> b0]",
         "g": "{a0, a1} -> {b0, b1, b2} [a0 |-> b0, a1 |-> b0]",
         "h": "{b0, b1, b2} -> {t0, t1} [b0 |-> t0, b1 |-> t0, b2 |-> t1]",
-        "mediators": 0}, 471)),
+        "mediators": 0}, 473)),
     # the first rep over a one-point A has the table of a rep over the empty
     # A, so a count that read the table without the codomain would let the
     # stray through
@@ -1308,7 +1343,7 @@ SHARED_FACES = {
         with_stray_class(coequalizer(f, g)) if len(f.dom) == 1 else coequalizer(f, g)),
     }, (FAIL, {
         "f": "{a0} -> {b0} [a0 |-> b0]", "g": "{a0} -> {b0} [a0 |-> b0]",
-        "h": "{b0} -> {t0, t1} [b0 |-> t0]", "mediators": 2}, 67)),
+        "h": "{b0} -> {t0, t1} [b0 |-> t0]", "mediators": 2}, 68)),
     "pullback-elements sweep": ("pullback-elements", {
         "_eq10_counts": lambda *legs: True,
         "pullback": lambda f, g: (
@@ -1319,7 +1354,7 @@ SHARED_FACES = {
     "quotients sweep": ("quotients", {"quotient": lambda rel: (
         with_stray_class(quotient(rel)) if len(rel.cods[0]) else quotient(rel)),
     }, (FAIL, {
-        "X": "{x0}", "h": "{x0} -> {t0, t1} [x0 |-> t0]", "mediators": 2}, 60)),
+        "X": "{x0}", "h": "{x0} -> {t0, t1} [x0 |-> t0]", "mediators": 2}, 61)),
 }
 
 
@@ -1330,6 +1365,44 @@ def test_every_shared_sweep_face_is_pinned(monkeypatch, item, patches, want):
     check = check_axiom if item in AXIOMS else check_theorem
     rep = check(CheckSpec(item=item, bound=3))
     assert (rep.verdict, rep.witness, rep.instances_checked) == want
+
+
+# The witness keys that name a failing item's instance, not its cone.
+SWEPT_INSTANCE = {
+    "C1": (), "C2": ("A", "B"), "C3": ("f", "g"), "D1": (), "D2": ("A", "B"),
+    "D3": ("f", "g"), "DP": ("i", "j"), "NT": ("S", "x", "y"),
+    "pullback-elements": ("f", "g"), "quotients": ("X",),
+}
+# the mutants of the shared faces, of the broken-apex pullbacks, and of the
+# quotient with an unreachable class, each at the bound its own test runs
+SWEPT_MUTANTS = [(item, patches, 3) for item, patches, _ in SHARED_FACES.values()] + [
+    ("pullback-elements", {"_eq10_counts": lambda *legs: True,
+                           "pullback": lambda f, g, mutate=mutate: mutate(pullback(f, g))}, 2)
+    for mutate in (drop_last_point, duplicate_first_point)
+] + [("quotients", {"quotient": lambda rel: with_stray_class(quotient(rel))}, 2)]
+
+
+@pytest.mark.parametrize("item, patches, bound", [
+    *[(item, {}, bound) for item in SWEPT_INSTANCE for bound in (1, 2, 3)], *SWEPT_MUTANTS,
+], ids=[*[f"{item}-{bound}" for item in SWEPT_INSTANCE for bound in (1, 2, 3)],
+        *[f"mutant-{item}-{n}" for n, (item, _, _) in enumerate(SWEPT_MUTANTS)]])
+def test_orbit_sweeps_agree_with_the_literal_sweeps(monkeypatch, item, patches, bound):
+    # The same verdict, on the same instance, and on a PASS the same count,
+    # from every literal map and cone as from their orbits.
+    for name, value in patches.items():
+        monkeypatch.setattr(axioms, name, value)
+    check = check_axiom if item in AXIOMS else check_theorem
+    orbits = check(CheckSpec(item=item, bound=bound))
+    monkeypatch.setattr(axioms, "_limit_sweep", literal_sweeps.limit_sweep)
+    monkeypatch.setattr(axioms, "_colimit_sweep", literal_sweeps.colimit_sweep)
+    literal = check(CheckSpec(item=item, bound=bound))
+    assert orbits.verdict == literal.verdict == (FAIL if patches else PASS)
+    if orbits.passed:
+        assert orbits.instances_checked == literal.instances_checked
+    else:
+        named = [{key: rep.witness.get(key) for key in SWEPT_INSTANCE[item]}
+                 for rep in (orbits, literal)]
+        assert named[0] == named[1]
 
 
 def entries_swapped(m):
