@@ -56,27 +56,17 @@ carrier pools in loop order and its legs, and ``_instances`` is the one
 enumerator: the legs over each tuple of carriers in ``all_maps`` order,
 first leg outermost and streamed.
 
+A sweep reads no label: a limit sweep only the number of cone points and
+the positions of the apex rows among them, a colimit sweep only the apex's
+size and the partitions of the feet that the legs and the merged pairs
+make.  So each item body keeps one dict, ``decided``, for its test objects,
+and a sweep runs only on a key not in it; a failing class, stored with its
+test object, is named with the instance's own points and legs.
 Equalizers, coequalizers and the pullbacks of ``pullback-elements`` share
-one skeleton, ``_orbit_sweep``, which sweeps once per relabelling orbit
-(symmetry reduction as in Ip & Dill, "Better verification through symmetry",
-1996).  Each item hands it only its shape, its construction, its feet and
-its own face (the fork, or the point count), an equivariance test, and its
-sweep of the construction's legs; how an instance is credited is decided
-there alone.  ``_orbits`` walks the instances over one tuple of carriers in
-``_instances`` order, each hom-set listed whole; at the first instance of an
-orbit, its rep, it applies every tuple gamma of label permutations once, so
-each later instance arrives with a gamma that moves the rep onto it.  The
-rep's construction is swept as above.  Every other instance is still
-constructed and its faces checked; then the skeleton tests gamma·rep against
-the instance from the definition, and the item tests the construction
-against the rep's relabelled: the same apex rows for equalizers and
-pullbacks, a well-defined bijection of classes for coequalizers.  That is an
-isomorphism of apexes commuting with the legs, and relabelling carries the
-cones over the rep one-to-one onto the cones over the instance, so the
-instance is credited with the rep's visit count: a PASS counts exactly the
-instances a sweep of every instance would.  A mismatch fails with face
-``equivariance``.  Pi stays on ``_instances``: its check of one pair costs
-less than the relabellings of a rep's orbit.
+one skeleton, ``_construction_sweeps``: each item hands it only its shape,
+its construction, its feet, its own face (the fork, or the point count) and
+its sweep of the construction's legs, and every instance is built, checked
+and swept.
 
 Every entry of ``AXIOMS`` and ``THEOREMS`` is ``(description, *parts)``,
 each part a generator function of the spec with one protocol: ``yield n``
@@ -365,13 +355,17 @@ def _renumbered(blocks: Iterable[int]) -> tuple[int, ...]:
 
 
 def _limit_sweep(tests: Iterable[FinObj], apex: FinObj, legs: Sequence[FinMor],
-                 points: Sequence[tuple[str, ...]]) -> tuple[int, FinObj | None, object, int]:
+                 points: Sequence[tuple[str, ...]],
+                 decided: dict) -> tuple[int, FinObj | None, object, int]:
     """``_sweep`` of the cones from each test object t, the maps c from t to
     the ``points`` (legs x -> c(x)[i]), by ``_multisets`` of the points,
     against the maps h: t -> apex, by multisets of the apex points whose
     rows (leg(p) for leg in legs) are points, each counted under the
-    multiset of its rows.  A failing class is named by its member that sends
-    the labels of t, in order, to its points in order."""
+    multiset of its rows.  The sweep reads only the number of points and
+    the rows' positions among them, so it runs once per such key and
+    ``decided``, kept by the caller for one list of test objects, holds its
+    result.  A failing class is named by its member that sends the labels
+    of t, in order, to its points in order."""
     if any(leg.dom != apex for leg in legs):
         raise CompositionError(f"a leg does not start at the apex {apex}")
     at = {p: n for n, p in enumerate(points)}
@@ -379,145 +373,95 @@ def _limit_sweep(tests: Iterable[FinObj], apex: FinObj, legs: Sequence[FinMor],
     # multiset of them maps to an ascending tuple of positions
     rows = sorted([i for i in (at.get(tuple([leg.table[k] for leg in legs]))
                                for k in range(len(apex))) if i is not None])
+    key = len(points), tuple(rows)
+    if key not in decided:
+        def mediators(t: FinObj) -> dict[tuple[int, ...], int]:
+            counts: dict[tuple[int, ...], int] = {}
+            for ms, size in _multisets(len(rows), len(t)):
+                cone = tuple([rows[i] for i in ms])
+                counts[cone] = counts.get(cone, 0) + size
+            return counts
 
-    def mediators(t: FinObj) -> dict[tuple[int, ...], int]:
-        counts: dict[tuple[int, ...], int] = {}
-        for ms, size in _multisets(len(rows), len(t)):
-            key = tuple([rows[i] for i in ms])
-            counts[key] = counts.get(key, 0) + size
-        return counts
-
-    visited, t, key, n = _sweep(tests, mediators, lambda t: (
-        (ms, ms, size) for ms, size in _multisets(len(points), len(t))))
-    if key is None:
+        decided[key] = _sweep(tests, mediators, lambda t: (
+            (ms, ms, size) for ms, size in _multisets(len(points), len(t))))
+    visited, t, cone, n = decided[key]
+    if cone is None:
         return visited, None, None, 1
-    return visited, t, tuple(FinMor(t, leg.cod, tuple([points[i][j] for i in key]))
+    return visited, t, tuple(FinMor(t, leg.cod, tuple([points[i][j] for i in cone]))
                              for j, leg in enumerate(legs)), n
 
 
 def _colimit_sweep(tests: Iterable[FinObj], apex: FinObj, legs: Sequence[FinMor],
-                   merged: Sequence[tuple[int, int]]) -> tuple[int, FinObj | None, object, int]:
+                   merged: Sequence[tuple[int, int]],
+                   decided: dict) -> tuple[int, FinObj | None, object, int]:
     """``_sweep`` of the cones into each test object t, the maps from the
     points of the feet (numbered foot after foot in label order) to t that
     send both points of each ``merged`` pair to one point, by
     ``_partitions`` of the feet, against the maps h: apex -> t, by
     partitions of the apex, each counted under the partition of the feet it
-    pulls back along the legs.  A failing class is named by its member that
-    sends its blocks, in order, to the labels of t in order."""
+    pulls back along the legs.  The sweep reads only the apex's size, the
+    partition of the feet the legs make, and the one the ``merged`` pairs
+    generate, so it runs once per such key and ``decided``, kept by the
+    caller for one list of test objects, holds its result.  A failing class
+    is named by its member that sends its blocks, in order, to the labels
+    of t in order."""
     if any(leg.cod != apex for leg in legs):
         raise CompositionError(f"a leg does not end at the apex {apex}")
     places = [apex.index[y] for leg in legs for y in leg.table]
+    # each point of the feet names a point of its merged class
+    joined = list(range(len(places)))
+    for a, b in merged:
+        old, new = joined[a], joined[b]
+        joined = [new if c == old else c for c in joined]
+    key = len(apex), _renumbered(places), _renumbered(joined)
+    if key not in decided:
+        def mediators(t: FinObj) -> dict[tuple[int, ...], int]:
+            counts: dict[tuple[int, ...], int] = {}
+            for blocks, size in _partitions(len(apex), len(t)):
+                cone = _renumbered([blocks[i] for i in places])
+                counts[cone] = counts.get(cone, 0) + size
+            return counts
 
-    def mediators(t: FinObj) -> dict[tuple[int, ...], int]:
-        counts: dict[tuple[int, ...], int] = {}
-        for blocks, size in _partitions(len(apex), len(t)):
-            key = _renumbered([blocks[i] for i in places])
-            counts[key] = counts.get(key, 0) + size
-        return counts
+        def cones(t: FinObj) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
+            for blocks, size in _partitions(len(places), len(t)):
+                if all(blocks[a] == blocks[b] for a, b in enumerate(joined)):
+                    yield blocks, blocks, size
 
-    def cones(t: FinObj) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
-        for blocks, size in _partitions(len(places), len(t)):
-            if all(blocks[a] == blocks[b] for a, b in merged):
-                yield blocks, blocks, size
-
-    visited, t, key, n = _sweep(tests, mediators, cones)
-    if key is None:
+        decided[key] = _sweep(tests, mediators, cones)
+    visited, t, cone, n = decided[key]
+    if cone is None:
         return visited, None, None, 1
-    images = iter([t.labels[b] for b in key])
+    images = iter([t.labels[b] for b in cone])
     return visited, t, tuple(FinMor(leg.dom, t, tuple(itertools.islice(images, len(leg.dom))))
                              for leg in legs), n
 
 
-# ---------------------------------------------------------------------------
-# relabelling orbits: one mediator sweep per orbit, an isomorphism per instance
-
-def _orbits(objs: tuple[FinObj, ...], shape: tuple) -> Iterator:
-    """Every instance of the shape over the carriers, each with its orbit.
-
-    The instances are the tuples of legs in ``_instances`` order, each
-    hom-set listed whole.  A relabelling gamma is a tuple of label
-    permutations, one per carrier, and moves a leg m: X -> Y to
-    gamma_Y ∘ m ∘ gamma_X⁻¹.
-    Yields (legs, gamma, rep): the first instance of an orbit is its own
-    rep, with gamma None; every later one comes with a gamma such that
-    gamma·rep is the instance.  A new rep's orbit is made by applying every
-    gamma to it once, so no instance needs a canonical form.
-    """
-    perms = [list(itertools.permutations(x.labels)) for x in objs]
-    # A perm p of x sends x.labels[k] to p[k].  The moved table lists, for
-    # each label of the domain in order, the image of its preimage, which
-    # sits at position p.index(label).
-    back = [[tuple(map(p.index, x.labels)) for p in ps] for x, ps in zip(objs, perms)]
-    image = [[dict(zip(x.labels, p)) for p in ps] for x, ps in zip(objs, perms)]
-    ends, seen = shape[1], {}
-    for legs in itertools.product(*[list(all_maps(objs[i], objs[j])) for i, j in ends]):
-        key = tuple([m.table for m in legs])
-        hit = seen.pop(key, None)
-        if hit is not None:
-            rep, idx = hit
-            yield legs, tuple(image[i][k] for i, k in enumerate(idx)), rep
-            continue
-        # each leg's image depends only on the perms of its own two carriers
-        moved = [
-            {(s, d): tuple([image[j][d][table[k]] for k in back[i][s]])
-             for s in range(len(perms[i])) for d in range(len(perms[j]))}
-            for table, (i, j) in zip(key, ends)
-        ]
-        for idx in itertools.product(*[range(len(ps)) for ps in perms]):
-            moved_key = tuple([m[idx[i], idx[j]] for m, (i, j) in zip(moved, ends)])
-            if moved_key not in seen:
-                seen[moved_key] = (legs, idx)
-        del seen[key]
-        yield legs, None, legs
-
-
-def _in_orbit(gamma: tuple, shape: tuple, rep: tuple, legs: tuple) -> bool:
-    """Whether gamma·rep is the instance, read off the definition: each leg
-    m: X -> Y of the rep and its leg m' satisfy m'(gamma_X(x)) = gamma_Y(m(x))."""
-    return all(
-        moved(gamma[i][x]) == gamma[j][y]
-        for (i, j), m, moved in zip(shape[1], rep, legs)
-        for x, y in zip(m.dom.labels, m.table)
-    )
-
-
-def _orbit_sweep(spec: CheckSpec, shape: tuple, *, build: Callable, feet: Callable,
-                 face: tuple[Callable, dict], same: Callable, sweep: Callable,
-                 name: Callable):
+def _construction_sweeps(spec: CheckSpec, shape: tuple, *, build: Callable, feet: Callable,
+                         face: tuple[Callable, dict], sweep: Callable, name: Callable):
     """The item body that checks a construction on every instance (f, g)
-    of the shape over the pools, sweeping its cones once per orbit.
+    of the shape over the pools.
 
     ``c = build(f, g)`` must satisfy ``feet(c, f, g)``, or the witness names
     face ``feet``; the instance then yields 1, and for ``face = (holds,
-    fault)`` the witness is ``fault`` unless ``holds(c, f, g)``.  A rep's c
-    is swept by ``sweep(c, f, g, tests)``, a ``_limit_sweep`` or a
-    ``_colimit_sweep`` of c's legs, and yields the cones visited, a failing
-    one's included, before the witness ``name(cone, count)`` names that
-    cone.  Any other instance must pass ``same(c0, c, gamma)`` against its
-    rep's c0, and yields the rep's visits.
+    fault)`` the witness is ``fault`` unless ``holds(c, f, g)``.  Then
+    ``sweep(c, f, g, tests, decided)``, a ``_limit_sweep`` or a
+    ``_colimit_sweep`` of c's legs with one ``decided`` for every instance,
+    yields the cones visited, a failing one's included, before the witness
+    ``name(cone, count)`` names that cone.
     """
-    tests = _objs(spec, "t")
+    tests, decided = _objs(spec, "t"), {}
     holds, fault = face
-    for objs in _carriers(spec, shape[0]):
-        swept: dict = {}
-        for (f, g), gamma, rep in _orbits(objs, shape):
-            c = build(f, g)
-            if not feet(c, f, g):
-                return {"f": str(f), "g": str(g), "face": "feet"}
-            yield 1
-            if not holds(c, f, g):
-                return {"f": str(f), "g": str(g), **fault}
-            if gamma is not None:
-                c0, visits = swept[rep]
-                if not (_in_orbit(gamma, shape, rep, (f, g)) and same(c0, c, gamma)):
-                    return {"f": str(f), "g": str(g), "face": "equivariance"}
-                yield visits
-                continue
-            visits, _, cone, n = sweep(c, f, g, tests)
-            yield visits
-            if cone is not None:
-                return {"f": str(f), "g": str(g), **name(cone, n)}
-            swept[rep] = c, visits
+    for f, g in _instances(spec, shape):
+        c = build(f, g)
+        if not feet(c, f, g):
+            return {"f": str(f), "g": str(g), "face": "feet"}
+        yield 1
+        if not holds(c, f, g):
+            return {"f": str(f), "g": str(g), **fault}
+        visits, _, cone, n = sweep(c, f, g, tests, decided)
+        yield visits
+        if cone is not None:
+            return {"f": str(f), "g": str(g), **name(cone, n)}
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +606,8 @@ def _ax_universal(spec: CheckSpec, feet: str, build: Callable, limit: bool):
     and a leg with each carrier as its foot, and every cone of one map per
     foot from (into) each test object, one empty cone when there are no feet,
     has exactly one mediator.  Each tuple yields its visits before any witness."""
-    tests, sweep = _objs(spec, "t"), _limit_sweep if limit else _colimit_sweep
+    tests, decided = _objs(spec, "t"), {}
+    sweep = _limit_sweep if limit else _colimit_sweep
     for objs in _carriers(spec, feet):
         apex, legs = build(*objs)
         where = dict(zip(feet.upper(), map(str, objs)))
@@ -671,7 +616,7 @@ def _ax_universal(spec: CheckSpec, feet: str, build: Callable, limit: bool):
         # a limit cone may land on any point of the feet's product, and a
         # colimit cone need merge no two points
         visited, t, cone, n = sweep(tests, apex, legs, list(itertools.product(
-            *[x.labels for x in objs])) if limit else ())
+            *[x.labels for x in objs])) if limit else (), decided)
         yield visited
         if cone is not None:
             return {**where, "T": str(t), **dict(zip("fg", map(str, cone))), "mediators": n}
@@ -685,42 +630,26 @@ def _merged(f: FinMor, g: FinMor) -> list[tuple[int, int]]:
 
 
 def _ax_equalizers(spec: CheckSpec):
-    return _orbit_sweep(
+    return _construction_sweeps(
         spec, _PAIR, build=equalizer,
         feet=lambda e, f, g: e.cod == f.dom,
         face=(lambda e, f, g: compose(f, e) == compose(g, e), {"face": "fork"}),
-        # e must be alpha∘e0 up to a bijection of apexes: the same rows,
-        # counted with multiplicity
-        same=lambda e0, e, gamma: sorted(e.table) == sorted([gamma[0][x] for x in e0.table]),
         # the cones land on the points a with f(a) = g(a)
-        sweep=lambda e, f, g, tests: _limit_sweep(tests, e.dom, (e,), [
-            (a,) for a, x, y in zip(f.dom.labels, f.table, g.table) if x == y]),
+        sweep=lambda e, f, g, tests, decided: _limit_sweep(tests, e.dom, (e,), [
+            (a,) for a, x, y in zip(f.dom.labels, f.table, g.table) if x == y], decided),
         name=lambda cone, n: {"h": str(cone[0]), "mediators": n},
     )
 
 
 def _ax_coequalizers(spec: CheckSpec):
-    return _orbit_sweep(
+    return _construction_sweeps(
         spec, _PAIR, build=coequalizer,
         feet=lambda q, f, g: q.dom == f.cod,
         face=(lambda q, f, g: compose(q, f) == compose(q, g), {"face": "fork"}),
-        same=lambda q0, q, gamma: _classes_match(q0, q, gamma[1]),
-        sweep=lambda q, f, g, tests: _colimit_sweep(tests, q.cod, (q,), _merged(f, g)),
+        sweep=lambda q, f, g, tests, decided: _colimit_sweep(tests, q.cod, (q,),
+                                                             _merged(f, g), decided),
         name=lambda cone, n: {"h": str(cone[0]), "mediators": n},
     )
-
-
-def _classes_match(q0: FinMor, q: FinMor, kappa: dict[str, str]) -> bool:
-    """Whether q0(b) -> q(kappa(b)) is a well-defined bijection of apexes.
-
-    Then q∘kappa = psi∘q0 for that bijection psi, so q is q0 relabelled.
-    Points missed by both sides pair up when the apexes have one size.
-    """
-    psi: dict[str, str] = {}
-    for b, c in zip(q0.dom.labels, q0.table):
-        if psi.setdefault(c, q(kappa[b])) != q(kappa[b]):
-            return False
-    return len(set(psi.values())) == len(psi) and len(q0.cod) == len(q.cod)
 
 
 def _ax_pi(spec: CheckSpec):
@@ -789,8 +718,8 @@ def _separating_pool(spec: CheckSpec) -> CheckSpec:
     return CheckSpec(item=spec.item, bound=2)
 
 
-def _is_sum_diagram(tests: list[FinObj], i: FinMor, j: FinMor) -> bool:
-    _, _, cone, _ = _colimit_sweep(tests, i.cod, (i, j), ())
+def _is_sum_diagram(tests: list[FinObj], decided: dict, i: FinMor, j: FinMor) -> bool:
+    _, _, cone, _ = _colimit_sweep(tests, i.cod, (i, j), (), decided)
     return cone is None
 
 
@@ -805,12 +734,12 @@ def _ax_sum_disjunction(spec: CheckSpec):
                 return {"A": str(a), "B": str(b), "z": z}
     cap = min(spec.bound, 2)
     small = CheckSpec(item=spec.item, bound=cap)
-    tests = _objs(_separating_pool(small), "t")
+    tests, decided = _objs(_separating_pool(small), "t"), {}
     for a, b in _carriers(small, "ab"):
         s = carrier_of_size(len(a) + len(b), "s")
         for i in all_maps(a, s):
             for j in all_maps(b, s):
-                if not _is_sum_diagram(tests, i, j):
+                if not _is_sum_diagram(tests, decided, i, j):
                     continue
                 left = set(i.table)
                 right = set(j.table)
@@ -825,13 +754,13 @@ def _ax_nontrivial(spec: CheckSpec):
     yield 1
     if two.injections[0].table[0] == two.injections[1].table[0]:
         return {"diagram": "canonical 1+1"}
-    one, tests = terminal(), _objs(_separating_pool(spec), "t")
+    one, tests, decided = terminal(), _objs(_separating_pool(spec), "t"), {}
     for s in _objs(spec, "s"):
         for x in s.labels:
             for y in s.labels:
                 i = FinMor(one, s, (x,))
                 j = FinMor(one, s, (y,))
-                if not _is_sum_diagram(tests, i, j):
+                if not _is_sum_diagram(tests, decided, i, j):
                     continue
                 yield 1
                 if x == y:
@@ -1008,16 +937,11 @@ def _commuting(f: FinMor, g: FinMor) -> list[tuple[str, str]]:
 
 
 def _pullback_sweeps(spec: CheckSpec):
-    return _orbit_sweep(
+    return _construction_sweeps(
         spec, _COSPAN, build=pullback, feet=_pullback_feet,
         face=(lambda s, f, g: _eq10_counts(s.p1, s.p2, f, g), {"reason": "constructed"}),
-        # the square must be the rep's relabelled up to a bijection of
-        # apexes: the same rows (p1, p2), counted with multiplicity
-        same=lambda s0, s, gamma: sorted(zip(s.p1.table, s.p2.table)) == sorted(
-            [(gamma[1][x], gamma[2][y]) for x, y in zip(s0.p1.table, s0.p2.table)]
-        ),
-        sweep=lambda s, f, g, tests: _limit_sweep(tests, s.apex, (s.p1, s.p2),
-                                                  _commuting(f, g)),
+        sweep=lambda s, f, g, tests, decided: _limit_sweep(
+            tests, s.apex, (s.p1, s.p2), _commuting(f, g), decided),
         name=lambda cone, n: {"q1": str(cone[0]), "q2": str(cone[1])},
     )
 
@@ -1026,7 +950,7 @@ def _small_squares(spec: CheckSpec):
     """Eq. (10) against the definition, a limit sweep of each small cone;
     the small objects serve as both apexes and test objects."""
     small = CheckSpec(item=spec.item, bound=min(spec.bound, 2))
-    objs = _objs(small, "p")
+    objs, decided = _objs(small, "p"), {}
     for f, g in _instances(small, _COSPAN):
         points = _commuting(f, g)
         for p_obj in objs:
@@ -1035,7 +959,7 @@ def _small_squares(spec: CheckSpec):
                 p2 = FinMor(p_obj, g.dom, tuple([b for _, b in rows]))
                 yield 1
                 criterion = _eq10_counts(p1, p2, f, g)
-                _, _, cone, _ = _limit_sweep(objs, p_obj, (p1, p2), points)
+                _, _, cone, _ = _limit_sweep(objs, p_obj, (p1, p2), points, decided)
                 is_pb = cone is None
                 if criterion != is_pb:
                     return {
@@ -1046,11 +970,12 @@ def _small_squares(spec: CheckSpec):
 
 def _quotient_sweeps(spec: CheckSpec):
     """Each quotient is universal among the maps coequalizing its relation."""
+    tests, decided = _objs(spec, "t"), {}
     for x in _objs(spec, "x"):
         for rel in _equivalences(spec, x):
             q = quotient(rel)
-            visited, _, cone, n = _colimit_sweep(_objs(spec, "t"), q.cod, (q,),
-                                                 _merged(*rel.legs))
+            visited, _, cone, n = _colimit_sweep(tests, q.cod, (q,), _merged(*rel.legs),
+                                                 decided)
             yield visited
             if cone is not None:
                 return {"X": str(x), "h": str(cone[0]), "mediators": n}

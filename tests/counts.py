@@ -15,6 +15,7 @@ prints one line per item, in the form ``cetcs check`` prints a PASS.
 from __future__ import annotations
 
 import sys
+from functools import cache
 from itertools import product
 from math import comb, factorial, prod
 
@@ -47,6 +48,30 @@ def c3(n: int) -> int:
         comb(a, k) * b ** k * (b * b - b) ** (a - k) * (1 + sum(k ** t for t in sizes))
         for a in sizes for b in sizes for k in range(a + 1)
     )
+
+
+@cache
+def _pair_graphs(a: int, b: int, k: int) -> int:
+    """The a-tuples of ordered pairs in a b-set whose graph on the b points
+    has k components.  A connected one is any of the b^(2a) tuples less the
+    rest; otherwise the first point's component has some s < b points and j
+    of the pairs, and the other points the other pairs in k - 1 components."""
+    if b == 0 or k == 0:
+        return int(a == b == k == 0)
+    if k == 1:
+        return b ** (2 * a) - sum(_pair_graphs(a, b, j) for j in range(2, b + 1))
+    return sum(comb(b - 1, s - 1) * comb(a, j) * _pair_graphs(j, s, 1)
+               * _pair_graphs(a - j, b - s, k - 1)
+               for s in range(1, b) for j in range(a + 1))
+
+
+def d3(n: int) -> int:
+    """Each pair f, g: a -> b whose pairs (f(x), g(x)) join the points of b
+    into k classes counts itself, then the maps from b into each t that are
+    constant on those classes: t^k."""
+    sizes = range(n + 1)
+    return sum(_pair_graphs(a, b, k) * (1 + sum(t ** k for t in sizes))
+               for a in sizes for b in sizes for k in range(b + 1))
 
 
 def _compositions(total: int, parts: int):
@@ -262,7 +287,7 @@ def pi_competitors(n: int) -> int:
 
 
 COUNTS = {
-    "C1": c1, "C2": c2, "C3": c3, "D1": d1, "D2": d2, "PA": pa, "Fct": fct,
+    "C1": c1, "C2": c2, "C3": c3, "D1": d1, "D2": d2, "D3": d3, "PA": pa, "Fct": fct,
     "Eff": eff, "pullback-elements": pullback_elements, "quotients": quotients,
     "image-factorization": image_factorization, "choice": choice,
     "dependent-choice": dependent_choice, "DP": dp, "onto-pullback": onto_pullback,

@@ -4,9 +4,10 @@
 ``axioms._limit_sweep`` and ``axioms._colimit_sweep`` and return what they
 return, but enumerate every map between each test object and the apex and
 every literal cone, in ``all_maps`` order, instead of orbits of relabelling
-the test object.  Monkeypatched in, they are the differential oracle of the
-orbit-counted sweeps.  Each cone visited counts 1, so a FAIL's count may
-differ from the orbit sweep's, and its cone is the first failing one.
+the test object, and ignore the ``decided`` dict, so every call sweeps.
+Monkeypatched in, they are the differential oracle of the orbit-counted,
+keyed sweeps.  Each cone visited counts 1, so a FAIL's count may differ
+from the orbit sweep's, and its cone is the first failing one.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from cetcs.errors import CompositionError
 from cetcs.finset import FinMor, all_maps, compose
 
 
-def limit_sweep(tests, apex, legs, points):
+def limit_sweep(tests, apex, legs, points, decided):
     """Every map h: t -> apex, counted under its rows (leg(h(x)) for leg in
     legs), against every map from t to the points."""
     if any(leg.dom != apex for leg in legs):
@@ -36,7 +37,7 @@ def limit_sweep(tests, apex, legs, points):
     return visited, None, None, 1
 
 
-def colimit_sweep(tests, apex, legs, merged):
+def colimit_sweep(tests, apex, legs, merged, decided):
     """Every map h: apex -> t, counted under its composites h∘leg, against
     every tuple of maps from the feet to t that sends both points of each
     merged pair, numbered foot after foot, to one point."""

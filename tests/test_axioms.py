@@ -586,6 +586,41 @@ def test_orbits_of_maps_are_counted_by_size_and_number():
             assert keys == sorted(set(keys))
 
 
+def test_a_shared_decided_dict_gives_each_sweep_its_own_result():
+    # The key is complete: over every leg tuple between feet and apexes of
+    # size <= 2, universal or not, one dict kept across all calls returns
+    # the whole result, witness included, that a fresh dict per call does.
+    tests = [carrier_of_size(n, "t") for n in range(3)]
+    sizes = range(3)
+    shared, calls, verdicts = {}, 0, set()
+
+    def agree(sweep, *args):
+        nonlocal calls
+        alone = sweep(tests, *args, {})
+        assert sweep(tests, *args, shared) == alone, args
+        calls += 1
+        verdicts.add(alone[2] is None)
+
+    for n_feet in (1, 2):
+        for feet in itertools.product(*[[carrier_of_size(n, p) for n in sizes]
+                                        for p in "ab"[:n_feet]]):
+            corners = list(itertools.product(*[x.labels for x in feet]))
+            positions = range(sum(map(len, feet)))
+            for apex in (carrier_of_size(n, "p") for n in sizes):
+                for legs in itertools.product(*[list(all_maps(apex, x)) for x in feet]):
+                    for k in range(len(corners) + 1):
+                        for points in itertools.combinations(corners, k):
+                            agree(axioms._limit_sweep, apex, legs, points)
+                for legs in itertools.product(*[list(all_maps(x, apex)) for x in feet]):
+                    for k in range(3):
+                        for merged in itertools.combinations(
+                                itertools.permutations(positions, 2), k):
+                            agree(axioms._colimit_sweep, apex, legs, merged)
+    # both verdicts are reached, and most calls are answered from the dict
+    assert verdicts == {True, False}
+    assert len(shared) < calls // 10
+
+
 # ---------------------------------------------------------------------------
 # the item protocol: an item yields the counts of the instances it decides
 # and returns its witness, and the runner alone sums and picks the verdict
@@ -1013,8 +1048,8 @@ def test_quotients_reject_a_projection_from_the_wrong_object(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# relabelling orbits: the enumerator against Burnside's lemma, and the
-# equivariance face against constructions broken off the swept instances
+# relabelling orbits: their number by Burnside's lemma, and constructions
+# broken off the first instance of an orbit
 
 
 def cycle_types(n):
@@ -1056,18 +1091,6 @@ def burnside(carriers, shape):
 SIZES = range(4)
 
 
-def pair_carriers(sizes=SIZES):
-    """The carrier tuples of C3 and D3 in their order."""
-    for a, b in itertools.product(sizes, sizes):
-        yield (carrier_of_size(a, "a"), carrier_of_size(b, "b"))
-
-
-def cospan_carriers(sizes=SIZES):
-    """The carrier tuples of pullback-elements in its order (c outermost)."""
-    for c, a, b in itertools.product(sizes, sizes, sizes):
-        yield (carrier_of_size(c, "c"), carrier_of_size(a, "a"), carrier_of_size(b, "b"))
-
-
 def composable_carriers(sizes=SIZES):
     """The carrier tuples of Pi and pi-universality in their order."""
     for y, x, i in itertools.product(sizes, sizes, sizes):
@@ -1075,6 +1098,7 @@ def composable_carriers(sizes=SIZES):
 
 
 def test_burnside_counts_match_the_enumerator_at_bound_three():
+    # the orbit counts that a generator of one instance per orbit must meet
     pairs = sum(burnside(sizes, axioms._PAIR) for sizes in itertools.product(SIZES, SIZES))
     cospans = sum(burnside(sizes, axioms._COSPAN)
                   for sizes in itertools.product(SIZES, SIZES, SIZES))
@@ -1084,68 +1108,82 @@ def test_burnside_counts_match_the_enumerator_at_bound_three():
     assert sum(burnside(s, axioms._PAIR) for s in itertools.product(four, four)) == 437
     assert sum(burnside(s, axioms._COSPAN)
                for s in itertools.product(four, four, four)) == 736
-    reps = {
-        "pairs": sum(gamma is None for objs in pair_carriers()
-                     for _, gamma, _ in axioms._orbits(objs, axioms._PAIR)),
-        "cospans": sum(gamma is None for objs in cospan_carriers()
-                       for _, gamma, _ in axioms._orbits(objs, axioms._COSPAN)),
-    }
-    assert reps == {"pairs": pairs, "cospans": cospans}
     composables = sum(burnside(sizes, axioms._COMPOSABLE)
                       for sizes in itertools.product(SIZES, SIZES, SIZES))
-    assert composables == sum(gamma is None for objs in composable_carriers()
-                              for _, gamma, _ in axioms._orbits(objs, axioms._COMPOSABLE)) == 100
-
-
-@pytest.mark.parametrize("shape, carriers, total", [
-    (axioms._PAIR, pair_carriers, 910),      # sum of b^(2a)
-    (axioms._COSPAN, cospan_carriers, 1842),  # sum of c^(a+b)
-    (axioms._COMPOSABLE, composable_carriers, 1678),  # sum of x^y i^x
-])
-def test_orbits_partition_the_hom_sets_in_enumeration_order(shape, carriers, total):
-    yielded = 0
-    for objs in carriers():
-        walk = list(axioms._orbits(objs, shape))
-        plain = list(itertools.product(*[list(all_maps(objs[i], objs[j])) for i, j in shape[1]]))
-        assert [legs for legs, _, _ in walk] == plain
-        reps = set()
-        for legs, gamma, rep in walk:
-            if gamma is None:
-                assert rep is legs
-                reps.add(rep)
-                continue
-            assert rep in reps  # the rep was yielded, and so swept, first
-            for (i, j), m, moved in zip(shape[1], rep, legs):
-                src, dst = gamma[i], gamma[j]
-                assert sorted(src) == sorted(src.values()) == list(objs[i].labels)
-                assert sorted(dst.values()) == list(objs[j].labels)
-                assert dict(zip(moved.dom.labels, moved.table)) == {
-                    src[x]: dst[y] for x, y in zip(m.dom.labels, m.table)
-                }
-        yielded += len(walk)
-    assert yielded == total
+    assert composables == 100
 
 
 def first_non_rep(objs, shape, keep=lambda legs: True):
-    """The first instance over the carriers that is not its orbit's rep."""
-    return next(legs for legs, gamma, _ in axioms._orbits(objs, shape)
-                if gamma is not None and keep(legs))
+    """The first instance over the carriers, in enumeration order, that a
+    tuple of label permutations (one per carrier) maps onto an earlier one,
+    or None.  Permutations p and q of a leg's carriers move its graph
+    {(x, m(x))} to {(p(x), q(m(x)))}."""
+    ends, earlier = shape[1], set()
+    relabellings = [[dict(zip(x.labels, p)) for p in itertools.permutations(x.labels)]
+                    for x in objs]
+    for legs in itertools.product(*[list(all_maps(objs[i], objs[j])) for i, j in ends]):
+        moved = {
+            tuple(frozenset((gamma[i][x], gamma[j][y]) for x, y in zip(m.dom.labels, m.table))
+                  for m, (i, j) in zip(legs, ends))
+            for gamma in itertools.product(*relabellings)
+        }
+        own = tuple(frozenset(zip(m.dom.labels, m.table)) for m in legs)
+        if moved & earlier and keep(legs):
+            return legs
+        earlier.add(own)
+    return None
 
 
-def test_equivariance_rejects_an_equalizer_broken_off_the_reps(monkeypatch):
-    target = first_non_rep((carrier_of_size(1, "a"), carrier_of_size(2, "b")), axioms._PAIR,
-                           lambda legs: len(equalizer(*legs).dom) > 0)
+# Each construction below is broken on one instance only, the first that is
+# not the first of its orbit; the sweep of that instance, keyed by what it
+# reads, fails there and names a cone of its own.
+
+
+OFF_REP_PAIR = (carrier_of_size(1, "a"), carrier_of_size(2, "b"))
+
+
+def equalizer_off_the_reps():
+    """The first off-rep pair with a point in its equalizer, and the patch
+    that omits that point there."""
+    target = first_non_rep(OFF_REP_PAIR, axioms._PAIR, lambda legs: len(equalizer(*legs).dom) > 0)
 
     def omit_last_once(f, g):
         e = equalizer(f, g)
-        if (f, g) != target:
-            return e
-        return FinMor(FinObj(e.table[:-1]), f.dom, e.table[:-1])
+        return omitted_last(e) if (f, g) == target else e
 
-    monkeypatch.setattr(axioms, "equalizer", omit_last_once)
+    return target, {"equalizer": omit_last_once}
+
+
+def coequalizer_off_the_reps(breaker):
+    """The first off-rep pair with two classes, and the patch that breaks
+    its coequalizer there."""
+    target = first_non_rep(OFF_REP_PAIR, axioms._PAIR, lambda legs: len(coequalizer(*legs).cod) > 1)
+
+    def break_once(f, g):
+        q = coequalizer(f, g)
+        return breaker(q) if (f, g) == target else q
+
+    return target, {"coequalizer": break_once}
+
+
+def pullback_off_the_reps():
+    """The first off-rep cospan over (2, 1, 1) with a point in its pullback,
+    and the patch that drops that point there.  The point-count face would
+    see it first, so the patch defeats it, as in the sweep mutations above."""
+    objs = (carrier_of_size(2, "c"), carrier_of_size(1, "a"), carrier_of_size(1, "b"))
+    target = first_non_rep(objs, axioms._COSPAN, lambda legs: len(pullback(*legs).apex) > 0)
+    return target, {"_eq10_counts": lambda *legs: True, "pullback": lambda f, g: (
+        drop_last_point(pullback(f, g)) if (f, g) == target else pullback(f, g))}
+
+
+def test_equivariance_rejects_an_equalizer_broken_off_the_reps(monkeypatch):
+    target, patches = equalizer_off_the_reps()
+    for name, value in patches.items():
+        monkeypatch.setattr(axioms, name, value)
     rep = check_axiom(CheckSpec(item="C3", bound=2))
-    assert rep.failed
-    assert rep.witness == {"f": str(target[0]), "g": str(target[1]), "face": "equivariance"}
+    assert (rep.verdict, rep.instances_checked) == (FAIL, 21)
+    assert rep.witness == {"f": str(target[0]), "g": str(target[1]),
+                           "h": "{t0} -> {a0} [t0 |-> a0]", "mediators": 0}
 
 
 def collapsed(q):
@@ -1162,67 +1200,39 @@ def with_stray_class(q):
     return FinMor(q.dom, with_junk(q.cod), q.table)
 
 
-@pytest.mark.parametrize("breaker", [collapsed, merged_keeping_size, with_stray_class])
-def test_equivariance_rejects_a_coequalizer_broken_off_the_reps(monkeypatch, breaker):
-    target = first_non_rep((carrier_of_size(1, "a"), carrier_of_size(2, "b")), axioms._PAIR,
-                           lambda legs: len(coequalizer(*legs).cod) > 1)
-
-    def break_once(f, g):
-        q = coequalizer(f, g)
-        return breaker(q) if (f, g) == target else q
-
-    monkeypatch.setattr(axioms, "coequalizer", break_once)
+@pytest.mark.parametrize("breaker, checked, h, mediators", [
+    (collapsed, 38, "{b0, b1} -> {t0, t1} [b0 |-> t0, b1 |-> t1]", 0),
+    (merged_keeping_size, 36, "{b0, b1} -> {t0, t1} [b0 |-> t0, b1 |-> t0]", 2),
+    (with_stray_class, 36, "{b0, b1} -> {t0, t1} [b0 |-> t0, b1 |-> t0]", 2),
+], ids=["collapsed", "merged_keeping_size", "with_stray_class"])
+def test_equivariance_rejects_a_coequalizer_broken_off_the_reps(monkeypatch, breaker, checked,
+                                                               h, mediators):
+    target, patches = coequalizer_off_the_reps(breaker)
+    for name, value in patches.items():
+        monkeypatch.setattr(axioms, name, value)
     rep = check_axiom(CheckSpec(item="D3", bound=2))
-    assert rep.failed
-    assert rep.witness == {"f": str(target[0]), "g": str(target[1]), "face": "equivariance"}
+    assert (rep.verdict, rep.instances_checked) == (FAIL, checked)
+    assert rep.witness == {"f": str(target[0]), "g": str(target[1]), "h": h,
+                           "mediators": mediators}
 
 
 def test_equivariance_rejects_a_pullback_broken_off_the_reps(monkeypatch):
-    # The point-count face would see a dropped point first, so it is
-    # defeated, as in the sweep mutations above.
-    objs = (carrier_of_size(2, "c"), carrier_of_size(1, "a"), carrier_of_size(1, "b"))
-    target = first_non_rep(objs, axioms._COSPAN, lambda legs: len(pullback(*legs).apex) > 0)
-    monkeypatch.setattr(axioms, "_eq10_counts", lambda *legs: True)
-    monkeypatch.setattr(axioms, "pullback", lambda f, g: (
-        drop_last_point(pullback(f, g)) if (f, g) == target else pullback(f, g)))
+    target, patches = pullback_off_the_reps()
+    for name, value in patches.items():
+        monkeypatch.setattr(axioms, name, value)
     rep = check_theorem(CheckSpec(item="pullback-elements", bound=2))
-    assert rep.failed
-    assert rep.witness == {"f": str(target[0]), "g": str(target[1]), "face": "equivariance"}
-
-
-@pytest.mark.parametrize("check, item, shape, carriers", [
-    (check_axiom, "C3", axioms._PAIR, pair_carriers),
-    (check_axiom, "D3", axioms._PAIR, pair_carriers),
-    (check_theorem, "pullback-elements", axioms._COSPAN, cospan_carriers),
-])
-def test_equivariance_rejects_a_wrong_relabelling(monkeypatch, check, item, shape, carriers):
-    # Every instance but a rep differs from its rep, so the identity cannot
-    # move the rep onto it: the first instance that is not a rep fails, even
-    # where its construction has the rep's rows.
-    first = next(first_non_rep(objs, shape) for objs in carriers(range(3))
-                 if any(gamma is not None for _, gamma, _ in axioms._orbits(objs, shape)))
-    orbits = axioms._orbits
-
-    def identity_gammas(objs, shape):
-        for legs, gamma, rep in orbits(objs, shape):
-            if gamma is not None:
-                gamma = tuple({x: x for x in perm} for perm in gamma)
-            yield legs, gamma, rep
-
-    monkeypatch.setattr(axioms, "_orbits", identity_gammas)
-    rep = check(CheckSpec(item=item, bound=2))
-    assert rep.failed
-    assert rep.witness == {"f": str(first[0]), "g": str(first[1]), "face": "equivariance"}
+    assert (rep.verdict, rep.instances_checked) == (FAIL, 83)
+    assert rep.witness == {"f": str(target[0]), "g": str(target[1]),
+                           "q1": "{t0} -> {a0} [t0 |-> a0]", "q2": "{t0} -> {b0} [t0 |-> b0]"}
 
 
 @pytest.mark.parametrize("item", ["Pi", "pi-universality"])
 def test_pi_rejects_a_dependent_product_broken_off_the_reps(monkeypatch, item):
-    # Pi checks every pair, not one per orbit.  A construction wrong on the
-    # first pair that is no orbit's rep, here by a second point over the
+    # Pi checks every pair by check_pi_universal.  A construction wrong on
+    # the first pair that is no orbit's rep, here by a second point over the
     # empty section of F, must fail there and be named by that pair.
-    g0, f0 = next(legs for objs in composable_carriers(range(3))
-                  for legs, gamma, _ in axioms._orbits(objs, axioms._COMPOSABLE)
-                  if gamma is not None)
+    g0, f0 = next(filter(None, (first_non_rep(objs, axioms._COMPOSABLE)
+                                for objs in composable_carriers(range(3)))))
     plain = axioms.pi_diagram
 
     def break_once(g, f):
@@ -1264,8 +1274,8 @@ def renamed_pullback(f, g):
 ])
 def test_equivariance_accepts_an_isomorphic_relabelling(monkeypatch, check, item, name,
                                                         relabelled):
-    # Relabel only where f's table sorts before g's, so reps and the other
-    # members of their orbits are built both ways.
+    # Relabel only where f's table sorts before g's, so the instances that
+    # share a sweep's key are built both ways.
     plain = getattr(axioms, name)
     monkeypatch.setattr(axioms, name, lambda f, g: (
         relabelled(f, g) if f.table < g.table else plain(f, g)))
@@ -1274,10 +1284,10 @@ def test_equivariance_accepts_an_isomorphic_relabelling(monkeypatch, check, item
 
 
 # ---------------------------------------------------------------------------
-# every face the orbit sweep and the test-object sweep decide, pinned whole:
-# the fork and point-count faces of a construction, and the first failing
-# cone of a sweep.  Where a mutant breaks only the instances over one carrier
-# size, which relabelling keeps, every orbit before it is swept or credited
+# every face the construction sweeps and the test-object sweep decide, pinned
+# whole: the fork and point-count faces of a construction, and the first
+# failing cone of a sweep.  Where a mutant breaks only the instances over one
+# carrier size, every instance before it is swept or credited from its key
 # first, so the count pins the crediting too.  A failing sweep counts every
 # cone of the failing orbit of cones, and names its first in label order.
 
@@ -1373,13 +1383,19 @@ SWEPT_INSTANCE = {
     "D3": ("f", "g"), "DP": ("i", "j"), "NT": ("S", "x", "y"),
     "pullback-elements": ("f", "g"), "quotients": ("X",),
 }
-# the mutants of the shared faces, of the broken-apex pullbacks, and of the
-# quotient with an unreachable class, each at the bound its own test runs
+# the mutants of the shared faces, of the broken-apex pullbacks, of the
+# quotient with an unreachable class, and of the constructions broken off the
+# reps, each at the bound its own test runs
 SWEPT_MUTANTS = [(item, patches, 3) for item, patches, _ in SHARED_FACES.values()] + [
     ("pullback-elements", {"_eq10_counts": lambda *legs: True,
                            "pullback": lambda f, g, mutate=mutate: mutate(pullback(f, g))}, 2)
     for mutate in (drop_last_point, duplicate_first_point)
-] + [("quotients", {"quotient": lambda rel: with_stray_class(quotient(rel))}, 2)]
+] + [("quotients", {"quotient": lambda rel: with_stray_class(quotient(rel))}, 2)] + [
+    ("C3", equalizer_off_the_reps()[1], 2),
+    *[("D3", coequalizer_off_the_reps(breaker)[1], 2)
+      for breaker in (collapsed, merged_keeping_size, with_stray_class)],
+    ("pullback-elements", pullback_off_the_reps()[1], 2),
+]
 
 
 @pytest.mark.parametrize("item, patches, bound", [
@@ -1388,7 +1404,8 @@ SWEPT_MUTANTS = [(item, patches, 3) for item, patches, _ in SHARED_FACES.values(
         *[f"mutant-{item}-{n}" for n, (item, _, _) in enumerate(SWEPT_MUTANTS)]])
 def test_orbit_sweeps_agree_with_the_literal_sweeps(monkeypatch, item, patches, bound):
     # The same verdict, on the same instance, and on a PASS the same count,
-    # from every literal map and cone as from their orbits.
+    # from every literal map and cone, swept on every instance, as from
+    # their orbits, swept once per key.
     for name, value in patches.items():
         monkeypatch.setattr(axioms, name, value)
     check = check_axiom if item in AXIOMS else check_theorem

@@ -22,7 +22,7 @@ def test_the_formulas_give_the_pinned_and_predicted_counts():
     # checker's reach and stands as a prediction
     assert {item: count(4) for item, count in COUNTS.items()} == {
         "C1": 5, "C2": 136_341, "C3": 1_371_506, "D1": 5, "D2": 131_909,
-        "PA": 98, "Fct": 499, "Eff": 294, "pullback-elements": 76_712_443,
+        "D3": 2_362_892, "PA": 98, "Fct": 499, "Eff": 294, "pullback-elements": 76_712_443,
         "quotients": 1_723, "image-factorization": 12_988, "choice": 587,
         "dependent-choice": 203_548, "DP": 246, "onto-pullback": 27_938,
         "covers-onto": 499, "epi-onto": 499, "classifier": 31, "pretopos": 29_507,
@@ -34,7 +34,7 @@ def test_the_formulas_give_the_pinned_and_predicted_counts():
     # values are also the counts of bound-5 runs
     assert {item: count(5) for item, count in COUNTS.items()} == {
         "C1": 6, "C2": 20_592_977, "C3": 545_129_643, "D1": 6, "D2": 17_256_563,
-        "PA": 640, "Fct": 5_705, "Eff": 1_594, "pullback-elements": 183_929_262_026,
+        "D3": 950_190_215, "PA": 640, "Fct": 5_705, "Eff": 1_594, "pullback-elements": 183_929_262_026,
         "quotients": 25_499, "image-factorization": 706_361, "choice": 6_333,
         "dependent-choice": 143_349_303, "DP": 326, "onto-pullback": 1_804_550,
         "covers-onto": 5_705, "epi-onto": 5_705, "classifier": 63,
@@ -74,7 +74,8 @@ def test_the_script_prints_check_lines_and_rejects_a_bad_bound(capsys):
     assert main(["2"]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "PASS C1 instances=3", "PASS C2 instances=43", "PASS C3 instances=102",
-        "PASS D1 instances=3", "PASS D2 instances=59", "PASS PA instances=8",
+        "PASS D1 instances=3", "PASS D2 instances=59", "PASS D3 instances=114",
+        "PASS PA instances=8",
         "PASS Fct instances=11", "PASS Eff instances=9",
         "PASS pullback-elements instances=557", "PASS quotients instances=23",
         "PASS image-factorization instances=37", "PASS choice instances=13",
