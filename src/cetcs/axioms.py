@@ -45,10 +45,6 @@ pass over each hom-set, and ``_is_cover`` tries each proper subobject once,
 as a subcarrier, since f factors through a mono exactly when its image lies
 in the mono's image.
 
-Cone points carry no feet, so before a sweep the legs of the construction
-are compared with the feet the statement names (for equalizers and
-coequalizers the fork check's composites already do this).
-
 Statements about maps range over the instances of a shape: parallel pairs
 (C3, D3), cospans (``pullback-elements``, ``onto-pullback``, ``regularity``)
 or composable pairs (Pi, ``pi-universality``).  A shape constant names its
@@ -61,12 +57,11 @@ the positions of the apex rows among them, a colimit sweep only the apex's
 size and the partitions of the feet that the legs and the merged pairs
 make.  So each item body keeps one dict, ``decided``, for its test objects,
 and a sweep runs only on a key not in it; a failing class, stored with its
-test object, is named with the instance's own points and legs.
-Equalizers, coequalizers and the pullbacks of ``pullback-elements`` share
-one skeleton, ``_construction_sweeps``: each item hands it only its shape,
-its construction, its feet, its own face (the fork, or the point count) and
-its sweep of the construction's legs, and every instance is built, checked
-and swept.
+test object, is named with the instance's own points and legs.  C3, D3 and
+``pullback-elements`` loop over their instances: each builds the
+construction, compares its legs with the feet the statement names (cone
+points carry none), checks its own face (the fork, or the point count) and
+sweeps the legs.
 
 Every entry of ``AXIOMS`` and ``THEOREMS`` is ``(description, *parts)``,
 each part a generator function of the spec with one protocol: ``yield n``
@@ -75,8 +70,11 @@ empty one too), and falling off the end passes.  ``_run`` alone composes
 them: it runs the parts in order, sums each part's counts into its total
 and stops at the first witness.  A derived statement lists the parts it
 rests on (``pretopos`` those of six items, ``image-factorization`` Fct's,
-``pi-universality`` Pi's, ``quotients`` Eff's kernel pairs), so no
-statement is checked by two bodies.  Inside a ``shared_parts`` block,
+``pi-universality`` Pi's, ``quotients`` Eff's kernel pairs) instead of
+checking them again.  Two statements are still checked by two bodies: that
+onto maps into pool carriers split (PA's inner loop and ``choice``'s
+first), and that onto and mono implies bijective (G and ``epi-onto``'s
+balance clause).  Inside a ``shared_parts`` block,
 which one ``cetcs check`` opens around all its items, ``_run`` keeps each
 part's total and witness under the part and the spec with its item
 blanked, once the part has run to its end, and credits a part that
@@ -84,11 +82,13 @@ already ran with that total and witness instead of running it again.
 Outside a block, as in a library call of ``check_axiom`` or
 ``check_theorem``, every part runs.
 
-Sampling mode (past the exhaustive threshold) draws each leg from a seeded
-reservoir of its hom-set (``_maps``), and the subsets of cells and pairs of
-subobjects by seeded index (``_draw``), so those cost the draw, not 2^n.
-Items about uniqueness of mediating candidates are skipped with a reason
-instead of pretending a sampled uniqueness sweep is exhaustive.
+Sampling mode (past the exhaustive threshold) draws each sampled family by
+seeded index through ``_draw``: the maps of each hom-set (``_maps`` reads
+each index as a table), the subsets of cells and the pairs of subobjects,
+so each costs the draw, not the family's size.  Eff's equivalences,
+``classifier``'s subsets and ``image-factorization``'s subobjects are not
+sampled.  Items about uniqueness of mediating candidates are skipped with a
+reason instead of pretending a sampled uniqueness sweep is exhaustive.
 """
 
 from __future__ import annotations
@@ -178,18 +178,6 @@ class CheckSpec:
 # instance pools
 
 
-def _reservoir(items: Iterable, k: int, rng: random.Random) -> list:
-    chosen: list = []
-    for n, item in enumerate(items):
-        if n < k:
-            chosen.append(item)
-        else:
-            j = rng.randrange(n + 1)
-            if j < k:
-                chosen[j] = item
-    return chosen
-
-
 def _objs(spec: CheckSpec, prefix: str) -> list[FinObj]:
     pool = [carrier_of_size(n, prefix) for n in range(spec.bound + 1)]
     for obj in spec.objects:
@@ -199,10 +187,14 @@ def _objs(spec: CheckSpec, prefix: str) -> list[FinObj]:
 
 
 def _maps(spec: CheckSpec, a: FinObj, b: FinObj) -> Iterator[FinMor] | list[FinMor]:
+    """The maps a -> b in ``all_maps`` order, or under sampling the maps at
+    the indices ``_draw`` gives, each index read as the table's base-|b|
+    digits, first point most significant."""
     if not spec.sampled:
         return all_maps(a, b)
-    rng = random.Random(f"{spec.seed}|{a.labels}|{b.labels}")
-    return _reservoir(all_maps(a, b), spec.sample, rng)
+    m, n = len(b), len(a)
+    return [FinMor(a, b, tuple([b.labels[d // m ** (n - 1 - k) % m] for k in range(n)]))
+            for d in _draw(spec, (a.labels, b.labels), m ** n)]
 
 
 def _draw(spec: CheckSpec, key: object, n: int) -> Sequence[int]:
@@ -255,27 +247,6 @@ def _mono_tables_into(x: FinObj, dom_prefix: str) -> Iterator[FinMor]:
         dom = carrier_of_size(n, dom_prefix)
         for table in itertools.permutations(x.labels, n):
             yield FinMor(dom, x, table)
-
-
-def set_partitions(items: Sequence[str]) -> Iterator[list[list[str]]]:
-    """All partitions of the items, deterministically ordered."""
-    items = list(items)
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in set_partitions(rest):
-        for k in range(len(part)):
-            yield part[:k] + [[first] + part[k]] + part[k + 1 :]
-        yield [[first]] + part
-
-
-def _equivalences(spec: CheckSpec, x: FinObj) -> Iterator[Relation]:
-    for part in set_partitions(x.labels):
-        rows = [
-            (a, b) for block in part for a in block for b in block
-        ]
-        yield relation_from_tuples(rows, (x, x))
 
 
 # Items whose content is uniqueness of mediating maps; under sampling they
@@ -352,6 +323,15 @@ def _renumbered(blocks: Iterable[int]) -> tuple[int, ...]:
     """The restricted growth string of the partition the block numbers make."""
     first: dict[int, int] = {}
     return tuple([first.setdefault(b, len(first)) for b in blocks])
+
+
+def _equivalences(x: FinObj) -> Iterator[Relation]:
+    """The equivalence relations on x: the kernel of each restricted growth
+    string of ``_partitions``."""
+    for blocks, _ in _partitions(len(x), len(x)):
+        rows = [(a, b) for a, i in zip(x.labels, blocks)
+                for b, j in zip(x.labels, blocks) if i == j]
+        yield relation_from_tuples(rows, (x, x))
 
 
 def _limit_sweep(tests: Iterable[FinObj], apex: FinObj, legs: Sequence[FinMor],
@@ -434,34 +414,6 @@ def _colimit_sweep(tests: Iterable[FinObj], apex: FinObj, legs: Sequence[FinMor]
     images = iter([t.labels[b] for b in cone])
     return visited, t, tuple(FinMor(leg.dom, t, tuple(itertools.islice(images, len(leg.dom))))
                              for leg in legs), n
-
-
-def _construction_sweeps(spec: CheckSpec, shape: tuple, *, build: Callable, feet: Callable,
-                         face: tuple[Callable, dict], sweep: Callable, name: Callable):
-    """The item body that checks a construction on every instance (f, g)
-    of the shape over the pools.
-
-    ``c = build(f, g)`` must satisfy ``feet(c, f, g)``, or the witness names
-    face ``feet``; the instance then yields 1, and for ``face = (holds,
-    fault)`` the witness is ``fault`` unless ``holds(c, f, g)``.  Then
-    ``sweep(c, f, g, tests, decided)``, a ``_limit_sweep`` or a
-    ``_colimit_sweep`` of c's legs with one ``decided`` for every instance,
-    yields the cones visited, a failing one's included, before the witness
-    ``name(cone, count)`` names that cone.
-    """
-    tests, decided = _objs(spec, "t"), {}
-    holds, fault = face
-    for f, g in _instances(spec, shape):
-        c = build(f, g)
-        if not feet(c, f, g):
-            return {"f": str(f), "g": str(g), "face": "feet"}
-        yield 1
-        if not holds(c, f, g):
-            return {"f": str(f), "g": str(g), **fault}
-        visits, _, cone, n = sweep(c, f, g, tests, decided)
-        yield visits
-        if cone is not None:
-            return {"f": str(f), "g": str(g), **name(cone, n)}
 
 
 # ---------------------------------------------------------------------------
@@ -630,26 +582,35 @@ def _merged(f: FinMor, g: FinMor) -> list[tuple[int, int]]:
 
 
 def _ax_equalizers(spec: CheckSpec):
-    return _construction_sweeps(
-        spec, _PAIR, build=equalizer,
-        feet=lambda e, f, g: e.cod == f.dom,
-        face=(lambda e, f, g: compose(f, e) == compose(g, e), {"face": "fork"}),
+    tests, decided = _objs(spec, "t"), {}
+    for f, g in _instances(spec, _PAIR):
+        e = equalizer(f, g)
+        if e.cod != f.dom:
+            return {"f": str(f), "g": str(g), "face": "feet"}
+        yield 1
+        if compose(f, e) != compose(g, e):
+            return {"f": str(f), "g": str(g), "face": "fork"}
         # the cones land on the points a with f(a) = g(a)
-        sweep=lambda e, f, g, tests, decided: _limit_sweep(tests, e.dom, (e,), [
-            (a,) for a, x, y in zip(f.dom.labels, f.table, g.table) if x == y], decided),
-        name=lambda cone, n: {"h": str(cone[0]), "mediators": n},
-    )
+        visits, _, cone, n = _limit_sweep(tests, e.dom, (e,), [
+            (a,) for a, x, y in zip(f.dom.labels, f.table, g.table) if x == y], decided)
+        yield visits
+        if cone is not None:
+            return {"f": str(f), "g": str(g), "h": str(cone[0]), "mediators": n}
 
 
 def _ax_coequalizers(spec: CheckSpec):
-    return _construction_sweeps(
-        spec, _PAIR, build=coequalizer,
-        feet=lambda q, f, g: q.dom == f.cod,
-        face=(lambda q, f, g: compose(q, f) == compose(q, g), {"face": "fork"}),
-        sweep=lambda q, f, g, tests, decided: _colimit_sweep(tests, q.cod, (q,),
-                                                             _merged(f, g), decided),
-        name=lambda cone, n: {"h": str(cone[0]), "mediators": n},
-    )
+    tests, decided = _objs(spec, "t"), {}
+    for f, g in _instances(spec, _PAIR):
+        q = coequalizer(f, g)
+        if q.dom != f.cod:
+            return {"f": str(f), "g": str(g), "face": "feet"}
+        yield 1
+        if compose(q, f) != compose(q, g):
+            return {"f": str(f), "g": str(g), "face": "fork"}
+        visits, _, cone, n = _colimit_sweep(tests, q.cod, (q,), _merged(f, g), decided)
+        yield visits
+        if cone is not None:
+            return {"f": str(f), "g": str(g), "h": str(cone[0]), "mediators": n}
 
 
 def _ax_pi(spec: CheckSpec):
@@ -796,7 +757,7 @@ def _kernel_pair(rel: Relation, q: FinMor, where: dict):
 
 def _kernel_pairs(spec: CheckSpec):
     for x in _objs(spec, "x"):
-        for rel in _equivalences(spec, x):
+        for rel in _equivalences(x):
             witness = yield from _kernel_pair(rel, quotient(rel), {"X": str(x)})
             if witness is not None:
                 return witness
@@ -920,15 +881,6 @@ def _eq10_counts(p1: FinMor, p2: FinMor, f: FinMor, g: FinMor) -> bool:
     return len(rows) == sum(over[c] for c in f.table)
 
 
-def _pullback_feet(square, f: FinMor, g: FinMor) -> bool:
-    """Whether the legs of the square land on the feet of the cospan.
-
-    The mediator buckets are keyed by tables, which carry no feet, so the
-    feet are compared here once per square.
-    """
-    return square.p1.cod == f.dom and square.p2.cod == g.dom
-
-
 def _commuting(f: FinMor, g: FinMor) -> list[tuple[str, str]]:
     """The pairs (a, b) with f(a) = g(b), a-major: a cone over the cospan
     (f, g) lands on them."""
@@ -937,13 +889,19 @@ def _commuting(f: FinMor, g: FinMor) -> list[tuple[str, str]]:
 
 
 def _pullback_sweeps(spec: CheckSpec):
-    return _construction_sweeps(
-        spec, _COSPAN, build=pullback, feet=_pullback_feet,
-        face=(lambda s, f, g: _eq10_counts(s.p1, s.p2, f, g), {"reason": "constructed"}),
-        sweep=lambda s, f, g, tests, decided: _limit_sweep(
-            tests, s.apex, (s.p1, s.p2), _commuting(f, g), decided),
-        name=lambda cone, n: {"q1": str(cone[0]), "q2": str(cone[1])},
-    )
+    tests, decided = _objs(spec, "t"), {}
+    for f, g in _instances(spec, _COSPAN):
+        s = pullback(f, g)
+        # the sweep reads tables, which carry no feet
+        if s.p1.cod != f.dom or s.p2.cod != g.dom:
+            return {"f": str(f), "g": str(g), "face": "feet"}
+        yield 1
+        if not _eq10_counts(s.p1, s.p2, f, g):
+            return {"f": str(f), "g": str(g), "reason": "constructed"}
+        visits, _, cone, _ = _limit_sweep(tests, s.apex, (s.p1, s.p2), _commuting(f, g), decided)
+        yield visits
+        if cone is not None:
+            return {"f": str(f), "g": str(g), "q1": str(cone[0]), "q2": str(cone[1])}
 
 
 def _small_squares(spec: CheckSpec):
@@ -972,7 +930,7 @@ def _quotient_sweeps(spec: CheckSpec):
     """Each quotient is universal among the maps coequalizing its relation."""
     tests, decided = _objs(spec, "t"), {}
     for x in _objs(spec, "x"):
-        for rel in _equivalences(spec, x):
+        for rel in _equivalences(x):
             q = quotient(rel)
             visited, _, cone, n = _colimit_sweep(tests, q.cod, (q,), _merged(*rel.legs),
                                                  decided)

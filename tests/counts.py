@@ -17,7 +17,7 @@ from __future__ import annotations
 import sys
 from functools import cache
 from itertools import product
-from math import comb, factorial, prod
+from math import comb, factorial, perm, prod
 
 
 def c1(n: int) -> int:
@@ -271,8 +271,7 @@ def pi_competitors(n: int) -> int:
     composable pair y -g-> x -f-> i with carriers of size up to min(n, 2),
     one per map from each apex of size up to min(n, 3) into the product F,
     where |F| sums over i the product of g's fiber sizes over f's fiber.
-    Pi's own count has no closed form yet, so this is not an item of
-    ``COUNTS``."""
+    ``pi_universality`` adds it to Pi's count and the section counts."""
     sizes = range(min(n, 2) + 1)
     total = 0
     for y in sizes:
@@ -286,6 +285,31 @@ def pi_competitors(n: int) -> int:
     return total
 
 
+def composable_pairs(n: int) -> int:
+    """The pairs y -g-> x -f-> i over sizes up to n: x^y * i^x maps."""
+    sizes = range(n + 1)
+    return sum(x ** y * i ** x for y in sizes for x in sizes for i in sizes)
+
+
+def pi(n: int) -> int:
+    """Each composable pair y -g-> x -f-> i counts its six faces, then
+    |P| + |F|: over each point c of i, 1 + s times the sections of g over
+    f's fiber over c, of s points.  By symmetry every c counts alike: the
+    maps f with a given s-point fiber over c number (i - 1)^(x - s), and
+    summed over g the sections pick s distinct points of y, one over each
+    point of the fiber, with g free on the other y - s points."""
+    sizes = range(n + 1)
+    return 6 * composable_pairs(n) + sum(
+        i * comb(x, s) * (i - 1) ** (x - s) * (1 + s) * perm(y, s) * x ** (y - s)
+        for y in sizes for x in sizes for i in sizes for s in range(min(x, y) + 1))
+
+
+def pi_universality(n: int) -> int:
+    """Pi's count, then one section count per composable pair, then the
+    competitors."""
+    return pi(n) + composable_pairs(n) + pi_competitors(n)
+
+
 COUNTS = {
     "C1": c1, "C2": c2, "C3": c3, "D1": d1, "D2": d2, "D3": d3, "PA": pa, "Fct": fct,
     "Eff": eff, "pullback-elements": pullback_elements, "quotients": quotients,
@@ -296,7 +320,7 @@ COUNTS = {
     "element-equality": element_equality, "inclusion-orders": inclusion_orders,
     "function-graphs": function_graphs, "induction": induction,
     "exponentials": exponentials, "regularity": regularity,
-    "internal-logic": internal_logic,
+    "internal-logic": internal_logic, "Pi": pi, "pi-universality": pi_universality,
 }
 
 

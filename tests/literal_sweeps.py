@@ -8,6 +8,9 @@ the test object, and ignore the ``decided`` dict, so every call sweeps.
 Monkeypatched in, they are the differential oracle of the orbit-counted,
 keyed sweeps.  Each cone visited counts 1, so a FAIL's count may differ
 from the orbit sweep's, and its cone is the first failing one.
+
+``set_partitions`` is the literal enumerator of partitions, by where the
+first item goes, that checks ``axioms._equivalences`` from outside.
 """
 
 from __future__ import annotations
@@ -75,3 +78,17 @@ def cones(f, g, t):
     for q1 in all_maps(t, f.dom):
         for q2 in over.get(compose(f, q1).table, ()):
             yield q1, q2
+
+
+def set_partitions(items):
+    """All partitions of the items, as lists of blocks: those of the rest
+    with the first item joined to each block in turn, then alone."""
+    items = list(items)
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        for k in range(len(part)):
+            yield part[:k] + [[first] + part[k]] + part[k + 1:]
+        yield [[first]] + part

@@ -25,7 +25,6 @@ from cetcs.axioms import (
     check_axiom,
     check_pi_universal,
     check_theorem,
-    set_partitions,
 )
 from cetcs.cli import main
 from cetcs.finset import (
@@ -55,6 +54,7 @@ from cetcs.logic import (
 from cetcs.relcalc import relation_from_tuples
 
 from conftest import STANDARD_MODEL
+from literal_sweeps import set_partitions
 
 
 def announce(number: int, name: str, ok: bool, detail: str) -> None:

@@ -28,7 +28,6 @@ from cetcs.axioms import (
     check_axiom,
     check_pi_universal,
     check_theorem,
-    set_partitions,
 )
 from cetcs.finset import (
     FinMor,
@@ -61,6 +60,7 @@ from cetcs.relcalc import leq, relation_from_tuples, unique_choice
 from cetcs.report import FAIL, PASS, Report
 
 import literal_sweeps
+from literal_sweeps import set_partitions
 
 
 @pytest.mark.parametrize("item", sorted(AXIOMS))
@@ -98,6 +98,23 @@ def test_set_partitions_are_partitions():
         key = frozenset(frozenset(b) for b in part)
         assert key not in seen
         seen.add(key)
+
+
+def test_equivalences_count_bell_numbers():
+    for n, bell in enumerate((1, 1, 2, 5, 15, 52)):
+        assert sum(1 for _ in axioms._equivalences(carrier_of_size(n, "x"))) == bell
+
+
+def test_equivalences_are_distinct_equivalences():
+    for n in range(5):
+        x = carrier_of_size(n, "x")
+        seen = set()
+        for rel in axioms._equivalences(x):
+            rows = frozenset(rel.tuples)
+            assert rel.cods == (x, x) and rows not in seen
+            seen.add(rows)
+        assert seen == {frozenset((a, b) for block in part for a in block for b in block)
+                        for part in set_partitions(x.labels)}
 
 
 # ---------------------------------------------------------------------------
@@ -1097,7 +1114,7 @@ def composable_carriers(sizes=SIZES):
         yield (carrier_of_size(y, "y"), carrier_of_size(x, "x"), carrier_of_size(i, "i"))
 
 
-def test_burnside_counts_match_the_enumerator_at_bound_three():
+def test_burnside_orbit_counts_are_pinned():
     # the orbit counts that a generator of one instance per orbit must meet
     pairs = sum(burnside(sizes, axioms._PAIR) for sizes in itertools.product(SIZES, SIZES))
     cospans = sum(burnside(sizes, axioms._COSPAN)
@@ -1176,7 +1193,7 @@ def pullback_off_the_reps():
         drop_last_point(pullback(f, g)) if (f, g) == target else pullback(f, g))}
 
 
-def test_equivariance_rejects_an_equalizer_broken_off_the_reps(monkeypatch):
+def test_sweep_rejects_an_equalizer_broken_on_a_relabelled_pair(monkeypatch):
     target, patches = equalizer_off_the_reps()
     for name, value in patches.items():
         monkeypatch.setattr(axioms, name, value)
@@ -1216,7 +1233,7 @@ def test_equivariance_rejects_a_coequalizer_broken_off_the_reps(monkeypatch, bre
                            "mediators": mediators}
 
 
-def test_equivariance_rejects_a_pullback_broken_off_the_reps(monkeypatch):
+def test_sweep_rejects_a_pullback_broken_on_a_relabelled_cospan(monkeypatch):
     target, patches = pullback_off_the_reps()
     for name, value in patches.items():
         monkeypatch.setattr(axioms, name, value)
@@ -1521,6 +1538,18 @@ def test_instances_follow_the_nested_loops(spec, shape, loops):
     assert list(axioms._instances(spec, shape)) == list(loops(spec))
 
 
+@pytest.mark.parametrize("sizes", [(3, 2), (0, 2), (3, 0), (0, 0)])
+def test_sampled_maps_are_the_drawn_indices_of_all_maps(sizes):
+    # a draw of at least the whole hom-set gives every map once
+    a, b = carrier_of_size(sizes[0], "a"), carrier_of_size(sizes[1], "b")
+    every = list(all_maps(a, b))
+    for sample in (3, 8):
+        spec = CheckSpec(item="G", bound=5, sample=sample, seed=4)
+        drawn = axioms._draw(spec, (a.labels, b.labels), len(every))
+        assert axioms._maps(spec, a, b) == [every[d] for d in drawn]
+    assert sorted(axioms._maps(spec, a, b), key=lambda m: m.table) == every
+
+
 def test_instances_free_each_first_leg_once_past_it():
     # pi_diagram keeps its blocks on g, so a listed first leg would hold
     # every g's blocks for a whole carrier tuple.  Over y1 -> x2 -> i1
@@ -1536,11 +1565,11 @@ def test_instances_free_each_first_leg_once_past_it():
 
 
 def test_sampled_counts_at_bound_five_are_pinned():
-    want = {"onto-pullback": 508, "regularity": 282, "function-graphs": 85,
+    want = {"onto-pullback": 525, "regularity": 266, "function-graphs": 85,
             "inclusion-orders": 16, "dependent-choice": 34,
-            "C1": 6, "D1": 6, "G": 70, "PA": 26, "I": 1, "Fct": 70, "Eff": 1594,
-            "element-equality": 256, "induction": 555, "image-factorization": 4352,
-            "covers-onto": 70, "classifier": 63, "choice": 84, "internal-logic": 48}
+            "C1": 6, "D1": 6, "G": 70, "PA": 24, "I": 1, "Fct": 70, "Eff": 1594,
+            "element-equality": 256, "induction": 555, "image-factorization": 4246,
+            "covers-onto": 70, "classifier": 63, "choice": 82, "internal-logic": 48}
     got = {item: (check_axiom if item in AXIOMS else check_theorem)(
                CheckSpec(item=item, bound=5, sample=3, seed=2))
            for item in want}
@@ -1602,12 +1631,14 @@ def test_sampled_mode_still_checks_pointwise_items():
 
 
 @pytest.mark.parametrize("item", ["function-graphs", "dependent-choice",
-                                  "inclusion-orders"])
+                                  "inclusion-orders", "onto-pullback", "regularity"])
 def test_sampled_relation_items_have_bounded_cost(item):
-    # Exhaustively the first two enumerate every relation on each carrier
-    # (pair), 2^25 masks at bound 5, and inclusion-orders every pair of
-    # monos into a carrier, 1957^2 at bound 6; sampled, each draws a few.
-    bound = "6" if item == "inclusion-orders" else "5"
+    # Exhaustively function-graphs and dependent-choice enumerate every
+    # relation on each carrier (pair), 2^25 masks at bound 5,
+    # inclusion-orders every pair of monos into a carrier, 1957^2 at bound
+    # 6, and the cospan items every map of each hom-set, 8^8 at bound 8;
+    # sampled, each draws a few.
+    bound = {"inclusion-orders": "6", "onto-pullback": "8", "regularity": "8"}.get(item, "5")
     argv = ["check", "--bound", bound, "--sample", "5", "--theorem", item]
     script = f"import sys; from cetcs.cli import main; sys.exit(main({argv!r}))"
     src = str(Path(cetcs.__file__).resolve().parents[1])

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from cetcs.axioms import AXIOMS, CheckSpec, check_axiom, check_theorem
-from counts import COUNTS, main, pi_competitors
+from counts import COUNTS, composable_pairs, main, pi_competitors
 
 
 # bound 1 matters for NT, whose two sum diagrams need a carrier of size 2
@@ -29,6 +29,7 @@ def test_the_formulas_give_the_pinned_and_predicted_counts():
         "G": 499, "I": 1, "NT": 3, "element-equality": 78_132,
         "inclusion-orders": 4_511, "function-graphs": 74_963, "induction": 1_626,
         "exponentials": 524, "regularity": 13_973, "internal-logic": 48,
+        "Pi": 1_588_518, "pi-universality": 1_722_726,
     }
     # image-factorization's, element-equality's and regularity's bound-5
     # values are also the counts of bound-5 runs
@@ -42,15 +43,10 @@ def test_the_formulas_give_the_pinned_and_predicted_counts():
         "element-equality": 11_364_514, "inclusion-orders": 110_787,
         "function-graphs": 35_794_197, "induction": 17_251, "exponentials": 5_741,
         "regularity": 902_280, "internal-logic": 48,
+        "Pi": 258_630_283, "pi-universality": 277_336_538,
     }
     # the C2 runs at bounds 1-3, as an independent spot check of the formula
     assert [COUNTS["C2"](n) for n in (1, 2, 3)] == [5, 43, 1_544]
-
-
-def composable_pairs(n: int) -> int:
-    """The pairs y -g-> x -f-> i over sizes up to n: x^y * i^x maps."""
-    return sum(x ** y * i ** x for y in range(n + 1) for x in range(n + 1)
-               for i in range(n + 1))
 
 
 @pytest.mark.parametrize("bound", [1, 2, 3])
@@ -87,6 +83,7 @@ def test_the_script_prints_check_lines_and_rejects_a_bad_bound(capsys):
         "PASS inclusion-orders instances=30", "PASS function-graphs instances=31",
         "PASS induction instances=521", "PASS exponentials instances=20",
         "PASS regularity instances=23", "PASS internal-logic instances=48",
+        "PASS Pi instances=381", "PASS pi-universality instances=635",
     ]
     for argv in ([], ["0"], ["four"], ["4", "5"]):
         assert main(argv) == 2
