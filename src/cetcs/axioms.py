@@ -555,15 +555,18 @@ def _section_count(g: FinMor, f: FinMor) -> int:
 def _ax_universal(spec: CheckSpec, feet: str, build: Callable, limit: bool):
     """The item body of C1 and C2 (limits) and D1 and D2 (colimits): on each
     tuple of carriers from the pools ``feet`` names, ``build`` gives an apex
-    and a leg with each carrier as its foot, and every cone of one map per
-    foot from (into) each test object, one empty cone when there are no feet,
-    has exactly one mediator.  Each tuple yields its visits before any witness."""
+    and one leg between it and each carrier (else face ``feet``), and every
+    cone of one map per foot from (into) each test object, one empty cone
+    when there are no feet, has exactly one mediator.  Each tuple yields its
+    visits before any witness."""
     tests, decided = _objs(spec, "t"), {}
     sweep = _limit_sweep if limit else _colimit_sweep
     for objs in _carriers(spec, feet):
         apex, legs = build(*objs)
         where = dict(zip(feet.upper(), map(str, objs)))
-        if [leg.cod if limit else leg.dom for leg in legs] != list(objs):
+        # each leg's (apex end, foot end); list equality tries identity first
+        ends = [(leg.dom, leg.cod) if limit else (leg.cod, leg.dom) for leg in legs]
+        if ends != [(apex, x) for x in objs]:
             return {**where, "face": "feet"}
         # a limit cone may land on any point of the feet's product, and a
         # colimit cone need merge no two points
@@ -731,6 +734,8 @@ def _ax_nontrivial(spec: CheckSpec):
 def _ax_factorization(spec: CheckSpec):
     for f in _morphism_pool(spec):
         e, i = image_factorization(f)
+        if e.cod is not i.dom and e.cod != i.dom:
+            return {"f": str(f), "face": "feet"}
         yield 1
         if compose(i, e) != f:
             return {"f": str(f), "reason": "does not compose to f"}
@@ -893,7 +898,7 @@ def _pullback_sweeps(spec: CheckSpec):
     for f, g in _instances(spec, _COSPAN):
         s = pullback(f, g)
         # the sweep reads tables, which carry no feet
-        if s.p1.cod != f.dom or s.p2.cod != g.dom:
+        if (s.p1.dom, s.p2.dom, s.p1.cod, s.p2.cod) != (s.apex, s.apex, f.dom, g.dom):
             return {"f": str(f), "g": str(g), "face": "feet"}
         yield 1
         if not _eq10_counts(s.p1, s.p2, f, g):

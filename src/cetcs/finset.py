@@ -43,13 +43,17 @@ class FinObj:
 
     labels: tuple[str, ...]
 
-    def __post_init__(self):
-        index = dict(zip(self.labels, range(len(self.labels))))
-        if len(index) != len(self.labels):
-            raise ShapeError(f"duplicate labels in carrier {self.labels!r}")
-        if not all(self.labels):
+    def __init__(self, labels: tuple[str, ...]):
+        # fields go straight into __dict__, here as in FinMor and PiDiagram:
+        # a frozen dataclass's generated __init__ sets each by object.__setattr__
+        index = dict(zip(labels, range(len(labels))))
+        if len(index) != len(labels):
+            raise ShapeError(f"duplicate labels in carrier {labels!r}")
+        if not all(labels):
             raise ShapeError("empty string is not a valid label")
-        object.__setattr__(self, "index", index)
+        fields = self.__dict__
+        fields["labels"] = labels
+        fields["index"] = index
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -65,14 +69,24 @@ class FinObj:
 class FinMor:
     """A total mapping table; ``table[i]`` is the image of ``dom.labels[i]``.
 
-    ``pi_diagram`` keeps the fibers and diagram blocks it builds for g on g
-    itself, as ``_sections``.  They are read off the table, so equality and
-    hashing, which look only at the fields, ignore them.
+    ``pi_diagram(g, f)`` keeps what it reads off each leg on the leg itself:
+    on g the fibers and diagram blocks, as ``_sections``, and on f its
+    ``(i, xs)`` keys, a point of I with its f-fiber for each point of I in
+    order, as ``_fiber_keys``.  Both are read off the table, so equality and
+    hashing, which look only at the fields, ignore them.  ``__post_init__``
+    validates, and every constructor but ``_trusted`` runs it.
     """
 
     dom: FinObj
     cod: FinObj
     table: tuple[str, ...]
+
+    def __init__(self, dom: FinObj, cod: FinObj, table: tuple[str, ...]):
+        fields = self.__dict__
+        fields["dom"] = dom
+        fields["cod"] = cod
+        fields["table"] = table
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.table) != len(self.dom.labels):
@@ -377,6 +391,16 @@ class PiDiagram:
     phi: FinMor
     ev: FinMor
 
+    def __init__(self, P: FinObj, F: FinObj, pi1: FinMor, pi2: FinMor, phi: FinMor,
+                 ev: FinMor):
+        fields = self.__dict__
+        fields["P"] = P
+        fields["F"] = F
+        fields["pi1"] = pi1
+        fields["pi2"] = pi2
+        fields["phi"] = phi
+        fields["ev"] = ev
+
 
 def _require_composable(g: FinMor, f: FinMor) -> None:
     if g.cod is not f.dom and g.cod != f.dom:
@@ -429,27 +453,31 @@ def pi_diagram(g: FinMor, f: FinMor) -> PiDiagram:
     part: its F labels ``(i|x↦y,...)``, phi entries, P labels ``(v,x)`` and
     pi1, pi2 and ev chunks.  A block depends on g, i and xs only, so g keeps
     them, as a carrier keeps its index: on first use it stores its fibers,
-    then one block per ``(i, xs)`` it has met.  A later call with the same
-    g and any f, into any I, concatenates the blocks for each i of I, so a
-    sweep of every f for one g formats each label once.  Besides indexing f
-    by value, O(|X|), and on first use g, O(|Y|), a call copies O(|F| + |P|)
-    labels and table entries and builds F, P and every leg through the
-    validating constructors.  A caller that needs only phi calls
-    ``pi_object``, which writes none of P.
+    then one block per ``(i, xs)`` it has met.  f keeps its keys, the pair
+    ``(i, xs)`` for each i of I in order.  A later call with the same g and
+    any f, into any I, concatenates the blocks of f's keys, so a sweep of
+    every f for one g formats each label once.  Only on first use is f
+    indexed by value, O(|X| + |I|), and g, O(|Y|); a call copies
+    O(|I| + |F| + |P|) keys, labels and table entries and builds F, P and
+    every leg through the validating constructors.  A caller that needs
+    only phi calls ``pi_object``, which writes none of P.
     """
     _require_composable(g, f)
     kept = g.__dict__.get("_sections")
     if kept is None:
         kept = g.__dict__["_sections"] = _fibers(g), {}
     fiber_g, blocks = kept
-    fiber_f = _fibers(f)
+    keys = f.__dict__.get("_fiber_keys")
+    if keys is None:
+        fiber_f = _fibers(f)
+        keys = f.__dict__["_fiber_keys"] = tuple(
+            [(i, tuple(fiber_f.get(i, ()))) for i in f.cod.labels])
 
     f_labels, phi_table, p_labels, pi1_table, pi2_table, ev_table = [], [], [], [], [], []
-    for i in f.cod.labels:
-        xs = tuple(fiber_f.get(i, ()))
-        block = blocks.get((i, xs))
+    for key in keys:
+        block = blocks.get(key)
         if block is None:
-            block = blocks[i, xs] = _pi_block(fiber_g, i, xs)
+            block = blocks[key] = _pi_block(fiber_g, *key)
         f_chunk, phi_chunk, p_chunk, pi1_chunk, pi2_chunk, ev_chunk = block
         f_labels += f_chunk
         phi_table += phi_chunk

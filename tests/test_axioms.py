@@ -29,6 +29,7 @@ from cetcs.axioms import (
     check_pi_universal,
     check_theorem,
 )
+from cetcs.errors import CompositionError
 from cetcs.finset import (
     FinMor,
     FinObj,
@@ -1064,9 +1065,77 @@ def test_quotients_reject_a_projection_from_the_wrong_object(monkeypatch):
     assert rep.witness["face"] == "feet"
 
 
+# A leg re-homed on a relabelled copy of its carrier, at the apex end or
+# between the parts of a factorization, keeps a valid table: the item checks
+# the feet before it composes or sweeps, so the command reports a FAIL with
+# the face, and no error.
+
+
+def rehomed(m, apex_end):
+    """m with its apex end moved onto a primed copy: its domain, else its
+    codomain and table."""
+    if apex_end == "dom":
+        return FinMor(primed(m.dom), m.cod, m.table)
+    return FinMor(m.dom, primed(m.cod), tuple(f"{v}'" for v in m.table))
+
+
+def rehome_product(a, b):
+    d = product(a, b)
+    p, q = d.projections
+    return ProductDiagram(d.apex, (rehomed(p, "dom"), q))
+
+
+def rehome_coproduct(a, b):
+    d = coproduct(a, b)
+    inl, inr = d.injections
+    return SumDiagram(d.apex, (inl, rehomed(inr, "cod")))
+
+
+def rehome_pullback(f, g):
+    s = pullback(f, g)
+    return PullbackSquare(s.apex, s.p1, rehomed(s.p2, "dom"))
+
+
+def rehome_image(f):
+    e, i = image_factorization(f)
+    return rehomed(e, "cod"), i
+
+
+@pytest.mark.parametrize("name, mutant, args, out", [
+    ("product", rehome_product, ["--axiom", "C2"],
+     'FAIL C2 instances=4 witness={"A":"{a0}","B":"{b0}","face":"feet"}\n'),
+    ("coproduct", rehome_coproduct, ["--axiom", "D2"],
+     'FAIL D2 instances=3 witness={"A":"{}","B":"{b0}","face":"feet"}\n'),
+    ("pullback", rehome_pullback, ["--theorem", "pullback-elements"],
+     'FAIL pullback-elements instances=10 witness={"f":"{a0} -> {c0} [a0 |-> c0]",'
+     '"face":"feet","g":"{b0} -> {c0} [b0 |-> c0]"}\n'),
+    ("image_factorization", rehome_image,
+     ["--axiom", "Fct", "--theorem", "image-factorization", "--theorem", "pretopos"],
+     "".join(f'FAIL {item} instances={n} witness={{"f":"{{a0}} -> {{b0}} [a0 |-> b0]",'
+             '"face":"feet"}\n'
+             for item, n in (("Fct", 3), ("image-factorization", 3), ("pretopos", 10)))),
+], ids=["C2", "D2", "pullback-elements", "Fct"])
+def test_a_rehomed_leg_fails_on_its_feet_and_exits_1(monkeypatch, capsys, name, mutant,
+                                                      args, out):
+    monkeypatch.setattr(axioms, name, mutant)
+    assert cli.main(["check", "--bound", "2", *args]) == 1
+    assert capsys.readouterr() == (out, "")
+
+
+def test_the_sweeps_refuse_a_leg_off_the_apex():
+    # every item compares the legs with the apex first, so only a direct
+    # call reaches this refusal
+    x = carrier_of_size(1, "x")
+    leg = identity(x)
+    with pytest.raises(CompositionError):
+        axioms._limit_sweep([], primed(x), (leg,), [("x0",)], {})
+    with pytest.raises(CompositionError):
+        axioms._colimit_sweep([], primed(x), (leg,), (), {})
+
+
 # ---------------------------------------------------------------------------
 # relabelling orbits: their number by Burnside's lemma, and constructions
-# broken off the first instance of an orbit
+# broken on one instance that relabels an earlier one
 
 
 def cycle_types(n):
@@ -1130,7 +1199,7 @@ def test_burnside_orbit_counts_are_pinned():
     assert composables == 100
 
 
-def first_non_rep(objs, shape, keep=lambda legs: True):
+def first_relabelled_instance(objs, shape, keep=lambda legs: True):
     """The first instance over the carriers, in enumeration order, that a
     tuple of label permutations (one per carrier) maps onto an earlier one,
     or None.  Permutations p and q of a leg's carriers move its graph
@@ -1151,18 +1220,19 @@ def first_non_rep(objs, shape, keep=lambda legs: True):
     return None
 
 
-# Each construction below is broken on one instance only, the first that is
-# not the first of its orbit; the sweep of that instance, keyed by what it
+# Each construction below is broken on one instance only, the first that
+# relabels an earlier instance; the sweep of that instance, keyed by what it
 # reads, fails there and names a cone of its own.
 
 
-OFF_REP_PAIR = (carrier_of_size(1, "a"), carrier_of_size(2, "b"))
+RELABELLED_PAIR = (carrier_of_size(1, "a"), carrier_of_size(2, "b"))
 
 
-def equalizer_off_the_reps():
-    """The first off-rep pair with a point in its equalizer, and the patch
+def equalizer_broken_on_a_relabelled_pair():
+    """The first relabelled pair with a point in its equalizer, and the patch
     that omits that point there."""
-    target = first_non_rep(OFF_REP_PAIR, axioms._PAIR, lambda legs: len(equalizer(*legs).dom) > 0)
+    target = first_relabelled_instance(RELABELLED_PAIR, axioms._PAIR,
+                                       lambda legs: len(equalizer(*legs).dom) > 0)
 
     def omit_last_once(f, g):
         e = equalizer(f, g)
@@ -1171,10 +1241,11 @@ def equalizer_off_the_reps():
     return target, {"equalizer": omit_last_once}
 
 
-def coequalizer_off_the_reps(breaker):
-    """The first off-rep pair with two classes, and the patch that breaks
+def coequalizer_broken_on_a_relabelled_pair(breaker):
+    """The first relabelled pair with two classes, and the patch that breaks
     its coequalizer there."""
-    target = first_non_rep(OFF_REP_PAIR, axioms._PAIR, lambda legs: len(coequalizer(*legs).cod) > 1)
+    target = first_relabelled_instance(RELABELLED_PAIR, axioms._PAIR,
+                                       lambda legs: len(coequalizer(*legs).cod) > 1)
 
     def break_once(f, g):
         q = coequalizer(f, g)
@@ -1183,18 +1254,19 @@ def coequalizer_off_the_reps(breaker):
     return target, {"coequalizer": break_once}
 
 
-def pullback_off_the_reps():
-    """The first off-rep cospan over (2, 1, 1) with a point in its pullback,
+def pullback_broken_on_a_relabelled_cospan():
+    """The first relabelled cospan over (2, 1, 1) with a point in its pullback,
     and the patch that drops that point there.  The point-count face would
     see it first, so the patch defeats it, as in the sweep mutations above."""
     objs = (carrier_of_size(2, "c"), carrier_of_size(1, "a"), carrier_of_size(1, "b"))
-    target = first_non_rep(objs, axioms._COSPAN, lambda legs: len(pullback(*legs).apex) > 0)
+    target = first_relabelled_instance(objs, axioms._COSPAN,
+                                       lambda legs: len(pullback(*legs).apex) > 0)
     return target, {"_eq10_counts": lambda *legs: True, "pullback": lambda f, g: (
         drop_last_point(pullback(f, g)) if (f, g) == target else pullback(f, g))}
 
 
 def test_sweep_rejects_an_equalizer_broken_on_a_relabelled_pair(monkeypatch):
-    target, patches = equalizer_off_the_reps()
+    target, patches = equalizer_broken_on_a_relabelled_pair()
     for name, value in patches.items():
         monkeypatch.setattr(axioms, name, value)
     rep = check_axiom(CheckSpec(item="C3", bound=2))
@@ -1222,9 +1294,9 @@ def with_stray_class(q):
     (merged_keeping_size, 36, "{b0, b1} -> {t0, t1} [b0 |-> t0, b1 |-> t0]", 2),
     (with_stray_class, 36, "{b0, b1} -> {t0, t1} [b0 |-> t0, b1 |-> t0]", 2),
 ], ids=["collapsed", "merged_keeping_size", "with_stray_class"])
-def test_equivariance_rejects_a_coequalizer_broken_off_the_reps(monkeypatch, breaker, checked,
-                                                               h, mediators):
-    target, patches = coequalizer_off_the_reps(breaker)
+def test_sweep_rejects_a_coequalizer_broken_on_a_relabelled_pair(monkeypatch, breaker,
+                                                                  checked, h, mediators):
+    target, patches = coequalizer_broken_on_a_relabelled_pair(breaker)
     for name, value in patches.items():
         monkeypatch.setattr(axioms, name, value)
     rep = check_axiom(CheckSpec(item="D3", bound=2))
@@ -1234,7 +1306,7 @@ def test_equivariance_rejects_a_coequalizer_broken_off_the_reps(monkeypatch, bre
 
 
 def test_sweep_rejects_a_pullback_broken_on_a_relabelled_cospan(monkeypatch):
-    target, patches = pullback_off_the_reps()
+    target, patches = pullback_broken_on_a_relabelled_cospan()
     for name, value in patches.items():
         monkeypatch.setattr(axioms, name, value)
     rep = check_theorem(CheckSpec(item="pullback-elements", bound=2))
@@ -1246,9 +1318,9 @@ def test_sweep_rejects_a_pullback_broken_on_a_relabelled_cospan(monkeypatch):
 @pytest.mark.parametrize("item", ["Pi", "pi-universality"])
 def test_pi_rejects_a_dependent_product_broken_off_the_reps(monkeypatch, item):
     # Pi checks every pair by check_pi_universal.  A construction wrong on
-    # the first pair that is no orbit's rep, here by a second point over the
-    # empty section of F, must fail there and be named by that pair.
-    g0, f0 = next(filter(None, (first_non_rep(objs, axioms._COMPOSABLE)
+    # the first pair that relabels an earlier one, here by a second point
+    # over the empty section of F, must fail there and be named by that pair.
+    g0, f0 = next(filter(None, (first_relabelled_instance(objs, axioms._COMPOSABLE)
                                 for objs in composable_carriers(range(3)))))
     plain = axioms.pi_diagram
 
@@ -1401,17 +1473,17 @@ SWEPT_INSTANCE = {
     "pullback-elements": ("f", "g"), "quotients": ("X",),
 }
 # the mutants of the shared faces, of the broken-apex pullbacks, of the
-# quotient with an unreachable class, and of the constructions broken off the
-# reps, each at the bound its own test runs
+# quotient with an unreachable class, and of the constructions broken on a
+# relabelled instance, each at the bound its own test runs
 SWEPT_MUTANTS = [(item, patches, 3) for item, patches, _ in SHARED_FACES.values()] + [
     ("pullback-elements", {"_eq10_counts": lambda *legs: True,
                            "pullback": lambda f, g, mutate=mutate: mutate(pullback(f, g))}, 2)
     for mutate in (drop_last_point, duplicate_first_point)
 ] + [("quotients", {"quotient": lambda rel: with_stray_class(quotient(rel))}, 2)] + [
-    ("C3", equalizer_off_the_reps()[1], 2),
-    *[("D3", coequalizer_off_the_reps(breaker)[1], 2)
+    ("C3", equalizer_broken_on_a_relabelled_pair()[1], 2),
+    *[("D3", coequalizer_broken_on_a_relabelled_pair(breaker)[1], 2)
       for breaker in (collapsed, merged_keeping_size, with_stray_class)],
-    ("pullback-elements", pullback_off_the_reps()[1], 2),
+    ("pullback-elements", pullback_broken_on_a_relabelled_cospan()[1], 2),
 ]
 
 

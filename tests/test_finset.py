@@ -7,6 +7,7 @@ maps, independently of the bucket-based checkers in the axioms module.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import os
 import pickle
@@ -86,24 +87,51 @@ def small_objects(max_size=3, prefix="u"):
 # carriers and tables
 
 
+def three_ways(proto, **fields):
+    """Builders of proto's class from all its fields: by position, by keyword
+    and through ``dataclasses.replace`` of proto."""
+    cls = type(proto)
+    yield lambda: cls(*fields.values())
+    yield lambda: cls(**fields)
+    yield lambda: dataclasses.replace(proto, **fields)
+
+
 def test_carrier_rejects_duplicate_labels():
-    with pytest.raises(ShapeError):
-        FinObj(("a", "a"))
+    for build in three_ways(A, labels=("a", "a")):
+        with pytest.raises(ShapeError):
+            build()
 
 
 def test_carrier_rejects_empty_label():
-    with pytest.raises(ShapeError):
-        FinObj(("a", ""))
+    for build in three_ways(A, labels=("a", "")):
+        with pytest.raises(ShapeError):
+            build()
 
 
 def test_table_length_must_match_domain():
-    with pytest.raises(ShapeError):
-        FinMor(A, B, ("u",))
+    for build in three_ways(FinMor(A, B, ("u", "v")), dom=A, cod=B, table=("u",)):
+        with pytest.raises(ShapeError):
+            build()
 
 
 def test_table_entries_must_lie_in_codomain():
-    with pytest.raises(ShapeError):
-        FinMor(A, B, ("u", "z"))
+    for build in three_ways(FinMor(A, B, ("u", "v")), dom=A, cod=B, table=("u", "z")):
+        with pytest.raises(ShapeError):
+            build()
+
+
+def test_constructors_agree_by_position_keyword_and_replace():
+    d = pi_diagram(FinMor(B, A, ("a", "a", "b")), unique_to_terminal(A))
+    for proto in (A, FinMor(A, B, ("u", "w")), d.P, d.ev, d):
+        fields = {f.name: getattr(proto, f.name) for f in dataclasses.fields(proto)}
+        for build in three_ways(proto, **fields):
+            built = build()
+            # the same fields, and for a carrier the same index
+            assert built is not proto and vars(built) == vars(proto)
+            assert built == proto and hash(built) == hash(proto)
+            assert repr(built) == repr(proto)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(built, next(iter(fields)), None)
 
 
 def test_application_and_mapping():
@@ -396,6 +424,41 @@ def test_pi_object_is_the_phi_of_pi_diagram():
                 assert phi.cod == expected.cod == i
                 pairs += 1
     assert pairs == 1678
+
+
+def test_pi_diagram_with_shared_morphisms_equals_a_cold_build():
+    # the f of each pair is reused across every g, as Pi's instances reuse
+    # it, so from the second g on it brings the fiber keys it keeps; the
+    # reference builds from fresh copies that keep nothing yet
+    pairs = 0
+    for y, x, i in itertools.product(*(small_objects(3, p) for p in "yxi")):
+        fs, gs = list(all_maps(x, i)), list(all_maps(y, x))
+        for g in gs:
+            for f in fs:
+                d = pi_diagram(g, f)
+                cold = pi_diagram(FinMor(g.dom, g.cod, g.table), FinMor(f.dom, f.cod, f.table))
+                assert d.P.labels == cold.P.labels and d.F.labels == cold.F.labels
+                for leg, ref in zip((d.pi1, d.pi2, d.phi, d.ev),
+                                    (cold.pi1, cold.pi2, cold.phi, cold.ev)):
+                    assert (leg.dom.labels, leg.cod.labels, leg.table) == (
+                        ref.dom.labels, ref.cod.labels, ref.table)
+                pairs += 1
+        assert not gs or all("_fiber_keys" in f.__dict__ for f in fs)
+    assert pairs == 1678
+
+
+def test_kept_indexes_leave_equality_hashing_and_pickling_alone():
+    x, y, i = carrier_of_size(2, "x"), carrier_of_size(3, "y"), carrier_of_size(2, "i")
+    g = FinMor(y, x, ("x0", "x0", "x1"))
+    f = FinMor(x, i, ("i1", "i1"))
+    d = pi_diagram(g, f)
+    assert "_sections" in g.__dict__ and "_fiber_keys" in f.__dict__
+    for m in (g, f):
+        fresh = FinMor(m.dom, m.cod, m.table)
+        back = pickle.loads(pickle.dumps(m))
+        for kept in (m, back):
+            assert kept == fresh and hash(kept) == hash(fresh) and kept in {fresh}
+    assert pi_diagram(pickle.loads(pickle.dumps(g)), pickle.loads(pickle.dumps(f))) == d
 
 
 def test_pi_empty_fiber_kills_sections():
