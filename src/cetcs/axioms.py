@@ -1130,13 +1130,6 @@ def _thm_choice(spec: CheckSpec):
             return {"f": str(f), "statement": "f∘g∘f = f"}
 
 
-def _competitor_key(phi_row: tuple[str, ...], ev_row: tuple) -> tuple:
-    """The key under which pi-universality counts a competitor (phi2, ev2),
-    both as a cone and as the competitor a map into the product induces:
-    the tables of its two faces."""
-    return phi_row, ev_row
-
-
 def _pi_sections(spec: CheckSpec):
     """After Pi: the product the internal logic reads has the oracle's size."""
     for g, f in _instances(spec, _COMPOSABLE):
@@ -1149,6 +1142,8 @@ def _pi_competitors(spec: CheckSpec):
     # A competitor (phi2, ev2) over W chooses a point of g's fiber over x for
     # each point (w, x) of the pullback of phi2 along f, in ``pullback``'s
     # order; a map into F whose (h(w), x) the product's P lacks reads None.
+    # A competitor is counted, both as a cone and as the one a map into F
+    # induces, under the tables of its two faces: (phi2, ev2).
     apexes = [carrier_of_size(n, "w") for n in range(min(spec.bound, 3) + 1)]
     small = CheckSpec(item=spec.item, bound=min(spec.bound, 2))
     for g, f in _instances(small, _COMPOSABLE):
@@ -1159,14 +1154,14 @@ def _pi_competitors(spec: CheckSpec):
 
         def induced(h: FinMor) -> tuple:
             over = tuple([phi[v] for v in h.table])
-            return _competitor_key(over, tuple(
-                [at.get((v, x)) for v, i in zip(h.table, over) for x in fiber_f[i]]))
+            return over, tuple(
+                [at.get((v, x)) for v, i in zip(h.table, over) for x in fiber_f[i]])
 
         def competitors(w: FinObj) -> Iterator[tuple[FinMor, tuple, int]]:
             for phi2 in all_maps(w, f.cod):
                 for ev2 in itertools.product(
                         *[fiber_g[x] for i in phi2.table for x in fiber_f[i]]):
-                    yield phi2, _competitor_key(phi2.table, ev2), 1
+                    yield phi2, (phi2.table, ev2), 1
 
         visited, _, phi2, n = _sweep(
             apexes, lambda w: Counter(map(induced, all_maps(w, d.F))), competitors)

@@ -25,21 +25,27 @@ extends as far right as possible.
 touching none of the constructions above, and ``verify`` sweeps every
 context tuple comparing the two routes.
 
+``compile_formula`` type-checks as it compiles, in one walk: each node is
+checked just before it is built, children left to right, so it raises the
+same first error as ``check_formula``, which walks the formula in the same
+order without building anything.  Once a formula is built,
+``compile_formula`` passes it to ``check_formula``, which finds its root
+in the compile memo and only records it as checked.
+
 An ``Env`` holds read-only snapshots of its carriers, relations and maps,
 and keeps two bounded memos.  The first maps (context, node) to the node's
 mono, so a subtree repeated within a formula, or shared with one compiled
-just before, is built once; the type checker skips a subtree found there,
-since it was checked in that same context before it was compiled.  The
-second keeps everything built from inputs, under a key tagged with its
-kind: each connective's mono by its input monos, so different formulas
-whose children reduce to the same subobjects share one construction; the
-relation ``compile_formula`` returns, by the context's carriers and the
-formula's mono; each relation's mono, by name; each quantifier's
-projection, by the extended context's carriers; and each product of
-carriers.  The env also remembers the last formula it type-checked, so
-the oracle's per-row check costs nothing; the oracle itself still
-evaluates every row without any memo.  The trace is read off the syntax
-tree, on demand.
+just before, is built once; both walks skip a subtree found there, since
+it was checked in that same context when it was built.  The second keeps
+everything built from inputs, under a key tagged with its kind: each
+connective's mono by its input monos, so different formulas whose children
+reduce to the same subobjects share one construction; the relation
+``compile_formula`` returns, by the context's carriers and the formula's
+mono; each relation's mono, by name; each quantifier's projection, by the
+extended context's carriers; and each product of carriers.  The env also
+remembers the last formula it type-checked, so the oracle's per-row check
+costs nothing; the oracle itself still evaluates every row without any
+memo.  The trace is read off the syntax tree, on demand.
 """
 
 from __future__ import annotations
@@ -221,7 +227,8 @@ def render(phi: Formula) -> str:
 class Context:
     """Ordered typed variables; names must be distinct.
 
-    ``names``, ``objects`` and the generated hash are computed once, at
+    ``names``, ``objects``, ``labels`` (each carrier's labels, which spell
+    it in the Env's memo keys) and the generated hash are computed once, at
     construction: every memo lookup hashes its context.
     """
 
@@ -233,7 +240,8 @@ class Context:
             raise ShapeError(f"duplicate context variable in {list(names)}")
         kept = self.__dict__
         kept["names"] = names
-        kept["objects"] = tuple(o for _, o in self.vars)
+        kept["objects"] = objects = tuple(o for _, o in self.vars)
+        kept["labels"] = tuple([o.labels for o in objects])
         kept["_hash"] = hash((self.vars,))
 
     def __hash__(self) -> int:
@@ -311,9 +319,11 @@ class _Memo:
     to the relation a mono compiles to, ``("relation", name)`` to the
     relation's mono into the product of its carriers, ``("drop", carriers)``
     to the projection of an extended context onto the context less its last
-    variable, and ``("product", carriers)`` to their product; ``checked`` is
-    the last (context, formula) that ``check_formula`` accepted, matched by
-    identity: the generated equality of two long formulas walks them both.
+    variable, and ``("product", carriers)`` to their product.  Every key
+    spells a carrier by its labels, which is what FinObj equality compares.
+    ``checked`` is the last (context, formula) that ``check_formula``
+    accepted, matched by identity: the generated equality of two long
+    formulas walks them both.
     """
 
     __slots__ = ("compiled", "built", "checked")
@@ -323,8 +333,10 @@ class _Memo:
         self.built = _LRU(_BUILT_SIZE)
         self.checked: tuple[Context | None, Formula | None] = None, None
 
-    def product(self, objs: tuple[FinObj, ...]) -> ProductDiagram:
-        return self.built.kept(("product", objs), product_n, objs)
+    def product(self, objs: tuple[FinObj, ...],
+                labels: tuple[tuple[str, ...], ...]) -> ProductDiagram:
+        """The product of ``objs``, whose labels are ``labels``."""
+        return self.built.kept(("product", labels), product_n, objs)
 
 
 @dataclass(frozen=True)
@@ -560,7 +572,8 @@ def check_formula(ctx: Context, phi: Formula, env: Env) -> None:
 
     The env remembers the last formula it accepted, so the check that
     ``oracle`` repeats on every row of one ``verify``, with the same
-    objects, returns at once.
+    objects, returns at once.  ``compile_formula`` passes each formula it
+    has built, so the first of those checks is free too.
     """
     memo = env._memo
     last_ctx, last_phi = memo.checked
@@ -571,13 +584,26 @@ def check_formula(ctx: Context, phi: Formula, env: Env) -> None:
 
 
 def _check(ctx: Context, phi: Formula, env: Env) -> None:
-    if isinstance(phi, (Top, Bot)):
-        return
     # A node in the compile memo was checked in this very context, since
-    # compile_formula checks a whole formula before compiling any node of
-    # it.  A membership test leaves the LRU order alone.
+    # compile_formula checks each node just before it builds it, and builds
+    # a node only once its children are built.  A membership test leaves
+    # the LRU order alone.
     if (ctx, phi) in env._memo.compiled:
         return
+    _check_node(ctx, phi, env)
+    if isinstance(phi, (And, Or, Implies)):
+        _check(ctx, phi.lhs, env)
+        _check(ctx, phi.rhs, env)
+    elif isinstance(phi, (Forall, Exists)):
+        _check(ctx.extend(phi.var, env.objects[phi.sort]), phi.body, env)
+
+
+def _check_node(ctx: Context, phi: Formula, env: Env) -> None:
+    """The typing rules local to one node; its children are not looked at.
+
+    ``_check`` and ``_build_mono`` both call it on each node before its
+    children, left to right, so both report the same first problem.
+    """
     if isinstance(phi, Atom):
         rel = env.relations.get(phi.name)
         if rel is None:
@@ -593,26 +619,18 @@ def _check(ctx: Context, phi: Formula, env: Env) -> None:
                 raise FormulaError(
                     f"argument of {phi.name!r} has sort {sort}, expected {cod}", phi.pos
                 )
-        return
-    if isinstance(phi, Eq):
+    elif isinstance(phi, Eq):
         lhs = term_sort(ctx, phi.lhs, env)
         rhs = term_sort(ctx, phi.rhs, env)
         if lhs != rhs:
             raise FormulaError(f"cannot equate {lhs} with {rhs}", phi.pos)
-        return
-    if isinstance(phi, (And, Or, Implies)):
-        _check(ctx, phi.lhs, env)
-        _check(ctx, phi.rhs, env)
-        return
-    if isinstance(phi, (Forall, Exists)):
+    elif isinstance(phi, (Forall, Exists)):
         if ctx.sort_of(phi.var) is not None:
             raise FormulaError(f"variable {phi.var!r} shadows the context", phi.pos)
-        sort = env.objects.get(phi.sort)
-        if sort is None:
+        if phi.sort not in env.objects:
             raise FormulaError(f"unknown object {phi.sort!r}", phi.pos)
-        _check(ctx.extend(phi.var, sort), phi.body, env)
-        return
-    raise FormulaError(f"unsupported formula node {phi!r}")
+    elif not isinstance(phi, (Top, Bot, And, Or, Implies)):
+        raise FormulaError(f"unsupported formula node {phi!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -665,6 +683,7 @@ def _compile_mono(ctx: Context, phi: Formula, env: Env, cprod: ProductDiagram) -
 
 
 def _build_mono(ctx: Context, phi: Formula, env: Env, cprod: ProductDiagram) -> FinMor:
+    _check_node(ctx, phi, env)
     memo = env._memo
     built = memo.built.kept
     if isinstance(phi, Top):
@@ -673,7 +692,7 @@ def _build_mono(ctx: Context, phi: Formula, env: Env, cprod: ProductDiagram) -> 
         return unique_from_initial(cprod.apex)
     if isinstance(phi, Atom):
         rel = env.relations[phi.name]
-        tprod = memo.product(rel.cods)
+        tprod = memo.product(rel.cods, tuple([c.labels for c in rel.cods]))
         rel_mono = built(("relation", phi.name), lambda: tprod.pair(rel.legs, dom=rel.dom))
         terms = tprod.pair(
             tuple(_term_mor(ctx, a, env, cprod) for a in phi.args), dom=cprod.apex
@@ -684,13 +703,14 @@ def _build_mono(ctx: Context, phi: Formula, env: Env, cprod: ProductDiagram) -> 
                          _term_mor(ctx, phi.rhs, env, cprod))
     # A connective's mono is built once per Env for a key naming it and the
     # inputs that fix its result.  An input mono is spelled by its domain and
-    # table rather than by itself, its codomain being the context product:
-    # FinMor's generated hash and equality build a tuple of its fields in
-    # Python on every call, which made each lookup cost about twice as much.
+    # table rather than by itself, its codomain being the context product,
+    # and each carrier by its labels, which is what FinObj equality compares:
+    # the generated hash and equality of FinMor and FinObj build a tuple of
+    # their fields in Python on every call, and a hit hashes its key twice.
     if isinstance(phi, (And, Or, Implies)):
         a = _compile_mono(ctx, phi.lhs, env, cprod)
         b = _compile_mono(ctx, phi.rhs, env, cprod)
-        inputs = (cprod.apex, a.dom, a.table, b.dom, b.table)
+        inputs = (cprod.apex.labels, a.dom.labels, a.table, b.dom.labels, b.table)
         if isinstance(phi, And):
             return built(("and", inputs), lambda: compose(a, pullback(a, b).p1))
         if isinstance(phi, Or):
@@ -699,37 +719,40 @@ def _build_mono(ctx: Context, phi: Formula, env: Env, cprod: ProductDiagram) -> 
         return built(("implies", inputs), lambda: pi_object(pullback(a, b).p1, a))
     if isinstance(phi, (Forall, Exists)):
         inner_ctx = ctx.extend(phi.var, env.objects[phi.sort])
-        objs = inner_ctx.objects
-        inner_prod = memo.product(objs)
+        labels = inner_ctx.labels
+        inner_prod = memo.product(inner_ctx.objects, labels)
         body = _compile_mono(inner_ctx, phi.body, env, inner_prod)
         # The inner carriers fix both context products (the outer context is
         # the inner one less its last variable), hence the projection that
         # drops the last variable, kept per Env for them.
-        inputs = (objs, body.dom, body.table)
+        inputs = (labels, body.dom.labels, body.table)
 
         def drop() -> FinMor:
-            return built(("drop", objs), lambda: cprod.pair(
+            return built(("drop", labels), lambda: cprod.pair(
                 inner_prod.projections[:-1], dom=inner_prod.apex))
 
         if isinstance(phi, Forall):
             return built(("forall", inputs), lambda: pi_object(body, drop()))
         return built(("exists", inputs), lambda: image_factorization(
             compose(drop(), body))[1])
-    raise FormulaError(f"unsupported formula node {phi!r}")
 
 
 def compile_formula(ctx: Context, phi: Formula, env: Env) -> CompilationResult:
-    """Compile a checked formula to a relation on the context carriers.
+    """Type-check a formula and compile it to a relation on the context carriers.
 
-    The relation is kept under the context's carriers and the mono, which
-    fix its legs; the apex would not: a label ``(a,u)`` spells a pair.
+    Each node is checked just before it is built, so the first FormulaError
+    is the one ``check_formula`` raises.  Once phi is built its root is in
+    the compile memo, so ``check_formula`` then returns at the root and
+    only records phi as checked, for the oracle's per-row check.  The
+    relation is kept under the context's carriers and the mono, which fix
+    its legs; the apex would not: a label ``(a,u)`` spells a pair.
     """
-    check_formula(ctx, phi, env)
-    objs = ctx.objects
     memo = env._memo
-    cprod = memo.product(objs)
+    cprod = memo.product(ctx.objects, ctx.labels)
     mono = _compile_mono(ctx, phi, env, cprod)
-    rel = memo.built.kept(("result", objs, mono.dom, mono.table), lambda: Relation(
+    check_formula(ctx, phi, env)
+    key = ("result", ctx.labels, mono.dom.labels, mono.table)
+    rel = memo.built.kept(key, lambda: Relation(
         dom=mono.dom, legs=tuple(compose(p, mono) for p in cprod.projections)))
     return CompilationResult(rel, phi)
 

@@ -198,10 +198,28 @@ def test_pi_universal_rejects_wrong_feet():
     assert rep.failed
 
 
+def competitors_keyed_by_one_face(face):
+    """``_sweep`` counting each pi-universality competitor, and each map into
+    the product, by one face of its (phi, ev) key alone."""
+    plain = axioms._sweep
+
+    def sweep(tests, mediators, cones):
+        def merged(t):
+            counts = Counter()
+            for key, n in mediators(t).items():
+                counts[key[face]] += n
+            return counts
+
+        return plain(tests, merged, lambda t: (
+            (cone, key[face], size) for cone, key, size in cones(t)))
+
+    return sweep
+
+
 def test_pi_universality_kills_a_morphism_check_blind_to_evaluation(monkeypatch):
     # Over g: {y0,y1} -> {x0} along x0 |-> i0 both maps from the one-point
     # competitor commute with phi, and only evaluation tells them apart.
-    monkeypatch.setattr(axioms, "_competitor_key", lambda phi_row, ev_row: phi_row)
+    monkeypatch.setattr(axioms, "_sweep", competitors_keyed_by_one_face(0))
     assert check_theorem(CheckSpec(item="pi-universality", bound=1)).passed
     rep = check_theorem(CheckSpec(item="pi-universality", bound=2))
     assert (rep.verdict, rep.instances_checked) == (FAIL, 500)
@@ -217,7 +235,7 @@ def test_pi_universality_kills_a_morphism_check_blind_to_phi(monkeypatch):
     # Every map W -> F is offered, not only those over the competitor's phi.
     # Along f: {} -> {i0, i1} both points of F carry the empty section, so
     # only phi tells the two maps from {w0} apart.
-    monkeypatch.setattr(axioms, "_competitor_key", lambda phi_row, ev_row: ev_row)
+    monkeypatch.setattr(axioms, "_sweep", competitors_keyed_by_one_face(1))
     assert check_theorem(CheckSpec(item="pi-universality", bound=1)).passed
     rep = check_theorem(CheckSpec(item="pi-universality", bound=2))
     assert (rep.verdict, rep.instances_checked) == (FAIL, 434)
@@ -1316,7 +1334,7 @@ def test_sweep_rejects_a_pullback_broken_on_a_relabelled_cospan(monkeypatch):
 
 
 @pytest.mark.parametrize("item", ["Pi", "pi-universality"])
-def test_pi_rejects_a_dependent_product_broken_off_the_reps(monkeypatch, item):
+def test_pi_rejects_a_dependent_product_broken_on_a_relabelled_pair(monkeypatch, item):
     # Pi checks every pair by check_pi_universal.  A construction wrong on
     # the first pair that relabels an earlier one, here by a second point
     # over the empty section of F, must fail there and be named by that pair.
@@ -1361,8 +1379,8 @@ def renamed_pullback(f, g):
     (check_axiom, "D3", "coequalizer", renamed_coequalizer),
     (check_theorem, "pullback-elements", "pullback", renamed_pullback),
 ])
-def test_equivariance_accepts_an_isomorphic_relabelling(monkeypatch, check, item, name,
-                                                        relabelled):
+def test_sweep_accepts_a_construction_relabelled_on_some_instances(monkeypatch, check, item,
+                                                                   name, relabelled):
     # Relabel only where f's table sorts before g's, so the instances that
     # share a sweep's key are built both ways.
     plain = getattr(axioms, name)

@@ -238,6 +238,12 @@ def test_bound_env_var_is_honored(capsys, model_path, monkeypatch):
     assert out_env == out_flag
 
 
+def test_bound_zero_exits_2(capsys):
+    assert run(capsys, "check", "--bound", "0") == (
+        2, "", "error: bound must be at least 1, got 0\n",
+    )
+
+
 def test_bad_bound_env_var_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("CETCS_BOUND", "three")
     code, _, err = run(capsys, "check", "--axiom", "C1")
@@ -282,6 +288,34 @@ def test_construct_output_extends_the_model(capsys, model_path, tmp_path):
     mf = parse_model(STANDARD_MODEL + out)
     assert len(mf.objects["S"]) == 5
     assert mf.morphisms["inl"].cod == mf.objects["S"]
+
+
+# The standard model, plus a second map X -> Y and an equivalence on X.
+CONSTRUCT_MODEL = STANDARD_MODEL + """\
+morphism k : X -> Y = { x0 |-> y0, x1 |-> y1, x2 |-> y1 }
+relation e <| (X, X) = { (x0, x0), (x0, x1), (x1, x0), (x1, x1), (x2, x2) }
+"""
+
+
+@pytest.mark.parametrize("args, want", [
+    (("--op", "equalizer", "--maps", "f,k"),
+     "object E = {x0, x2}\n"
+     "morphism e : E -> X {x0 |-> x0, x2 |-> x2}\n"),
+    (("--op", "coequalizer", "--maps", "f,k"),
+     "object Q = {y0}\n"
+     "morphism q : Y -> Q {y0 |-> y0, y1 |-> y0}\n"),
+    (("--op", "pullback", "--maps", "f,k"),
+     "object P = {(x0,x0), (x1,x0), (x2,x1), (x2,x2)}\n"
+     "morphism p1 : P -> X {(x0,x0) |-> x0, (x1,x0) |-> x1, (x2,x1) |-> x2, (x2,x2) |-> x2}\n"
+     "morphism p2 : P -> X {(x0,x0) |-> x0, (x1,x0) |-> x0, (x2,x1) |-> x1, (x2,x2) |-> x2}\n"),
+    (("--op", "quotient", "--relation", "e"),
+     "object Q = {x0, x2}\n"
+     "morphism q : X -> Q {x0 |-> x0, x1 |-> x0, x2 |-> x2}\n"),
+], ids=["equalizer", "coequalizer", "pullback", "quotient"])
+def test_construct_output_is_pinned(capsys, tmp_path, args, want):
+    path = tmp_path / "model.cetcs"
+    path.write_text(CONSTRUCT_MODEL, encoding="utf-8")
+    assert run(capsys, "construct", *args, str(path)) == (0, want, "")
 
 
 def test_construct_wrong_operands_exit_2(capsys, model_path):

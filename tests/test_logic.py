@@ -183,44 +183,58 @@ def test_parse_context_error_cases(env):
 # checking
 
 
+def _check_error(ctx, phi, env):
+    """phi's first FormulaError as (message, offset), from the env as it stands.
+
+    ``check_formula`` and ``compile_formula`` must both raise it: the
+    compiler checks each node as it builds it, in the checker's order.  The
+    check runs first, since a failed check leaves the env as it was.
+    """
+    errors = []
+    for entry in (check_formula, compile_formula):
+        with pytest.raises(FormulaError) as err:
+            entry(ctx, phi, env)
+        errors.append((str(err.value), err.value.pos))
+    assert errors[0] == errors[1]
+    return errors[0]
+
+
 def test_check_rejects_unbound_variable(ctx, env):
-    with pytest.raises(FormulaError) as err:
-        check_formula(ctx, parse("m(x, y)"), env)
-    assert "y" in str(err.value)
+    assert _check_error(ctx, parse("m(x, y)"), env) == (
+        "unbound variable 'y' (at offset 5)", 5,
+    )
 
 
 def test_check_rejects_unknown_relation(ctx, env):
-    with pytest.raises(FormulaError):
-        check_formula(ctx, parse("q(x)"), env)
+    assert _check_error(ctx, parse("q(x)"), env) == ("unknown relation 'q' (at offset 0)", 0)
 
 
 def test_check_rejects_wrong_arity(ctx, env):
-    with pytest.raises(FormulaError):
-        check_formula(ctx, parse("r(x, x)"), env)
+    assert _check_error(ctx, parse("r(x, x)"), env) == (
+        "relation 'r' has arity 1, got 2 arguments (at offset 0)", 0,
+    )
 
 
 def test_check_rejects_sort_mismatch(ctx, env):
-    with pytest.raises(FormulaError):
-        check_formula(ctx, parse("forall y:Y. m(y, x)"), env)
-    with pytest.raises(FormulaError):
-        check_formula(ctx, parse("f(x) = x"), env)
+    assert _check_error(ctx, parse("forall y:Y. m(y, x)"), env) == (
+        "argument of 'm' has sort {y0, y1}, expected {x0, x1, x2} (at offset 12)", 12,
+    )
+    assert _check_error(ctx, parse("f(x) = x"), env) == (
+        "cannot equate {y0, y1} with {x0, x1, x2} (at offset 5)", 5,
+    )
 
 
 def test_check_rejects_shadowing(ctx, env):
-    with pytest.raises(FormulaError):
-        check_formula(ctx, parse("forall x:X. r(x)"), env)
-    with pytest.raises(FormulaError):
-        check_formula(ctx, parse("forall y:Y. exists y:Y. m(x,y)"), env)
-
-
-def _check_error(ctx, phi, env):
-    with pytest.raises(FormulaError) as err:
-        check_formula(ctx, phi, env)
-    return str(err.value), err.value.pos
+    assert _check_error(ctx, parse("forall x:X. r(x)"), env) == (
+        "variable 'x' shadows the context (at offset 0)", 0,
+    )
+    assert _check_error(ctx, parse("forall y:Y. exists y:Y. m(x,y)"), env) == (
+        "variable 'y' shadows the context (at offset 12)", 12,
+    )
 
 
 def test_check_reports_the_same_error_past_a_memoized_subtree(std_model):
-    # The left conjunct is in the compile memo, so checking skips it; the
+    # The left conjunct is in the compile memo, so both walks skip it; the
     # ill-typed right conjunct must still raise as on a fresh Env.
     left = parse("forall y:Y. m(x,y)")
     phi = parse(r"(forall y:Y. m(x,y)) /\ (forall y:Y. m(y,x))")
@@ -478,6 +492,57 @@ def test_memoized_compile_equals_a_fresh_compile(data):
         assert len(env._memo.built) <= _BUILT_SIZE
 
 
+# Leaves ill-typed wherever they stand in a formula over x:X, with y:Y bound
+# at most: each takes the offset to report, so the offset names the leaf.
+ILL_TYPED = [
+    lambda pos: Atom("q", (Var("x"),), pos=pos),
+    lambda pos: Atom("r", (Var("x"), Var("x")), pos=pos),
+    lambda pos: Atom("r", (Var("z", pos=pos),), pos=pos),
+    lambda pos: Atom("m", (Var("y", pos=pos), Var("x")), pos=pos),
+    lambda pos: Eq(App("f", Var("x")), Var("x"), pos=pos),
+    lambda pos: Eq(App("g", Var("x"), pos=pos), Var("x"), pos=pos),
+    lambda pos: Eq(App("h", Var("x"), pos=pos), Var("x"), pos=pos),
+    lambda pos: Forall("x", "X", Top(), pos=pos),
+    lambda pos: Exists("w", "Z", Top(), pos=pos),
+]
+
+
+def _plant(data, phi, leaf):
+    """phi with one subtree, picked by data, replaced by leaf."""
+    if isinstance(phi, (And, Or, Implies)) and data.draw(st.booleans()):
+        if data.draw(st.booleans()):
+            return type(phi)(_plant(data, phi.lhs, leaf), phi.rhs)
+        return type(phi)(phi.lhs, _plant(data, phi.rhs, leaf))
+    if isinstance(phi, (Forall, Exists)) and data.draw(st.booleans()):
+        return type(phi)(phi.var, phi.sort, _plant(data, phi.body, leaf))
+    return leaf
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(st.data())
+def test_a_compile_rejected_on_a_warm_env_raises_the_fresh_check_error(data):
+    from conftest import STANDARD_MODEL
+    from cetcs.modelfile import parse_model
+
+    model = parse_model(STANDARD_MODEL)
+    warm = model.env()
+    ctx = parse_context("x:X", warm.objects)
+    host = random_formula(data, 3, False)
+    for sub_ctx, sub in _subformulas(ctx, host, warm):
+        compile_formula(sub_ctx, sub, warm)
+    # up to two ill-typed leaves: the first in preorder is reported
+    bad = host
+    for pos in range(data.draw(st.integers(min_value=1, max_value=2))):
+        bad = _plant(data, bad, data.draw(st.sampled_from(ILL_TYPED))(pos))
+    with pytest.raises(FormulaError) as want:
+        check_formula(ctx, bad, model.env())
+    with pytest.raises(FormulaError) as got:
+        compile_formula(ctx, bad, warm)
+    assert (str(got.value), got.value.pos) == (str(want.value), want.value.pos)
+    phi = random_formula(data, 3, False)
+    assert compile_formula(ctx, phi, warm) == compile_formula(ctx, phi, model.env())
+
+
 def test_compile_memo_keeps_at_most_its_size(env, ctx):
     phi = Top()
     # each step keeps a new conjunction and its result relation in ``built``
@@ -490,8 +555,8 @@ def test_compile_memo_keeps_at_most_its_size(env, ctx):
 
 
 def test_a_long_conjunction_chain_compiles_step_by_step(env, ctx):
-    # Each step is new to the type checker's memo of the last formula, which
-    # must tell the two chains apart without walking down either.
+    # Each step checks and builds only its new root, finding the chain below
+    # it in the compile memo, and walks down neither chain to compare them.
     phi = Top()
     for _ in range(400):
         phi = And(phi, R_X)
