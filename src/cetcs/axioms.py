@@ -148,6 +148,14 @@ from .report import FAIL, PASS, SKIP, Report
 
 EXHAUSTIVE_THRESHOLD = 4
 
+# The six caps: each checks less than the bound, whatever the bound is.
+MONO_TEST_CAP = 2  # the test objects of ``kernel.is_mono`` (G, element-equality, epi-onto)
+SUM_DIAGRAM_CAP = 2  # the carriers on which DP recognizes sum diagrams
+SMALL_SQUARE_CAP = 2  # the cones on which ``_small_squares`` judges eq. (10)
+COMPETITOR_PAIR_CAP = 2  # the carriers of the pairs ``_pi_competitors`` sweeps
+COMPETITOR_APEX_CAP = 3  # the apexes ``_pi_competitors`` sweeps over
+UNROLLED_STEPS = 8  # the steps induction and dependent-choice unroll
+
 
 @dataclass(frozen=True)
 class CheckSpec:
@@ -422,16 +430,27 @@ def _colimit_sweep(tests: Iterable[FinObj], apex: FinObj, legs: Sequence[FinMor]
 
 def _report(item: str, t0: float, verdict: str, witness: dict | None, checked: int) -> Report:
     """The report of a check begun at ``t0``."""
-    return Report(item=item, verdict=verdict, witness=witness,
-                  instances_checked=checked, elapsed=time.perf_counter() - t0)
+    # positional: Pi builds one per pair, and keywords double its cost
+    return Report(item, verdict, witness, checked, time.perf_counter() - t0)
 
 
-def _fibers(m: FinMor) -> dict[str, list[str]]:
-    """Each point of m's codomain, mapped to its preimage in domain order."""
-    fibers: dict[str, list[str]] = {c: [] for c in m.cod.labels}
-    for x, c in zip(m.dom.labels, m.table):
-        fibers[c].append(x)
-    return fibers
+def _fibers(m: FinMor) -> dict[str, tuple[str, ...]]:
+    """Each point of m's codomain, mapped to its preimage in domain order.
+
+    m keeps the result as ``_check_fibers``, as a carrier keeps its index,
+    so a leg met again (Pi reuses each f across every g of its carriers) is
+    indexed once.  The fibers are tuples, so no caller can change what the
+    next one reads, and they are read off the table, so equality and
+    hashing, which look only at the fields, ignore them.  The name is the
+    checker's own: the constructions never read it, nor it theirs.
+    """
+    kept = m.__dict__.get("_check_fibers")
+    if kept is None:
+        fibers: dict[str, list[str]] = {c: [] for c in m.cod.labels}
+        for x, c in zip(m.dom.labels, m.table):
+            fibers[c].append(x)
+        kept = m.__dict__["_check_fibers"] = {c: tuple(xs) for c, xs in fibers.items()}
+    return kept
 
 
 def check_pi_universal(d: PiDiagram, g: FinMor, f: FinMor) -> Report:
@@ -446,11 +465,13 @@ def check_pi_universal(d: PiDiagram, g: FinMor, f: FinMor) -> Report:
     failure carries the instance it happened on.
 
     The checker reads the tables of d, g and f in zipped passes and indexes
-    them itself: f by value, g by fiber size, and P by its (pi1, pi2) rows,
-    each mapped to its ev value.  Every face counts one instance per
-    statement it decides, in the order above; the pullback face is decided
-    by counting too, and walks its (v, x) pairs only to name the first that
-    fails.
+    them itself: P by its (pi1, pi2) rows, each mapped to its ev value, and
+    g and f by value through ``_fibers``, which keeps each leg's fibers on
+    the leg as ``_check_fibers``, so an f met again is not indexed again.
+    It never reads what ``pi_diagram`` keeps on the legs.  Every face counts
+    one instance per statement it decides, in the order above; the
+    pullback face is decided by counting too, and walks its (v, x) pairs
+    only to name the first that fails.
 
     The element-wise criterion is decided by counting.  Once the earlier
     faces pass, the rows of each v over i are a section of g over the
@@ -461,9 +482,11 @@ def check_pi_universal(d: PiDiagram, g: FinMor, f: FinMor) -> Report:
     bijection: the points over i carry pairwise distinct sections, and
     there are n_i of them.  Summed over i, and since no i has more distinct
     sections than points or than n_i, that is: the distinct (i, section)
-    pairs number |F| and sum n_i.  The sections are enumerated, one lookup
-    each, only when this fails, to name the first psi with no point or
-    with two; each psi counts one instance either way.
+    pairs number |F| and sum n_i, a sum ``_section_count`` takes.  The
+    sections are enumerated, one lookup each, only when this fails, to name
+    the first psi with no point or with two; each psi counts one instance
+    either way.  When every psi has exactly one point, the sum was wrong,
+    and the face ``section count`` names |F| and the sum.
     """
     t0, item = time.perf_counter(), "pi-universal"
     y_obj, x_obj, i_obj, P, F = g.dom, g.cod, f.cod, d.P, d.F
@@ -510,15 +533,7 @@ def check_pi_universal(d: PiDiagram, g: FinMor, f: FinMor) -> Report:
     # Each v's rows are now a section over its fiber, its ev values in fiber
     # order: count (see above), and enumerate the sections only to name the
     # first that fails.
-    g_sizes = dict.fromkeys(x_obj.labels, 0)
-    for x in g_table:
-        g_sizes[x] += 1
-    sections = 0
-    for xs in fiber_f.values():
-        n = 1
-        for x in xs:
-            n *= g_sizes[x]
-        sections += n
+    sections = _section_count(g, f)
     distinct = {(i, *[at[v, x] for x in fiber_f[i]]) for v, i in zip(F.labels, phi_table)}
     if len(distinct) == len(F.labels) == sections:
         return _report(item, t0, PASS, None, checked + sections)
@@ -536,16 +551,23 @@ def check_pi_universal(d: PiDiagram, g: FinMor, f: FinMor) -> Report:
             if len(matching) != 1:
                 return _report(item, t0, FAIL, {"i": i, "psi": sorted(map(list, psi)),
                                                 "matching": matching}, checked)
-    return _report(item, t0, PASS, None, checked)
+    # every section has exactly one point, so the sum of sections was wrong
+    return _report(item, t0, FAIL, {"face": "section count", "points": len(F.labels),
+                                    "sections": sections}, checked)
 
 
 def _section_count(g: FinMor, f: FinMor) -> int:
-    """Independent size oracle: sum over i of the product of g-fiber sizes."""
-    fiber_g = Counter(g.table)
-    sections = dict.fromkeys(f.cod.labels, 1)
-    for x, i in zip(f.dom.labels, f.table):
-        sections[i] *= fiber_g[x]
-    return sum(sections.values())
+    """Independent size oracle: the sum over i of the product of the g-fiber
+    sizes over the f-fiber of i, read off the fibers ``_fibers`` keeps on
+    each leg as ``_check_fibers``, never off a construction's."""
+    fiber_g = _fibers(g)
+    total = 0
+    for xs in _fibers(f).values():
+        n = 1
+        for x in xs:
+            n *= len(fiber_g[x])
+        total += n
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +658,7 @@ def _first_preimages(f: FinMor, fallback: str | None = None) -> FinMor:
 def _ax_onto_mono_iso(spec: CheckSpec):
     for f in _morphism_pool(spec):
         onto = f.is_surjective()
-        mono = kernel.is_mono(f, bound=min(spec.bound, 2))
+        mono = kernel.is_mono(f, bound=min(spec.bound, MONO_TEST_CAP))
         yield 1
         if not (onto and mono):
             continue
@@ -696,8 +718,7 @@ def _ax_sum_disjunction(spec: CheckSpec):
             yield 1
             if z not in left and z not in right:
                 return {"A": str(a), "B": str(b), "z": z}
-    cap = min(spec.bound, 2)
-    small = CheckSpec(item=spec.item, bound=cap)
+    small = CheckSpec(item=spec.item, bound=min(spec.bound, SUM_DIAGRAM_CAP))
     tests, decided = _objs(_separating_pool(small), "t"), {}
     for a, b in _carriers(small, "ab"):
         s = carrier_of_size(len(a) + len(b), "s")
@@ -811,7 +832,7 @@ AXIOMS: dict[str, tuple] = {
 
 
 def _thm_element_equality(spec: CheckSpec):
-    small = min(spec.bound, 2)
+    small = min(spec.bound, MONO_TEST_CAP)
     for a, b in _carriers(spec, "ab"):
         maps = list(_maps(spec, a, b))
         for f in maps:
@@ -912,7 +933,7 @@ def _pullback_sweeps(spec: CheckSpec):
 def _small_squares(spec: CheckSpec):
     """Eq. (10) against the definition, a limit sweep of each small cone;
     the small objects serve as both apexes and test objects."""
-    small = CheckSpec(item=spec.item, bound=min(spec.bound, 2))
+    small = CheckSpec(item=spec.item, bound=min(spec.bound, SMALL_SQUARE_CAP))
     objs, decided = _objs(small, "p"), {}
     for f, g in _instances(small, _COSPAN):
         points = _commuting(f, g)
@@ -945,8 +966,7 @@ def _quotient_sweeps(spec: CheckSpec):
 
 
 def _thm_induction(spec: CheckSpec):
-    prefix_len = 8
-    universe = list(range(prefix_len + 1))
+    universe = list(range(UNROLLED_STEPS + 1))
     for mask in range(1 << len(universe)):
         members = {n for n in universe if mask >> n & 1}
         base = 0 in members
@@ -957,11 +977,11 @@ def _thm_induction(spec: CheckSpec):
     for a in _objs(spec, "a"):
         for h in _maps(spec, a, a):
             for lbl, b in zip(a.labels, kernel.elements(a)):
-                seq = nno_prefix(prefix_len, b, h)
+                seq = nno_prefix(UNROLLED_STEPS, b, h)
                 yield 1
                 if seq[0] != b:
                     return {"h": str(h), "base": lbl, "reason": "base"}
-                for n in range(prefix_len):
+                for n in range(UNROLLED_STEPS):
                     if seq[n + 1] != compose(h, seq[n]):
                         return {"h": str(h), "base": lbl, "step": n}
 
@@ -998,9 +1018,9 @@ def _thm_dependent_choice(spec: CheckSpec):
             # by the library's recursion
             h = FinMor(x, x, tuple(firsts))
             for start, b in points:
-                chain = [p.table[0] for p in nno_prefix(8, b, h)]
+                chain = [p.table[0] for p in nno_prefix(UNROLLED_STEPS, b, h)]
                 yield 1
-                if (len(chain) != 9 or chain[0] != start
+                if (len(chain) != UNROLLED_STEPS + 1 or chain[0] != start
                         or not rows.issuperset(zip(chain, chain[1:]))):
                     return {"X": str(x), "start": start, "chain": chain}
 
@@ -1087,7 +1107,7 @@ def _thm_epi_onto(spec: CheckSpec):
         yield 1
         if epi != f.is_surjective():
             return {"f": str(f), "epi": epi}
-        if epi and kernel.is_mono(f, bound=min(spec.bound, 2)):
+        if epi and kernel.is_mono(f, bound=min(spec.bound, MONO_TEST_CAP)):
             if not f.is_bijective():
                 return {"f": str(f), "statement": "balance"}
 
@@ -1144,8 +1164,9 @@ def _pi_competitors(spec: CheckSpec):
     # order; a map into F whose (h(w), x) the product's P lacks reads None.
     # A competitor is counted, both as a cone and as the one a map into F
     # induces, under the tables of its two faces: (phi2, ev2).
-    apexes = [carrier_of_size(n, "w") for n in range(min(spec.bound, 3) + 1)]
-    small = CheckSpec(item=spec.item, bound=min(spec.bound, 2))
+    apexes = [carrier_of_size(n, "w")
+              for n in range(min(spec.bound, COMPETITOR_APEX_CAP) + 1)]
+    small = CheckSpec(item=spec.item, bound=min(spec.bound, COMPETITOR_PAIR_CAP))
     for g, f in _instances(small, _COMPOSABLE):
         d = pi_diagram(g, f)
         phi = dict(zip(d.F.labels, d.phi.table))

@@ -72,9 +72,11 @@ class FinMor:
     ``pi_diagram(g, f)`` keeps what it reads off each leg on the leg itself:
     on g the fibers and diagram blocks, as ``_sections``, and on f its
     ``(i, xs)`` keys, a point of I with its f-fiber for each point of I in
-    order, as ``_fiber_keys``.  Both are read off the table, so equality and
-    hashing, which look only at the fields, ignore them.  ``__post_init__``
-    validates, and every constructor but ``_trusted`` runs it.
+    order, as ``_fiber_keys``.  The checker of dependent products keeps its
+    own fibers of both legs, as ``_check_fibers``; neither side reads the
+    other's.  All are read off the table, so equality and hashing, which
+    look only at the fields, ignore them.  ``__post_init__`` validates, and
+    every constructor but ``_trusted`` runs it.
     """
 
     dom: FinObj

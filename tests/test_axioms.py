@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import gc
 import hashlib
@@ -20,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cetcs
-from cetcs import axioms, cli
+from cetcs import axioms, cli, finset
 from cetcs.axioms import (
     AXIOMS,
     THEOREMS,
@@ -570,6 +571,90 @@ def test_the_pi_axiom_calls_the_public_checker_once_per_pair(monkeypatch):
     assert len(calls) == 47
 
 
+def outcome(rep):
+    return rep.verdict, rep.witness, rep.instances_checked
+
+
+def fresh(*maps):
+    """Copies of the maps that keep no index yet."""
+    return [FinMor(m.dom, m.cod, m.table) for m in maps]
+
+
+def test_pi_check_with_kept_fibers_equals_a_cold_one():
+    # Pi hands the checker the same f for every g of a carrier triple, so
+    # from the second g on f brings the fibers the checker keeps on it
+    pairs = 0
+    for y, x, i in itertools.product(*([carrier_of_size(n, p) for n in range(4)] for p in "yxi")):
+        fs, gs = list(all_maps(x, i)), list(all_maps(y, x))
+        for g in gs:
+            for f in fs:
+                d = pi_diagram(g, f)
+                assert outcome(check_pi_universal(d, g, f)) == outcome(
+                    check_pi_universal(d, *fresh(g, f)))
+                pairs += 1
+        assert not (fs and gs) or all("_check_fibers" in m.__dict__ for m in fs + gs)
+    assert pairs == 1678
+
+
+def test_pi_check_with_kept_fibers_equals_a_cold_one_on_every_mutant():
+    d, g, f = two_index_diagram()
+    assert check_pi_universal(d, g, f).passed
+    mutants = [mutate for mutate, _, _ in FACE_MUTANTS.values()] + [
+        lambda d, g, f, k=k: rebuilt(d, g, f, lambda F, P: drop_f_point(k, F, P))
+        for k in range(3)]
+    for mutate in mutants:
+        bad = mutate(d, g, f)
+        warm = check_pi_universal(bad, g, f)
+        assert warm.failed and outcome(warm) == outcome(check_pi_universal(bad, *fresh(g, f)))
+
+
+def test_pi_check_catches_a_construction_misled_by_its_kept_keys():
+    # f's kept keys lose v from the fiber of i, so pi_diagram builds the
+    # sections over {u} alone; the checker indexes f itself and sees P
+    # miss the rows at v
+    x, y, i = carrier("u", "v", "w"), carrier("a", "b", "c"), carrier("i", "j", "k")
+    g = FinMor(y, x, ("u", "u", "v"))
+    f = FinMor(x, i, ("i", "i", "j"))
+    f.__dict__["_fiber_keys"] = (("i", ("u",)), ("j", ("w",)), ("k", ()))
+    rep = check_pi_universal(pi_diagram(g, f), g, f)
+    assert outcome(rep) == (FAIL, {"face": "square pullback", "v": "(i|u↦a)", "x": "v",
+                                   "points": 0}, 8)
+
+
+def code_names(module) -> set[str]:
+    """The identifiers, attribute names and string constants of the module's
+    code; a docstring is never exactly a name, so prose may mention one."""
+    names = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_construction_and_checker_never_read_each_others_kept_indexes():
+    construction, checker = {"_sections", "_fiber_keys"}, {"_check_fibers"}
+    finset_names, axioms_names = code_names(finset), code_names(axioms)
+    assert construction <= finset_names and checker <= axioms_names
+    assert not construction & axioms_names and not checker & finset_names
+
+
+def test_a_miscounted_section_total_fails_on_its_count(monkeypatch):
+    # With every section matched by exactly one point, only the total can
+    # be wrong; the first pair, into the empty index, has no section at all
+    counted = axioms._section_count
+    monkeypatch.setattr(axioms, "_section_count", lambda g, f: counted(g, f) + 1)
+    rep = check_axiom(CheckSpec("Pi", bound=2))
+    assert outcome(rep) == (FAIL, {"face": "section count", "points": 0, "sections": 1,
+                                   "g": "{} -> {} []", "f": "{} -> {} []"}, 6)
+    assert rep.text_line() == (
+        'FAIL Pi instances=6 witness={"f":"{} -> {} []","face":"section count",'
+        '"g":"{} -> {} []","points":0,"sections":1}')
+
+
 # ---------------------------------------------------------------------------
 # the mediator sweep every universal-property item shares
 
@@ -966,6 +1051,44 @@ def test_kernel_pairs_reject_a_quotient_that_drops_a_point(monkeypatch, capsys):
         assert (rep.verdict, rep.witness, rep.instances_checked) == (FAIL, feet, checked)
     assert cli.main(["check", "--axiom", "Eff", "--bound", "2"]) == 1
     assert capsys.readouterr().out.startswith("FAIL Eff instances=1 ")
+
+
+# A model with one binary relation that is not an equivalence, which Eff
+# skips, and one that is.  A has four points, so it stays out of the bound-3
+# pools and only the model relation brings it in.
+EFF_MODEL = """\
+object A = {a, b, c, d}
+relation n <| (A, A) = { (a, b) }
+relation e <| (A, A) = { (a, a), (a, b), (b, a), (b, b), (c, c), (d, d) }
+"""
+
+
+def test_eff_checks_the_kernel_pair_of_a_model_equivalence(tmp_path, capsys):
+    # the pools' equivalences give 54 pairs at bound 3, and e 16 more
+    path = tmp_path / "eff.cetcs"
+    path.write_text(EFF_MODEL, encoding="utf-8")
+    assert cli.main(["check", "--axiom", "Eff", str(path)]) == 0
+    assert capsys.readouterr().out == "PASS Eff instances=70\n"
+
+
+def test_eff_rejects_a_quotient_wrong_only_on_the_model_relation(monkeypatch, tmp_path, capsys):
+    # the mutant merges every point of A, so the pools pass and e fails at
+    # its first unrelated pair, (a, c), after 54 + 3 pairs
+    def merges_a(rel):
+        q = quotient(rel)
+        if rel.cods[0].labels != ("a", "b", "c", "d"):
+            return q
+        return FinMor(q.dom, q.cod, (q.table[0],) * len(q.table))
+
+    monkeypatch.setattr(axioms, "quotient", merges_a)
+    path = tmp_path / "eff.cetcs"
+    path.write_text(EFF_MODEL, encoding="utf-8")
+    assert check_axiom(CheckSpec("Eff", bound=3)).passed
+    assert cli.main(["check", "--axiom", "Eff", str(path)]) == 1
+    relation = "<| ({a, b, c, d}, {a, b, c, d}) = { (a,a), (a,b), (b,a), (b,b), (c,c), (d,d) }"
+    assert capsys.readouterr().out == (
+        'FAIL Eff instances=57 witness={"a":"a","b":"c","related":false,'
+        f'"relation":"{relation}"}}\n')
 
 
 def test_exponentials_reject_a_dropped_function(monkeypatch):

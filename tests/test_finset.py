@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import cetcs
 from cetcs import kernel
+from cetcs.axioms import check_pi_universal
 from cetcs.errors import CompositionError, EquivalenceError, ShapeError
 from cetcs.finset import (
     FinMor,
@@ -452,13 +453,16 @@ def test_kept_indexes_leave_equality_hashing_and_pickling_alone():
     g = FinMor(y, x, ("x0", "x0", "x1"))
     f = FinMor(x, i, ("i1", "i1"))
     d = pi_diagram(g, f)
+    assert check_pi_universal(d, g, f).passed
     assert "_sections" in g.__dict__ and "_fiber_keys" in f.__dict__
+    assert "_check_fibers" in g.__dict__ and "_check_fibers" in f.__dict__
     for m in (g, f):
         fresh = FinMor(m.dom, m.cod, m.table)
         back = pickle.loads(pickle.dumps(m))
         for kept in (m, back):
             assert kept == fresh and hash(kept) == hash(fresh) and kept in {fresh}
-    assert pi_diagram(pickle.loads(pickle.dumps(g)), pickle.loads(pickle.dumps(f))) == d
+    back_g, back_f = pickle.loads(pickle.dumps(g)), pickle.loads(pickle.dumps(f))
+    assert pi_diagram(back_g, back_f) == d and check_pi_universal(d, back_g, back_f).passed
 
 
 def test_pi_empty_fiber_kills_sections():
