@@ -790,8 +790,9 @@ def _kernel_pairs(spec: CheckSpec):
 
 
 def _model_kernel_pairs(spec: CheckSpec):
+    pool = _objs(spec, "x")  # _kernel_pairs walks every equivalence on these
     for rel in spec.relations:
-        if rel.arity != 2 or rel.cods[0] != rel.cods[1]:
+        if rel.arity != 2 or rel.cods[0] != rel.cods[1] or rel.cods[0] in pool:
             continue
         try:
             q = quotient(rel)

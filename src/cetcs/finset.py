@@ -23,7 +23,7 @@ point: carriers stay at desk scale and every claim is checked by exhaustion.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterator, Sequence
 
@@ -32,28 +32,40 @@ from .errors import CompositionError, EquivalenceError, ShapeError
 TERMINAL_LABEL = "★"
 
 
+class _Record:
+    """Pickles and copies a record as its fields, rebuilt through the
+    validating ``__init__``: a bad pickled table raises as a bad table does."""
+
+    __slots__ = ()
+
+    def __getstate__(self) -> tuple:
+        return tuple([getattr(self, field.name) for field in fields(self)])
+
+    def __setstate__(self, state: tuple) -> None:
+        self.__init__(*state)
+
+
 @dataclass(frozen=True)
-class FinObj:
+class FinObj(_Record):
     """A finite carrier: an ordered tuple of distinct labels.
 
     Label order is the canonical order of the carrier (declaration order for
     user-defined objects, documented construction order otherwise).  ``index``
-    maps each label to its position; the duplicate check builds it.
+    maps each label to its position; the duplicate check builds it.  Both
+    live in slots, and a carrier has no instance dict.
     """
 
+    __slots__ = ("labels", "index", "__weakref__")
     labels: tuple[str, ...]
 
     def __init__(self, labels: tuple[str, ...]):
-        # fields go straight into __dict__, here as in FinMor and PiDiagram:
-        # a frozen dataclass's generated __init__ sets each by object.__setattr__
         index = dict(zip(labels, range(len(labels))))
         if len(index) != len(labels):
             raise ShapeError(f"duplicate labels in carrier {labels!r}")
         if not all(labels):
             raise ShapeError("empty string is not a valid label")
-        fields = self.__dict__
-        fields["labels"] = labels
-        fields["index"] = index
+        _set_labels(self, labels)
+        _set_index(self, index)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -66,7 +78,7 @@ class FinObj:
 
 
 @dataclass(frozen=True)
-class FinMor:
+class FinMor(_Record):
     """A total mapping table; ``table[i]`` is the image of ``dom.labels[i]``.
 
     ``pi_diagram(g, f)`` keeps what it reads off each leg on the leg itself:
@@ -74,20 +86,22 @@ class FinMor:
     ``(i, xs)`` keys, a point of I with its f-fiber for each point of I in
     order, as ``_fiber_keys``.  The checker of dependent products keeps its
     own fibers of both legs, as ``_check_fibers``; neither side reads the
-    other's.  All are read off the table, so equality and hashing, which
-    look only at the fields, ignore them.  ``__post_init__`` validates, and
-    every constructor but ``_trusted`` runs it.
+    other's.  The fields live in slots and the kept indexes in the
+    instance dict; all are read off the table, so equality, hashing and
+    pickling, which look only at the fields, ignore them.
+    ``__post_init__`` validates, and every constructor but ``_trusted``
+    runs it.
     """
 
+    __slots__ = ("dom", "cod", "table", "__dict__", "__weakref__")
     dom: FinObj
     cod: FinObj
     table: tuple[str, ...]
 
     def __init__(self, dom: FinObj, cod: FinObj, table: tuple[str, ...]):
-        fields = self.__dict__
-        fields["dom"] = dom
-        fields["cod"] = cod
-        fields["table"] = table
+        _set_dom(self, dom)
+        _set_cod(self, cod)
+        _set_table(self, table)
         self.__post_init__()
 
     def __post_init__(self):
@@ -113,10 +127,9 @@ class FinMor:
         constructor and every construction included, validates.
         """
         mor = object.__new__(cls)
-        fields = mor.__dict__
-        fields["dom"] = dom
-        fields["cod"] = cod
-        fields["table"] = table
+        _set_dom(mor, dom)
+        _set_cod(mor, cod)
+        _set_table(mor, table)
         return mor
 
     def __call__(self, label: str) -> str:
@@ -134,6 +147,11 @@ class FinMor:
     def __str__(self) -> str:
         entries = ", ".join(f"{a} |-> {b}" for a, b in zip(self.dom.labels, self.table))
         return f"{self.dom} -> {self.cod} [{entries}]"
+
+
+# the slots' own setters, which a frozen dataclass's __setattr__ refuses
+_set_labels, _set_index = FinObj.labels.__set__, FinObj.index.__set__
+_set_dom, _set_cod, _set_table = FinMor.dom.__set__, FinMor.cod.__set__, FinMor.table.__set__
 
 
 def carrier(*labels: str) -> FinObj:
@@ -347,20 +365,24 @@ def _fibers(m: FinMor) -> dict[str, list[str]]:
 def pullback(f: FinMor, g: FinMor) -> PullbackSquare:
     """The pullback of the cospan f: A -> C <- B : g.
 
-    The apex lists the pairs (x, y) with f(x) = g(y) in x-major order: x in
-    A's order and, for one x, y in B's order.  B is indexed once by value,
-    and each x is paired with its fiber, so the cost is O(|A| + |B| + |P|)
-    for an apex P.
+    The apex lists the pairs (x, y) with f(x) = g(y), labelled ``(x,y)``,
+    in x-major order: x in A's order and, for one x, y in B's order.  B is
+    indexed once by value, and one pass over A pairs each x with its fiber
+    and writes the apex label and both leg entries of each pair, so the
+    cost is O(|A| + |B| + |P|) for an apex P.
     """
     if f.cod != g.cod:
         raise ShapeError(f"not a cospan: [{f}] and [{g}]")
     fiber = _fibers(g)
-    pairs = [(x, y) for x, c in zip(f.dom.labels, f.table) for y in fiber.get(c, ())]
-    # each label is tuple_label((x, y)), written inline
-    apex = FinObj(tuple([f"({x},{y})" for x, y in pairs]))
-    p1 = FinMor(apex, f.dom, tuple([x for x, _ in pairs]))
-    p2 = FinMor(apex, g.dom, tuple([y for _, y in pairs]))
-    return PullbackSquare(apex, p1, p2)
+    labels, xs, ys = [], [], []
+    for x, c in zip(f.dom.labels, f.table):
+        for y in fiber.get(c, ()):
+            # each label is tuple_label((x, y)), written inline
+            labels.append(f"({x},{y})")
+            xs.append(x)
+            ys.append(y)
+    apex = FinObj(tuple(labels))
+    return PullbackSquare(apex, FinMor(apex, f.dom, tuple(xs)), FinMor(apex, g.dom, tuple(ys)))
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +400,7 @@ def image_factorization(f: FinMor) -> tuple[FinMor, FinMor]:
 
 
 @dataclass(frozen=True)
-class PiDiagram:
+class PiDiagram(_Record):
     """A dependent product of g: Y -> X along f: X -> I.
 
     ``F`` collects, fiberwise over I, the sections of g over the f-fiber;
@@ -386,6 +408,7 @@ class PiDiagram:
     section at a point of its fiber.
     """
 
+    __slots__ = ("P", "F", "pi1", "pi2", "phi", "ev", "__weakref__")
     P: FinObj
     F: FinObj
     pi1: FinMor
@@ -395,13 +418,16 @@ class PiDiagram:
 
     def __init__(self, P: FinObj, F: FinObj, pi1: FinMor, pi2: FinMor, phi: FinMor,
                  ev: FinMor):
-        fields = self.__dict__
-        fields["P"] = P
-        fields["F"] = F
-        fields["pi1"] = pi1
-        fields["pi2"] = pi2
-        fields["phi"] = phi
-        fields["ev"] = ev
+        _set_P(self, P)
+        _set_F(self, F)
+        _set_pi1(self, pi1)
+        _set_pi2(self, pi2)
+        _set_phi(self, phi)
+        _set_ev(self, ev)
+
+
+_set_P, _set_F, _set_pi1, _set_pi2, _set_phi, _set_ev = [
+    getattr(PiDiagram, field.name).__set__ for field in fields(PiDiagram)]
 
 
 def _require_composable(g: FinMor, f: FinMor) -> None:
@@ -509,7 +535,10 @@ def pi_object(g: FinMor, f: FinMor) -> FinMor:
     monic, the subobject Π_f g of I.  Unlike ``pi_diagram`` it keeps
     nothing on g, which suits a caller whose g is new on every call.  A call
     indexes g and f by value, O(|Y| + |X|), and writes O(|F|) labels and
-    table entries through the validating constructors.
+    table entries through the validating constructors.  A point i with an
+    empty f-fiber, as most are for ``=>``, where f is a mono, gets its one
+    empty section ``(i|)`` directly; only the others go through
+    ``_fiber_sections``.
     """
     _require_composable(g, f)
     fiber_g = _fibers(g)
@@ -517,7 +546,9 @@ def pi_object(g: FinMor, f: FinMor) -> FinMor:
     f_labels: list[str] = []
     phi_table: list[str] = []
     for i in f.cod.labels:
-        for _, inner in _fiber_sections(fiber_g, fiber_f.get(i, ())):
+        xs = fiber_f.get(i)
+        # an empty fiber's one section, the empty one, without the enumerator
+        for _, inner in _fiber_sections(fiber_g, xs) if xs else (((), ""),):
             f_labels.append(f"({i}|{inner})")
             phi_table.append(i)
     return FinMor(FinObj(tuple(f_labels)), f.cod, tuple(phi_table))

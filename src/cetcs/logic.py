@@ -833,10 +833,6 @@ def verify(ctx: Context, phi: Formula, env: Env, item: str | None = None) -> Rep
                 "trace": list(result.trace),
             }
             break
-    return Report(
-        item=item or (lambda: f"verify {render(phi)}"),
-        verdict=FAIL if witness else PASS,
-        witness=witness,
-        instances_checked=checked,
-        elapsed=time.perf_counter() - t0,
-    )
+    # positional: one per call, and keywords double its cost
+    return Report(item or (lambda: f"verify {render(phi)}"), FAIL if witness else PASS,
+                  witness, checked, time.perf_counter() - t0)

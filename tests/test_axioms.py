@@ -1091,6 +1091,21 @@ def test_eff_rejects_a_quotient_wrong_only_on_the_model_relation(monkeypatch, tm
         f'"relation":"{relation}"}}\n')
 
 
+def test_eff_counts_a_model_equivalence_on_a_pooled_carrier_once(tmp_path, capsys):
+    # At bound 3 the three points of A join the x pool, whose walk covers
+    # e among A's five equivalences: 54 + 45 pairs, not 9 more for e.
+    # pretopos runs the same parts.  At bound 2 A is outside the pool, so
+    # e brings its 9 pairs to the pools' 9.
+    path = tmp_path / "eff.cetcs"
+    path.write_text("object A = {a, b, c}\n"
+                    "relation e <| (A, A) = { (a, a), (a, b), (b, a), (b, b), (c, c) }\n",
+                    encoding="utf-8")
+    assert cli.main(["check", "--axiom", "Eff", "--theorem", "pretopos", str(path)]) == 0
+    assert capsys.readouterr().out == "PASS Eff instances=99\nPASS pretopos instances=4586\n"
+    assert cli.main(["check", "--axiom", "Eff", "--bound", "2", str(path)]) == 0
+    assert capsys.readouterr().out == "PASS Eff instances=18\n"
+
+
 def test_exponentials_reject_a_dropped_function(monkeypatch):
     # The last point of E goes, and with it its rows of ev.
     def drop_last(x, y):

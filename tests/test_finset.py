@@ -7,12 +7,14 @@ maps, independently of the bucket-based checkers in the axioms module.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import itertools
 import os
 import pickle
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -128,11 +130,77 @@ def test_constructors_agree_by_position_keyword_and_replace():
         for build in three_ways(proto, **fields):
             built = build()
             # the same fields, and for a carrier the same index
-            assert built is not proto and vars(built) == vars(proto)
+            assert built is not proto
+            assert {name: getattr(built, name) for name in fields} == fields
+            assert not isinstance(proto, FinObj) or built.index == proto.index
             assert built == proto and hash(built) == hash(proto)
             assert repr(built) == repr(proto)
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(built, next(iter(fields)), None)
+
+
+def records():
+    """A carrier, a morphism and a dependent product, each with its fields."""
+    d = pi_diagram(FinMor(B, A, ("a", "a", "b")), unique_to_terminal(A))
+    return A, FinMor(A, B, ("u", "w")), d
+
+
+def test_records_pickle_by_rebuilding_through_validation(monkeypatch):
+    validated = []
+    check = FinMor.__post_init__
+    monkeypatch.setattr(FinMor, "__post_init__",
+                        lambda self: validated.append(self) or check(self))
+    for proto, legs in zip(records(), (0, 1, 4)):
+        validated.clear()
+        back = pickle.loads(pickle.dumps(proto))
+        assert back is not proto and back == proto and hash(back) == hash(proto)
+        assert len(validated) == legs
+    assert pickle.loads(pickle.dumps(A)).index == A.index
+
+
+def test_a_bad_pickled_record_raises_as_a_bad_build_does():
+    dup = object.__new__(FinObj)
+    FinObj.labels.__set__(dup, ("a", "a"))
+    bad_table = FinMor._trusted(A, B, ("u", "z"))
+    d = records()[2]
+    bad_leg = dataclasses.replace(d, ev=FinMor._trusted(d.P, d.ev.cod, d.ev.table[:-1]))
+    for bad in (dup, bad_table, bad_leg):
+        blob = pickle.dumps(bad)
+        with pytest.raises(ShapeError):
+            pickle.loads(blob)
+
+
+def test_records_copy_and_deepcopy_to_equal_records():
+    for proto in records():
+        for clone in (copy.copy(proto), copy.deepcopy(proto)):
+            assert clone is not proto and clone == proto and hash(clone) == hash(proto)
+            assert repr(clone) == repr(proto)
+
+
+def test_records_take_weak_references():
+    for proto in records():
+        ref = weakref.ref(proto)
+        assert ref() is proto
+
+
+def test_records_refuse_every_field_write():
+    for proto in records():
+        names = [field.name for field in dataclasses.fields(proto)]
+        if isinstance(proto, FinObj):
+            names.append("index")
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(proto, name, getattr(proto, name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(proto, name)
+
+
+def test_only_a_morphism_has_an_instance_dict_for_its_kept_indexes():
+    carrier_, mor, d = records()
+    assert not hasattr(carrier_, "__dict__") and not hasattr(d, "__dict__")
+    assert mor.__dict__ == {}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        carrier_._kept = None
 
 
 def test_application_and_mapping():
@@ -334,6 +402,21 @@ def test_pullback_frozen_case():
     g = FinMor(B, terminal(), ("★", "★", "★"))
     square = pullback(f, g)
     assert square.apex.labels == product(A, B).apex.labels
+
+
+def test_pullback_equals_the_pairs_then_legs_reference_on_every_cospan():
+    cospans = 0
+    for a, b, c in itertools.product(*(small_objects(3, p) for p in "abc")):
+        gs = list(all_maps(b, c))
+        for f in all_maps(a, c):
+            for g in gs:
+                square = pullback(f, g)
+                labels, p1, p2 = pointwise_pullback(f, g)
+                assert square.apex.labels == labels
+                assert (square.p1.dom, square.p1.cod, square.p1.table) == (square.apex, a, p1)
+                assert (square.p2.dom, square.p2.cod, square.p2.table) == (square.apex, b, p2)
+                cospans += 1
+    assert cospans == 1842
 
 
 def test_pullback_is_limit_brute_force():
@@ -587,6 +670,27 @@ def test_pi_diagram_matches_the_pointwise_sections(data):
     assert d.pi1.table == tuple(s for s, _ in points)
     assert d.pi2.table == tuple(x for _, x in points)
     assert d.ev.table == ev
+
+
+def draw_mono(data, dom_prefix, cod, at_most):
+    """An injective map into cod from a fresh carrier of at most at_most points."""
+    dom = carrier_of_size(data.draw(st.integers(min_value=0, max_value=at_most)), dom_prefix)
+    image = data.draw(st.permutations(cod.labels))[:len(dom)]
+    return FinMor(dom, cod, tuple(image))
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(st.data())
+def test_pi_object_matches_pi_diagram_on_monos_with_mostly_empty_fibers(data):
+    # as for =>: f is a mono that hits at most half of I, so most f-fibers
+    # are empty, and g a mono into X, so some x have no preimage
+    i = carrier_of_size(data.draw(st.integers(min_value=0, max_value=6)), "i")
+    f = draw_mono(data, "x", i, (len(i) + 1) // 2)
+    g = draw_mono(data, "y", f.dom, len(f.dom))
+    phi, expected = pi_object(g, f), pi_diagram(g, f).phi
+    assert phi.dom.labels == expected.dom.labels
+    assert phi.table == expected.table and phi.cod == expected.cod == i
+    assert phi.is_injective()
 
 
 # ---------------------------------------------------------------------------
