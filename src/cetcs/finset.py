@@ -400,7 +400,7 @@ def image_factorization(f: FinMor) -> tuple[FinMor, FinMor]:
 
 
 @dataclass(frozen=True)
-class PiDiagram(_Record):
+class PiDiagram:
     """A dependent product of g: Y -> X along f: X -> I.
 
     ``F`` collects, fiberwise over I, the sections of g over the f-fiber;
@@ -408,7 +408,6 @@ class PiDiagram(_Record):
     section at a point of its fiber.
     """
 
-    __slots__ = ("P", "F", "pi1", "pi2", "phi", "ev", "__weakref__")
     P: FinObj
     F: FinObj
     pi1: FinMor
@@ -418,16 +417,16 @@ class PiDiagram(_Record):
 
     def __init__(self, P: FinObj, F: FinObj, pi1: FinMor, pi2: FinMor, phi: FinMor,
                  ev: FinMor):
-        _set_P(self, P)
-        _set_F(self, F)
-        _set_pi1(self, pi1)
-        _set_pi2(self, pi2)
-        _set_phi(self, phi)
-        _set_ev(self, ev)
-
-
-_set_P, _set_F, _set_pi1, _set_pi2, _set_phi, _set_ev = [
-    getattr(PiDiagram, field.name).__set__ for field in fields(PiDiagram)]
+        # straight into __dict__, past the frozen __setattr__: in slots, as
+        # a carrier's and a morphism's are, they measured no faster on
+        # pi-b4, the workload that builds the most diagrams (BENCH_34)
+        fields = self.__dict__
+        fields["P"] = P
+        fields["F"] = F
+        fields["pi1"] = pi1
+        fields["pi2"] = pi2
+        fields["phi"] = phi
+        fields["ev"] = ev
 
 
 def _require_composable(g: FinMor, f: FinMor) -> None:
@@ -536,8 +535,8 @@ def pi_object(g: FinMor, f: FinMor) -> FinMor:
     nothing on g, which suits a caller whose g is new on every call.  A call
     indexes g and f by value, O(|Y| + |X|), and writes O(|F|) labels and
     table entries through the validating constructors.  A point i with an
-    empty f-fiber, as most are for ``=>``, where f is a mono, gets its one
-    empty section ``(i|)`` directly; only the others go through
+    empty f-fiber, which ``=>`` meets often since its f is a mono, gets its
+    one empty section ``(i|)`` directly; only the others go through
     ``_fiber_sections``.
     """
     _require_composable(g, f)

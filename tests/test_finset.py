@@ -195,9 +195,9 @@ def test_records_refuse_every_field_write():
                 delattr(proto, name)
 
 
-def test_only_a_morphism_has_an_instance_dict_for_its_kept_indexes():
-    carrier_, mor, d = records()
-    assert not hasattr(carrier_, "__dict__") and not hasattr(d, "__dict__")
+def test_a_carrier_has_no_instance_dict_and_a_morphism_keeps_only_indexes_there():
+    carrier_, mor, _ = records()
+    assert not hasattr(carrier_, "__dict__")
     assert mor.__dict__ == {}
     with pytest.raises(dataclasses.FrozenInstanceError):
         carrier_._kept = None
@@ -402,21 +402,6 @@ def test_pullback_frozen_case():
     g = FinMor(B, terminal(), ("★", "★", "★"))
     square = pullback(f, g)
     assert square.apex.labels == product(A, B).apex.labels
-
-
-def test_pullback_equals_the_pairs_then_legs_reference_on_every_cospan():
-    cospans = 0
-    for a, b, c in itertools.product(*(small_objects(3, p) for p in "abc")):
-        gs = list(all_maps(b, c))
-        for f in all_maps(a, c):
-            for g in gs:
-                square = pullback(f, g)
-                labels, p1, p2 = pointwise_pullback(f, g)
-                assert square.apex.labels == labels
-                assert (square.p1.dom, square.p1.cod, square.p1.table) == (square.apex, a, p1)
-                assert (square.p2.dom, square.p2.cod, square.p2.table) == (square.apex, b, p2)
-                cospans += 1
-    assert cospans == 1842
 
 
 def test_pullback_is_limit_brute_force():
@@ -624,7 +609,8 @@ def test_pullback_matches_the_pointwise_pairing(data):
     square = pullback(f, g)
     labels, p1, p2 = pointwise_pullback(f, g)
     assert square.apex.labels == labels
-    assert square.p1.table == p1 and square.p2.table == p2
+    assert (square.p1.dom, square.p1.cod, square.p1.table) == (square.apex, f.dom, p1)
+    assert (square.p2.dom, square.p2.cod, square.p2.table) == (square.apex, g.dom, p2)
 
 
 @settings(deadline=None, derandomize=True, max_examples=300)
