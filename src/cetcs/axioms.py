@@ -148,8 +148,7 @@ from .report import FAIL, PASS, SKIP, Report
 
 EXHAUSTIVE_THRESHOLD = 4
 
-# The six caps: each checks less than the bound, whatever the bound is.
-MONO_TEST_CAP = 2  # the test objects of ``kernel.is_mono`` (G, element-equality, epi-onto)
+# The five caps: each checks less than the bound, whatever the bound is.
 SUM_DIAGRAM_CAP = 2  # the carriers on which DP recognizes sum diagrams
 SMALL_SQUARE_CAP = 2  # the cones on which ``_small_squares`` judges eq. (10)
 COMPETITOR_PAIR_CAP = 2  # the carriers of the pairs ``_pi_competitors`` sweeps
@@ -658,7 +657,7 @@ def _first_preimages(f: FinMor, fallback: str | None = None) -> FinMor:
 def _ax_onto_mono_iso(spec: CheckSpec):
     for f in _morphism_pool(spec):
         onto = f.is_surjective()
-        mono = kernel.is_mono(f, bound=min(spec.bound, MONO_TEST_CAP))
+        mono = kernel.is_mono(f, bound=spec.bound)
         yield 1
         if not (onto and mono):
             continue
@@ -833,12 +832,11 @@ AXIOMS: dict[str, tuple] = {
 
 
 def _thm_element_equality(spec: CheckSpec):
-    small = min(spec.bound, MONO_TEST_CAP)
     for a, b in _carriers(spec, "ab"):
         maps = list(_maps(spec, a, b))
         for f in maps:
             yield 1
-            if kernel.is_mono(f, bound=small) != f.is_injective():
+            if kernel.is_mono(f, bound=spec.bound) != f.is_injective():
                 return {"f": str(f), "statement": "mono vs injective"}
         for f in maps:
             for g in maps:
@@ -1108,7 +1106,7 @@ def _thm_epi_onto(spec: CheckSpec):
         yield 1
         if epi != f.is_surjective():
             return {"f": str(f), "epi": epi}
-        if epi and kernel.is_mono(f, bound=min(spec.bound, MONO_TEST_CAP)):
+        if epi and kernel.is_mono(f, bound=spec.bound):
             if not f.is_bijective():
                 return {"f": str(f), "statement": "balance"}
 

@@ -534,9 +534,11 @@ def pi_object(g: FinMor, f: FinMor) -> FinMor:
     monic, the subobject Π_f g of I.  Unlike ``pi_diagram`` it keeps
     nothing on g, which suits a caller whose g is new on every call.  A call
     indexes g and f by value, O(|Y| + |X|), and writes O(|F|) labels and
-    table entries through the validating constructors.  A point i with an
-    empty f-fiber, which ``=>`` meets often since its f is a mono, gets its
-    one empty section ``(i|)`` directly; only the others go through
+    table entries through the validating constructors.  The internal logic's
+    f is mostly a mono, so most f-fibers have at most one point, and those
+    are written directly: an empty fiber over i has the one empty section
+    ``(i|)``, and a fiber ``[x]`` one section ``(i|x↦y)`` for each
+    g-preimage y of x, in g's domain order.  Only larger fibers go through
     ``_fiber_sections``.
     """
     _require_composable(g, f)
@@ -546,10 +548,18 @@ def pi_object(g: FinMor, f: FinMor) -> FinMor:
     phi_table: list[str] = []
     for i in f.cod.labels:
         xs = fiber_f.get(i)
-        # an empty fiber's one section, the empty one, without the enumerator
-        for _, inner in _fiber_sections(fiber_g, xs) if xs else (((), ""),):
-            f_labels.append(f"({i}|{inner})")
+        if xs is None:
+            f_labels.append(f"({i}|)")
             phi_table.append(i)
+        elif len(xs) == 1:
+            x = xs[0]
+            ys = fiber_g.get(x, ())
+            f_labels += [f"({i}|{x}↦{y})" for y in ys]
+            phi_table += [i] * len(ys)
+        else:
+            for _, inner in _fiber_sections(fiber_g, xs):
+                f_labels.append(f"({i}|{inner})")
+                phi_table.append(i)
     return FinMor(FinObj(tuple(f_labels)), f.cod, tuple(phi_table))
 
 

@@ -280,15 +280,20 @@ class Context:
 
 
 # Entries kept by an Env's memos.  Each entry keeps a compiled subobject
-# alive, so size costs memory.  perfbench formula-shared at seed 7
-# (reference seconds, one run each): the (context, node) memo alone at 64
-# entries ran in 8.24 s at a 37.9 MB peak, and alone at 256 entries in
-# 6.80 s at 40.4 MB (+6.5 %, against the benchmark's 10 % bound); both
-# memos at 64 entries ran in 6.72 s at 38.0 MB.  The memo of built values
-# holds five kinds of entry, so it gets room for 64 of each: at 64 entries
-# in all, formula-deep ran 11 % slower (3.90 s against 3.54 s at 320).
+# alive, so size costs memory.  The memo of built values holds five kinds
+# of entry, so it gets room for 64 of each.  Atoms come back far apart: one
+# perfbench formula-deep pass (seed 7) looks an atom up 6,745 times, for
+# 428 distinct atoms, and an atom memo of each size finds this many:
+#
+#     entries    64      128     256     unbounded
+#     hits       2,049   3,564   5,330   6,317
+#
+# Against no atom memo, formula-deep's peak_rss_mb rose by 2.6 MB (+8 %,
+# close to the benchmark's 10 % bound) unbounded, and by 1.2 MB (+3.7 %)
+# at 256 entries.
 _MEMO_SIZE = 64
 _BUILT_SIZE = 5 * _MEMO_SIZE
+_ATOM_SIZE = 4 * _MEMO_SIZE
 
 
 class _LRU(OrderedDict):
@@ -313,7 +318,10 @@ class _LRU(OrderedDict):
 class _Memo:
     """What an Env remembers between calls.
 
-    ``compiled`` maps (context, node) to the node's mono; ``built`` maps a
+    ``compiled`` maps (context, node) to the node's mono, and ``atoms`` does
+    the same for atoms alone, with more room: an atom recurs across
+    formulas that share little else, so it is evicted from ``compiled``
+    before it is met again.  ``built`` maps a
     key tagged with its kind to what was built from it: ``(connective,
     inputs)`` to the connective's mono, ``("result", carriers, dom, table)``
     to the relation a mono compiles to, ``("relation", name)`` to the
@@ -326,10 +334,11 @@ class _Memo:
     formulas walks them both.
     """
 
-    __slots__ = ("compiled", "built", "checked")
+    __slots__ = ("compiled", "atoms", "built", "checked")
 
     def __init__(self) -> None:
         self.compiled = _LRU(_MEMO_SIZE)
+        self.atoms = _LRU(_ATOM_SIZE)
         self.built = _LRU(_BUILT_SIZE)
         self.checked: tuple[Context | None, Formula | None] = None, None
 
@@ -682,6 +691,19 @@ def _compile_mono(ctx: Context, phi: Formula, env: Env, cprod: ProductDiagram) -
     return env._memo.compiled.kept((ctx, phi), _build_mono, ctx, phi, env, cprod)
 
 
+def _build_atom(ctx: Context, phi: Atom, env: Env, cprod: ProductDiagram) -> FinMor:
+    """An atom's mono: the pullback of its relation's mono along its terms."""
+    memo = env._memo
+    rel = env.relations[phi.name]
+    tprod = memo.product(rel.cods, tuple([c.labels for c in rel.cods]))
+    rel_mono = memo.built.kept(("relation", phi.name),
+                               lambda: tprod.pair(rel.legs, dom=rel.dom))
+    terms = tprod.pair(
+        tuple(_term_mor(ctx, a, env, cprod) for a in phi.args), dom=cprod.apex
+    )
+    return pullback(rel_mono, terms).p2
+
+
 def _build_mono(ctx: Context, phi: Formula, env: Env, cprod: ProductDiagram) -> FinMor:
     _check_node(ctx, phi, env)
     memo = env._memo
@@ -691,13 +713,7 @@ def _build_mono(ctx: Context, phi: Formula, env: Env, cprod: ProductDiagram) -> 
     if isinstance(phi, Bot):
         return unique_from_initial(cprod.apex)
     if isinstance(phi, Atom):
-        rel = env.relations[phi.name]
-        tprod = memo.product(rel.cods, tuple([c.labels for c in rel.cods]))
-        rel_mono = built(("relation", phi.name), lambda: tprod.pair(rel.legs, dom=rel.dom))
-        terms = tprod.pair(
-            tuple(_term_mor(ctx, a, env, cprod) for a in phi.args), dom=cprod.apex
-        )
-        return pullback(rel_mono, terms).p2
+        return memo.atoms.kept((ctx, phi), _build_atom, ctx, phi, env, cprod)
     if isinstance(phi, Eq):
         return equalizer(_term_mor(ctx, phi.lhs, env, cprod),
                          _term_mor(ctx, phi.rhs, env, cprod))

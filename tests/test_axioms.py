@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cetcs
-from cetcs import axioms, cli, finset
+from cetcs import axioms, cli, finset, kernel
 from cetcs.axioms import (
     AXIOMS,
     THEOREMS,
@@ -1622,6 +1622,30 @@ def test_every_shared_sweep_face_is_pinned(monkeypatch, item, patches, want):
     assert (rep.verdict, rep.witness, rep.instances_checked) == want
 
 
+def mono_wrong_on_three_points(f, bound=2):
+    """``kernel.is_mono`` with one fault, on 3-point test objects alone:
+    there it expects |dom f|^2 distinct composites, not |dom f|^3."""
+    return all(len({compose(f, h).table for h in all_maps(u, f.dom)})
+               == len(f.dom) ** (2 if len(u) == 3 else len(u))
+               for u in map(carrier_of_size, range(bound + 1)))
+
+
+def test_a_mono_test_wrong_only_on_three_points_is_killed_at_bound_3(monkeypatch):
+    # G, element-equality and epi-onto test monicity up to the bound, so a
+    # fault on 3-point test objects shows at bound 3: element-equality
+    # compares is_mono with injectivity.  G and epi-onto act only on a map
+    # found mono, so a mono called not mono passes them.
+    monkeypatch.setattr(kernel, "is_mono", mono_wrong_on_three_points)
+    rep = check_theorem(CheckSpec(item="element-equality", bound=2))
+    assert rep.verdict == PASS
+    rep = check_theorem(CheckSpec(item="element-equality", bound=3))
+    assert (rep.verdict, rep.witness, rep.instances_checked) == (FAIL, {
+        "f": "{a0, a1} -> {b0, b1} [a0 |-> b0, a1 |-> b1]", "statement": "mono vs injective"},
+        32)
+    assert check_axiom(CheckSpec(item="G", bound=3)).verdict == PASS
+    assert check_theorem(CheckSpec(item="epi-onto", bound=3)).verdict == PASS
+
+
 # The witness keys that name a failing item's instance, not its cone.
 SWEPT_INSTANCE = {
     "C1": (), "C2": ("A", "B"), "C3": ("f", "g"), "D1": (), "D2": ("A", "B"),
@@ -1727,6 +1751,30 @@ def test_every_construction_mutant_is_killed(monkeypatch, name, item, mutant, wa
     check = check_axiom if item in AXIOMS else check_theorem
     rep = check(CheckSpec(item=item, bound=3))
     assert (rep.verdict, rep.witness, rep.instances_checked) == want
+
+
+def mono_wrong_on_three_points(f, bound=2):
+    """``kernel.is_mono`` with one fault, on 3-point test objects alone:
+    there it expects |dom f|^2 distinct composites, not |dom f|^3."""
+    return all(len({compose(f, h).table for h in all_maps(u, f.dom)})
+               == len(f.dom) ** (2 if len(u) == 3 else len(u))
+               for u in map(carrier_of_size, range(bound + 1)))
+
+
+def test_a_mono_test_wrong_only_on_three_points_is_killed_at_bound_3(monkeypatch):
+    # G, element-equality and epi-onto test monicity up to the bound, so a
+    # fault on 3-point test objects shows at bound 3: element-equality
+    # compares is_mono with injectivity.  G and epi-onto act only on a map
+    # found mono, so a mono called not mono passes them.
+    monkeypatch.setattr(kernel, "is_mono", mono_wrong_on_three_points)
+    rep = check_theorem(CheckSpec(item="element-equality", bound=2))
+    assert rep.verdict == PASS
+    rep = check_theorem(CheckSpec(item="element-equality", bound=3))
+    assert (rep.verdict, rep.witness, rep.instances_checked) == (FAIL, {
+        "f": "{a0, a1} -> {b0, b1} [a0 |-> b0, a1 |-> b1]", "statement": "mono vs injective"},
+        32)
+    assert check_axiom(CheckSpec(item="G", bound=3)).verdict == PASS
+    assert check_theorem(CheckSpec(item="epi-onto", bound=3)).verdict == PASS
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from cetcs.finset import (
     pullback,
 )
 from cetcs.logic import (
+    _ATOM_SIZE,
     _BUILT_SIZE,
     _MEMO_SIZE,
     And,
@@ -489,6 +490,7 @@ def test_memoized_compile_equals_a_fresh_compile(data):
         assert got.trace == want.trace
     for env in (warm, fresh):
         assert len(env._memo.compiled) <= _MEMO_SIZE
+        assert len(env._memo.atoms) <= _ATOM_SIZE
         assert len(env._memo.built) <= _BUILT_SIZE
 
 
@@ -554,6 +556,35 @@ def test_compile_memo_keeps_at_most_its_size(env, ctx):
     assert set(compile_formula(ctx, phi, env).relation.tuples) == {("x0",), ("x1",)}
 
 
+def test_atom_memo_keeps_at_most_its_size(env):
+    # each context names its variable apart, so each keeps a new atom
+    contexts = [parse_context(f"v{k}:X", env.objects) for k in range(_ATOM_SIZE + 1)]
+    for k, ctx in enumerate(contexts):
+        compile_formula(ctx, Atom("r", (Var(f"v{k}"),)), env)
+    assert len(env._memo.atoms) == _ATOM_SIZE
+    assert (contexts[0], Atom("r", (Var("v0"),))) not in env._memo.atoms
+    assert set(compile_formula(contexts[0], Atom("r", (Var("v0"),)), env).relation.tuples) == {
+        ("x0",), ("x1",)}
+
+
+def test_verify_rejects_a_poisoned_atom_memo(env, ctx):
+    compile_formula(ctx, R_X, env)
+    compile_formula(ctx, S_X, env)
+    atoms = env._memo.atoms
+    atoms[(ctx, R_X)] = atoms[(ctx, S_X)]
+    # a chain of new conjunctions of s(x) evicts r(x) from the compile memo
+    # but not from the larger atom memo, which then answers for it
+    phi = Top()
+    for _ in range(_MEMO_SIZE):
+        phi = And(phi, S_X)
+        compile_formula(ctx, phi, env)
+    assert (ctx, R_X) not in env._memo.compiled
+    rep = verify(ctx, R_X, env)
+    assert rep.failed
+    assert rep.witness == {"row": ["x0"], "compiled": False, "oracle": True,
+                           "formula": "r(x)", "trace": ["atom:r:pullback"]}
+
+
 def test_a_long_conjunction_chain_compiles_step_by_step(env, ctx):
     # Each step checks and builds only its new root, finding the chain below
     # it in the compile memo, and walks down neither chain to compare them.
@@ -617,6 +648,41 @@ def test_result_memo_tells_apart_contexts_with_equal_products():
     for ctx in (one, two, one):
         assert compile_formula(ctx, Top(), env) == compile_formula(ctx, Top(), model.env())
         assert verify(ctx, Top(), env).passed
+
+
+def test_atom_memo_tells_apart_contexts_with_equal_products():
+    # p:P and x:A, y:U have the same product apex, and t(p) and w(x,y) the
+    # same one row on it; each atom is kept under its own context.
+    from cetcs.modelfile import parse_model
+
+    model = parse_model("object A = {a}\nobject U = {u}\nobject P = {(a,u)}\n"
+                        "relation t <| (P) = { (a,u) }\n"
+                        "relation w <| (A, U) = { (a, u) }\n")
+    env = model.env()
+    one = (parse_context("p:P", env.objects), parse("t(p)"))
+    two = (parse_context("x:A, y:U", env.objects), parse("w(x,y)"))
+    assert product_n(one[0].objects).apex == product_n(two[0].objects).apex
+    for ctx, phi in (one, two, one):
+        assert compile_formula(ctx, phi, env) == compile_formula(ctx, phi, model.env())
+        assert verify(ctx, phi, env).passed
+    assert set(env._memo.atoms) == {one, two}
+
+
+def test_atom_memo_tells_apart_contexts_that_differ_only_in_names():
+    # x:A, y:A and y:A, x:A have the same carriers and product; q(x) reads
+    # the first point of a pair in one and the second in the other.
+    from cetcs.modelfile import parse_model
+
+    model = parse_model("object A = {a, b}\nrelation q <| (A) = { a }\n")
+    env = model.env()
+    phi = parse("q(x)")
+    xy = parse_context("x:A, y:A", env.objects)
+    yx = parse_context("y:A, x:A", env.objects)
+    assert xy.labels == yx.labels
+    want = {xy: {("a", "a"), ("a", "b")}, yx: {("a", "a"), ("b", "a")}}
+    for ctx in (xy, yx, xy):
+        assert set(compile_formula(ctx, phi, env).relation.tuples) == want[ctx]
+        assert verify(ctx, phi, env).passed
 
 
 def test_context_products_do_not_outlive_their_env(std_model):

@@ -19,9 +19,9 @@ def test_library_in_one_minute_runs():
 
 def test_cap_bullets_state_the_constants():
     text = README.read_text(encoding="utf-8")
-    caps = text.split("Six caps check less than the", 1)[1].split("One floor", 1)[0]
+    caps = text.split("Five caps check less than the", 1)[1].split("One floor", 1)[0]
     # each bullet gives a cap as "at most N (`NAME`)" or "N steps (`NAME`)"
     stated = {name: int(n) for n, name in re.findall(r"(\d+)(?: steps)?\s+\(`(\w+)`\)", caps)}
     assert stated == {name: getattr(axioms, name) for name in (
-        "MONO_TEST_CAP", "SUM_DIAGRAM_CAP", "SMALL_SQUARE_CAP",
+        "SUM_DIAGRAM_CAP", "SMALL_SQUARE_CAP",
         "COMPETITOR_PAIR_CAP", "COMPETITOR_APEX_CAP", "UNROLLED_STEPS")}
