@@ -180,6 +180,11 @@ class CheckSpec:
     def sampled(self) -> bool:
         return self.sample is not None
 
+    @property
+    def mono_bound(self) -> int:
+        """The test objects' bound for ``kernel.is_mono``: sampling caps it."""
+        return min(self.bound, EXHAUSTIVE_THRESHOLD) if self.sampled else self.bound
+
 
 # ---------------------------------------------------------------------------
 # instance pools
@@ -657,7 +662,7 @@ def _first_preimages(f: FinMor, fallback: str | None = None) -> FinMor:
 def _ax_onto_mono_iso(spec: CheckSpec):
     for f in _morphism_pool(spec):
         onto = f.is_surjective()
-        mono = kernel.is_mono(f, bound=spec.bound)
+        mono = kernel.is_mono(f, bound=spec.mono_bound)
         yield 1
         if not (onto and mono):
             continue
@@ -836,7 +841,7 @@ def _thm_element_equality(spec: CheckSpec):
         maps = list(_maps(spec, a, b))
         for f in maps:
             yield 1
-            if kernel.is_mono(f, bound=spec.bound) != f.is_injective():
+            if kernel.is_mono(f, bound=spec.mono_bound) != f.is_injective():
                 return {"f": str(f), "statement": "mono vs injective"}
         for f in maps:
             for g in maps:
@@ -1106,7 +1111,7 @@ def _thm_epi_onto(spec: CheckSpec):
         yield 1
         if epi != f.is_surjective():
             return {"f": str(f), "epi": epi}
-        if epi and kernel.is_mono(f, bound=spec.bound):
+        if epi and kernel.is_mono(f, bound=spec.mono_bound):
             if not f.is_bijective():
                 return {"f": str(f), "statement": "balance"}
 

@@ -25,10 +25,11 @@ extends as far right as possible.
 touching none of the constructions above, and ``verify`` sweeps every
 context tuple comparing the two routes.
 
-``compile_formula`` type-checks as it compiles, in one walk: each node is
-checked just before it is built, children left to right, so it raises the
-same first error as ``check_formula``, which walks the formula in the same
-order without building anything.  Once a formula is built,
+Rendering, checking, compiling and evaluating each look a node's function
+up by its exact type in a table.  ``compile_formula`` checks as it
+compiles: each node just before it is built, children left to right, so
+it raises the same first error as ``check_formula``, which walks in the
+same order without building anything.  Once a formula is built,
 ``compile_formula`` passes it to ``check_formula``, which finds its root
 in the compile memo and only records it as checked.
 
@@ -200,23 +201,20 @@ def render_term(t: Term) -> str:
 
 def render(phi: Formula) -> str:
     """Fully parenthesized rendering, for messages and witnesses."""
-    if isinstance(phi, Top):
-        return "true"
-    if isinstance(phi, Bot):
-        return "false"
-    if isinstance(phi, Atom):
-        return f"{phi.name}({', '.join(render_term(a) for a in phi.args)})"
-    if isinstance(phi, Eq):
-        return f"{render_term(phi.lhs)} = {render_term(phi.rhs)}"
-    if isinstance(phi, And):
-        return f"({render(phi.lhs)} /\\ {render(phi.rhs)})"
-    if isinstance(phi, Or):
-        return f"({render(phi.lhs)} \\/ {render(phi.rhs)})"
-    if isinstance(phi, Implies):
-        return f"({render(phi.lhs)} => {render(phi.rhs)})"
-    if isinstance(phi, Forall):
-        return f"(forall {phi.var}:{phi.sort}. {render(phi.body)})"
-    return f"(exists {phi.var}:{phi.sort}. {render(phi.body)})"
+    return _RENDER[type(phi)](phi)
+
+
+_RENDER = {
+    Top: lambda phi: "true",
+    Bot: lambda phi: "false",
+    Atom: lambda phi: f"{phi.name}({', '.join(render_term(a) for a in phi.args)})",
+    Eq: lambda phi: f"{render_term(phi.lhs)} = {render_term(phi.rhs)}",
+    And: lambda phi: f"({render(phi.lhs)} /\\ {render(phi.rhs)})",
+    Or: lambda phi: f"({render(phi.lhs)} \\/ {render(phi.rhs)})",
+    Implies: lambda phi: f"({render(phi.lhs)} => {render(phi.rhs)})",
+    Forall: lambda phi: f"(forall {phi.var}:{phi.sort}. {render(phi.body)})",
+    Exists: lambda phi: f"(exists {phi.var}:{phi.sort}. {render(phi.body)})",
+}
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +271,7 @@ class Context:
 
     def rows(self):
         """All assignments, as label tuples in carrier order."""
-        return itertools.product(*(o.labels for o in self.objects))
-
-    def __len__(self) -> int:
-        return len(self.vars)
+        return itertools.product(*self.labels)
 
 
 # Entries kept by an Env's memos.  Each entry keeps a compiled subobject
@@ -309,7 +304,11 @@ class _LRU(OrderedDict):
         if value is not None:
             self.move_to_end(key)
             return value
-        value = self[key] = build(*args)
+        return self.keep(key, build(*args))
+
+    def keep(self, key, value):
+        """Keep value under key as the most recently used entry; returns it."""
+        self[key] = value
         if len(self) > self.size:
             self.popitem(last=False)
         return value
@@ -341,11 +340,6 @@ class _Memo:
         self.atoms = _LRU(_ATOM_SIZE)
         self.built = _LRU(_BUILT_SIZE)
         self.checked: tuple[Context | None, Formula | None] = None, None
-
-    def product(self, objs: tuple[FinObj, ...],
-                labels: tuple[tuple[str, ...], ...]) -> ProductDiagram:
-        """The product of ``objs``, whose labels are ``labels``."""
-        return self.built.kept(("product", labels), product_n, objs)
 
 
 @dataclass(frozen=True)
@@ -597,49 +591,64 @@ def _check(ctx: Context, phi: Formula, env: Env) -> None:
     # compile_formula checks each node just before it builds it, and builds
     # a node only once its children are built.  A membership test leaves
     # the LRU order alone.
-    if (ctx, phi) in env._memo.compiled:
-        return
-    _check_node(ctx, phi, env)
-    if isinstance(phi, (And, Or, Implies)):
-        _check(ctx, phi.lhs, env)
-        _check(ctx, phi.rhs, env)
-    elif isinstance(phi, (Forall, Exists)):
-        _check(ctx.extend(phi.var, env.objects[phi.sort]), phi.body, env)
+    if (ctx, phi) not in env._memo.compiled:
+        _CHECK.get(type(phi), _unsupported)(ctx, phi, env)
 
 
-def _check_node(ctx: Context, phi: Formula, env: Env) -> None:
-    """The typing rules local to one node; its children are not looked at.
-
-    ``_check`` and ``_build_mono`` both call it on each node before its
-    children, left to right, so both report the same first problem.
-    """
-    if isinstance(phi, Atom):
-        rel = env.relations.get(phi.name)
-        if rel is None:
-            raise FormulaError(f"unknown relation {phi.name!r}", phi.pos)
-        if len(phi.args) != rel.arity:
+# The typing rules local to one node, which look at none of its children.
+# Both walks apply a node's rule before they walk its children, left to
+# right, so both report the same first problem.
+def _check_atom(ctx: Context, phi: Atom, env: Env) -> None:
+    rel = env.relations.get(phi.name)
+    if rel is None:
+        raise FormulaError(f"unknown relation {phi.name!r}", phi.pos)
+    if len(phi.args) != rel.arity:
+        raise FormulaError(
+            f"relation {phi.name!r} has arity {rel.arity}, got {len(phi.args)} arguments",
+            phi.pos,
+        )
+    for arg, cod in zip(phi.args, rel.cods):
+        sort = term_sort(ctx, arg, env)
+        if sort != cod:
             raise FormulaError(
-                f"relation {phi.name!r} has arity {rel.arity}, got {len(phi.args)} arguments",
-                phi.pos,
+                f"argument of {phi.name!r} has sort {sort}, expected {cod}", phi.pos
             )
-        for arg, cod in zip(phi.args, rel.cods):
-            sort = term_sort(ctx, arg, env)
-            if sort != cod:
-                raise FormulaError(
-                    f"argument of {phi.name!r} has sort {sort}, expected {cod}", phi.pos
-                )
-    elif isinstance(phi, Eq):
-        lhs = term_sort(ctx, phi.lhs, env)
-        rhs = term_sort(ctx, phi.rhs, env)
-        if lhs != rhs:
-            raise FormulaError(f"cannot equate {lhs} with {rhs}", phi.pos)
-    elif isinstance(phi, (Forall, Exists)):
-        if ctx.sort_of(phi.var) is not None:
-            raise FormulaError(f"variable {phi.var!r} shadows the context", phi.pos)
-        if phi.sort not in env.objects:
-            raise FormulaError(f"unknown object {phi.sort!r}", phi.pos)
-    elif not isinstance(phi, (Top, Bot, And, Or, Implies)):
-        raise FormulaError(f"unsupported formula node {phi!r}")
+
+
+def _check_eq(ctx: Context, phi: Eq, env: Env) -> None:
+    lhs, rhs = term_sort(ctx, phi.lhs, env), term_sort(ctx, phi.rhs, env)
+    if lhs != rhs:
+        raise FormulaError(f"cannot equate {lhs} with {rhs}", phi.pos)
+
+
+def _bind(ctx: Context, phi: Forall | Exists, env: Env) -> Context:
+    """A quantifier's rule; returns the context its body is read in."""
+    if ctx.sort_of(phi.var) is not None:
+        raise FormulaError(f"variable {phi.var!r} shadows the context", phi.pos)
+    if phi.sort not in env.objects:
+        raise FormulaError(f"unknown object {phi.sort!r}", phi.pos)
+    return ctx.extend(phi.var, env.objects[phi.sort])
+
+
+def _check_operands(ctx: Context, phi: And | Or | Implies, env: Env) -> None:
+    _check(ctx, phi.lhs, env)
+    _check(ctx, phi.rhs, env)
+
+
+def _unsupported(ctx: Context, phi, *_) -> None:
+    raise FormulaError(f"unsupported formula node {phi!r}")
+
+
+# Both walks look a node's function up by its exact type, and any type but
+# the nine, a subclass of one included, gets ``_unsupported``.  The check
+# walk's function applies the node's rule, then checks its children.
+_CHECK = {
+    Top: lambda ctx, phi, env: None, Bot: lambda ctx, phi, env: None,
+    Atom: _check_atom, Eq: _check_eq,
+    And: _check_operands, Or: _check_operands, Implies: _check_operands,
+    Forall: lambda ctx, phi, env: _check(_bind(ctx, phi, env), phi.body, env),
+    Exists: lambda ctx, phi, env: _check(_bind(ctx, phi, env), phi.body, env),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -684,18 +693,27 @@ def _term_mor(ctx: Context, t: Term, env: Env, cprod: ProductDiagram) -> FinMor:
 def _compile_mono(ctx: Context, phi: Formula, env: Env, cprod: ProductDiagram) -> FinMor:
     """Compile to a monic map into the context product, through the memo.
 
-    ``_build_mono`` is passed with its arguments rather than in a closure:
-    a closure's frame per level of nesting would lower the deepest formula
-    that compiles within Python's recursion limit, from 330 conjuncts to 225.
+    The memo is probed here, not through ``_LRU.kept``: every frame per
+    level of nesting lowers the deepest formula that compiles within the
+    recursion limit.  A flat conjunction's is 332 conjuncts, or 493 once
+    its node hashes are kept (computing them recurses too).
     """
-    return env._memo.compiled.kept((ctx, phi), _build_mono, ctx, phi, env, cprod)
+    compiled = env._memo.compiled
+    key = ctx, phi
+    mono = compiled.get(key)
+    if mono is None:
+        return compiled.keep(key, _BUILD.get(type(phi), _unsupported)(ctx, phi, env, cprod))
+    compiled.move_to_end(key)
+    return mono
 
 
 def _build_atom(ctx: Context, phi: Atom, env: Env, cprod: ProductDiagram) -> FinMor:
     """An atom's mono: the pullback of its relation's mono along its terms."""
+    _check_atom(ctx, phi, env)
     memo = env._memo
     rel = env.relations[phi.name]
-    tprod = memo.product(rel.cods, tuple([c.labels for c in rel.cods]))
+    labels = tuple([c.labels for c in rel.cods])
+    tprod = memo.built.kept(("product", labels), product_n, rel.cods)
     rel_mono = memo.built.kept(("relation", phi.name),
                                lambda: tprod.pair(rel.legs, dom=rel.dom))
     terms = tprod.pair(
@@ -704,53 +722,60 @@ def _build_atom(ctx: Context, phi: Atom, env: Env, cprod: ProductDiagram) -> Fin
     return pullback(rel_mono, terms).p2
 
 
-def _build_mono(ctx: Context, phi: Formula, env: Env, cprod: ProductDiagram) -> FinMor:
-    _check_node(ctx, phi, env)
-    memo = env._memo
-    built = memo.built.kept
-    if isinstance(phi, Top):
-        return identity(cprod.apex)
-    if isinstance(phi, Bot):
-        return unique_from_initial(cprod.apex)
-    if isinstance(phi, Atom):
-        return memo.atoms.kept((ctx, phi), _build_atom, ctx, phi, env, cprod)
-    if isinstance(phi, Eq):
-        return equalizer(_term_mor(ctx, phi.lhs, env, cprod),
-                         _term_mor(ctx, phi.rhs, env, cprod))
-    # A connective's mono is built once per Env for a key naming it and the
-    # inputs that fix its result.  An input mono is spelled by its domain and
-    # table rather than by itself, its codomain being the context product,
-    # and each carrier by its labels, which is what FinObj equality compares:
-    # the generated hash and equality of FinMor and FinObj build a tuple of
-    # their fields in Python on every call, and a hit hashes its key twice.
-    if isinstance(phi, (And, Or, Implies)):
+def _build_eq(ctx: Context, phi: Eq, env: Env, cprod: ProductDiagram) -> FinMor:
+    _check_eq(ctx, phi, env)
+    return equalizer(_term_mor(ctx, phi.lhs, env, cprod), _term_mor(ctx, phi.rhs, env, cprod))
+
+
+# A connective's mono is built once per Env for a key naming it and the
+# inputs that fix its result.  An input mono is spelled by its domain and
+# table rather than by itself, its codomain being the context product,
+# and each carrier by its labels, which is what FinObj equality compares:
+# the generated hash and equality of FinMor and FinObj build a tuple of
+# their fields in Python on every call, and a hit hashes its key twice.
+def _binary(tag: str, construct):
+    def build(ctx: Context, phi: Formula, env: Env, cprod: ProductDiagram) -> FinMor:
         a = _compile_mono(ctx, phi.lhs, env, cprod)
         b = _compile_mono(ctx, phi.rhs, env, cprod)
         inputs = (cprod.apex.labels, a.dom.labels, a.table, b.dom.labels, b.table)
-        if isinstance(phi, And):
-            return built(("and", inputs), lambda: compose(a, pullback(a, b).p1))
-        if isinstance(phi, Or):
-            return built(("or", inputs), lambda: image_factorization(
-                coproduct(a.dom, b.dom).copair(a, b))[1])
-        return built(("implies", inputs), lambda: pi_object(pullback(a, b).p1, a))
-    if isinstance(phi, (Forall, Exists)):
-        inner_ctx = ctx.extend(phi.var, env.objects[phi.sort])
-        labels = inner_ctx.labels
-        inner_prod = memo.product(inner_ctx.objects, labels)
-        body = _compile_mono(inner_ctx, phi.body, env, inner_prod)
-        # The inner carriers fix both context products (the outer context is
-        # the inner one less its last variable), hence the projection that
-        # drops the last variable, kept per Env for them.
-        inputs = (labels, body.dom.labels, body.table)
+        return env._memo.built.kept((tag, inputs), construct, a, b)
+    return build
 
+
+def _quantifier(tag: str, construct):
+    def build(ctx: Context, phi: Formula, env: Env, cprod: ProductDiagram) -> FinMor:
+        inner_ctx = _bind(ctx, phi, env)
+        labels, built = inner_ctx.labels, env._memo.built.kept
+        inner_prod = built(("product", labels), product_n, inner_ctx.objects)
+        body = _compile_mono(inner_ctx, phi.body, env, inner_prod)
+        # The inner carriers fix both context products (the outer context
+        # is the inner one less its last variable), hence the projection
+        # that drops the last variable, kept per Env for them.
         def drop() -> FinMor:
             return built(("drop", labels), lambda: cprod.pair(
                 inner_prod.projections[:-1], dom=inner_prod.apex))
+        return built((tag, (labels, body.dom.labels, body.table)), construct, body, drop)
+    return build
 
-        if isinstance(phi, Forall):
-            return built(("forall", inputs), lambda: pi_object(body, drop()))
-        return built(("exists", inputs), lambda: image_factorization(
-            compose(drop(), body))[1])
+
+# The compile walk's function applies the node's rule, then builds its mono;
+# an atom found in the atom memo passed its rule in the same context.  A
+# connective's construction is passed its operands' monos, a quantifier's
+# its body's mono and a builder of the projection that drops its variable.
+_BUILD = {
+    Top: lambda ctx, phi, env, cprod: identity(cprod.apex),
+    Bot: lambda ctx, phi, env, cprod: unique_from_initial(cprod.apex),
+    Atom: lambda ctx, phi, env, cprod: env._memo.atoms.kept(
+        (ctx, phi), _build_atom, ctx, phi, env, cprod),
+    Eq: _build_eq,
+    And: _binary("and", lambda a, b: compose(a, pullback(a, b).p1)),
+    Or: _binary("or", lambda a, b: image_factorization(
+        coproduct(a.dom, b.dom).copair(a, b))[1]),
+    Implies: _binary("implies", lambda a, b: pi_object(pullback(a, b).p1, a)),
+    Forall: _quantifier("forall", lambda body, drop: pi_object(body, drop())),
+    Exists: _quantifier("exists", lambda body, drop: image_factorization(
+        compose(drop(), body))[1]),
+}
 
 
 def compile_formula(ctx: Context, phi: Formula, env: Env) -> CompilationResult:
@@ -764,7 +789,7 @@ def compile_formula(ctx: Context, phi: Formula, env: Env) -> CompilationResult:
     its legs; the apex would not: a label ``(a,u)`` spells a pair.
     """
     memo = env._memo
-    cprod = memo.product(ctx.objects, ctx.labels)
+    cprod = memo.built.kept(("product", ctx.labels), product_n, ctx.objects)
     mono = _compile_mono(ctx, phi, env, cprod)
     check_formula(ctx, phi, env)
     key = ("result", ctx.labels, mono.dom.labels, mono.table)
@@ -805,7 +830,7 @@ _EVAL = {
     Top: lambda phi, env, a: True,
     Bot: lambda phi, env, a: False,
     Atom: lambda phi, env, a: env.relations[phi.name].member(
-        tuple(_eval_term(t, env, a) for t in phi.args)),
+        tuple([_eval_term(t, env, a) for t in phi.args])),
     Eq: lambda phi, env, a: _eval_term(phi.lhs, env, a) == _eval_term(phi.rhs, env, a),
     And: lambda phi, env, a: (_EVAL[type(phi.lhs)](phi.lhs, env, a)
                               and _EVAL[type(phi.rhs)](phi.rhs, env, a)),
@@ -822,8 +847,8 @@ def oracle(ctx: Context, phi: Formula, env: Env, row: Sequence[str]) -> bool:
     """Evaluate by direct recursion on one context row; no constructions."""
     check_formula(ctx, phi, env)
     row = tuple(row)
-    if len(row) != len(ctx):
-        raise ShapeError(f"expected {len(ctx)} components, got {len(row)}")
+    if len(row) != len(ctx.objects):
+        raise ShapeError(f"expected {len(ctx.objects)} components, got {len(row)}")
     for lbl, obj in zip(row, ctx.objects):
         if lbl not in obj.index:
             raise ShapeError(f"{lbl!r} is not a label of {obj}")

@@ -8,6 +8,7 @@ m = {(x0,y0),(x0,y1),(x2,y0)}, f = x0,x1 -> y0, x2 -> y1).
 from __future__ import annotations
 
 import gc
+import types
 import weakref
 
 import pytest
@@ -749,6 +750,95 @@ def test_verify_rejects_a_construction_that_drops_a_point(
     ctx = parse_context("x:X", env.objects)
     rep = verify(ctx, parse(text), env)
     assert rep.failed
+
+
+# Every walk looks a node's function up by its exact type, in a table of the
+# module's own functions.  A public construction held there directly would
+# be the object bound when the module was loaded, and a tracer or mutant
+# rebinding the module global would never see it called.
+WALKS = {"_CHECK": logic._CHECK, "_BUILD": logic._BUILD, "_RENDER": logic._RENDER,
+         "_EVAL": logic._EVAL}
+NODE_TYPES = {Top, Bot, Atom, Eq, And, Or, Implies, Forall, Exists}
+
+
+@pytest.mark.parametrize("name", list(WALKS))
+def test_every_walk_dispatches_to_private_functions_of_logic(name):
+    public = {id(v) for k, v in vars(logic).items() if not k.startswith("_")}
+    table = WALKS[name]
+    assert set(table) == NODE_TYPES
+    for fn in table.values():
+        assert isinstance(fn, types.FunctionType)
+        assert fn.__module__ == logic.__name__ and id(fn) not in public
+        assert fn.__qualname__ == "<lambda>" or fn.__qualname__.startswith("_")
+
+
+@pytest.mark.parametrize("construction, text", [
+    ("pullback", "r(x)"),
+    ("pullback", r"x = x /\ true"),
+    ("pullback", "x = x => true"),
+    ("equalizer", "x = x"),
+    ("image_factorization", r"true \/ false"),
+    ("image_factorization", "exists y:Y. true"),
+    ("pi_object", "true => true"),
+    ("pi_object", "forall y:Y. true"),
+    ("coproduct", r"true \/ false"),
+    ("compose", r"x = x /\ true"),
+    ("compose", "exists y:Y. true"),
+    ("compose", "f(x) = f(x)"),
+    ("identity", "true"),
+    ("unique_from_initial", "false"),
+    ("product_n", "r(x)"),
+    ("product_n", "forall y:Y. true"),
+])
+def test_each_node_calls_its_construction_through_the_module_global(
+    std_model, monkeypatch, construction, text
+):
+    # The root's function runs alone on a fresh env, so the formula reaches
+    # the construction only through that function and its children's.
+    env = std_model.env()
+    ctx = parse_context("x:X", env.objects)
+    cprod = product_n(ctx.objects)
+    phi = parse(text)
+    calls = []
+    real = getattr(logic, construction)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(logic, construction, counted)
+    mono = logic._BUILD[type(phi)](ctx, phi, env, cprod)
+    assert calls
+    assert mono.table == logic._compile_mono(ctx, phi, std_model.env(), cprod).table
+
+
+class Both(And):
+    """A subclass of a node type: no walk accepts it."""
+
+    __slots__ = ()
+
+
+UNSUPPORTED = {
+    "subclass": (Both(R_X, S_X), "unsupported formula node Both(lhs=Atom(name='r', "
+                 "args=(Var(name='x'),)), rhs=Atom(name='s', args=(Var(name='x'),)))"),
+    "text": ("r(x)", "unsupported formula node 'r(x)'"),
+    "nested": (And(R_X, Forall("y", "Y", 7)), "unsupported formula node 7"),
+}
+
+
+@pytest.mark.parametrize("walk", [check_formula, compile_formula, verify, oracle])
+@pytest.mark.parametrize("case", list(UNSUPPORTED))
+def test_an_unsupported_node_is_rejected_by_every_walk(std_model, walk, case):
+    phi, message = UNSUPPORTED[case]
+    fresh, warm = std_model.env(), std_model.env()
+    ctx = parse_context("x:X", fresh.objects)
+    # the warm env has compiled every supported node the formulas share
+    compile_formula(ctx, And(R_X, S_X), warm)
+    for env in (fresh, warm):
+        args = (ctx, phi, env, ("x0",)) if walk is oracle else (ctx, phi, env)
+        with pytest.raises(FormulaError) as got:
+            walk(*args)
+        assert (str(got.value), got.value.pos) == (message, None)
 
 
 def test_env_is_a_read_only_snapshot(std_model):
